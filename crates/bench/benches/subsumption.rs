@@ -53,9 +53,7 @@ use dlearn_core::{
     generalize_prepared, BottomClauseBuilder, CoverageEngine, LearnerConfig, PreparedClause,
 };
 use dlearn_datagen::{generate_movie_dataset, MovieConfig};
-use dlearn_logic::{
-    subsumes_numbered_decision, Clause, GroundClause, NumberedClause, SubsumptionConfig,
-};
+use dlearn_logic::{subsumes, Clause, GroundClause, NumberedClause, SubsumptionConfig};
 use dlearn_similarity::{IndexConfig, SimilarityIndex, SimilarityOperator};
 use dlearn_test_support::backtracking_heavy_pair;
 use dlearn_test_support::vocab::{dirty_vocabulary, VocabConfig};
@@ -105,7 +103,7 @@ fn bench_subsumption(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0usize;
             for g in &grounds {
-                hits += subsumes_numbered_decision(&numbered, g, &sub_config).is_yes() as usize;
+                hits += subsumes(&numbered, g, &sub_config, None).is_yes() as usize;
             }
             criterion::black_box(hits)
         })
@@ -123,13 +121,7 @@ fn bench_subsumption(c: &mut Criterion) {
     let heavy_ground = GroundClause::new(&heavy_d);
     let heavy_numbered = NumberedClause::new(&heavy_c);
     group.bench_function("backtracking_heavy", |b| {
-        b.iter(|| {
-            criterion::black_box(subsumes_numbered_decision(
-                &heavy_numbered,
-                &heavy_ground,
-                &sub_config,
-            ))
-        })
+        b.iter(|| criterion::black_box(subsumes(&heavy_numbered, &heavy_ground, &sub_config, None)))
     });
     let static_config = SubsumptionConfig {
         adaptive_ordering: false,
@@ -137,10 +129,11 @@ fn bench_subsumption(c: &mut Criterion) {
     };
     group.bench_function("backtracking_heavy_static", |b| {
         b.iter(|| {
-            criterion::black_box(subsumes_numbered_decision(
+            criterion::black_box(subsumes(
                 &heavy_numbered,
                 &heavy_ground,
                 &static_config,
+                None,
             ))
         })
     });
@@ -215,7 +208,7 @@ fn bench_subsumption(c: &mut Criterion) {
                     continue;
                 }
                 let scored = PreparedClause::prepare(candidate, &config);
-                best = best.max(engine.score(&scored));
+                best = best.max(engine.counts(&scored).score());
             }
             criterion::black_box(best)
         })

@@ -9,13 +9,17 @@
 //! treating repair literals as ordinary literals (Theorem 4.6) is used as a
 //! fast sufficient check before falling back to the repaired-clause
 //! cross-product.
+//!
+//! [`PreparedClause::covers`] is the one place this question is answered:
+//! training masks, [`crate::Predictor`] and [`crate::PredictorService`] all
+//! call it, choosing the definition through [`Semantics`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dlearn_logic::{
-    repaired_clauses, subsumes_numbered_decision, subsumes_numbered_decision_controlled,
-    CancelToken, Clause, Decision, ExpandLimits, GroundClause, NumberedClause,
+    repaired_clauses, subsumes, CancelToken, Clause, Decision, ExpandLimits, GroundClause,
+    NumberedClause, SubsumptionConfig,
 };
 use dlearn_relstore::Tuple;
 
@@ -118,104 +122,92 @@ impl PreparedClause {
         &self.numbered
     }
 
-    /// The renumbered repaired clauses (index-aligned with
-    /// [`PreparedClause::repaired`]).
-    pub fn numbered_repaired(&self) -> &[NumberedClause] {
-        &self.numbered_repaired
-    }
-
-    /// Positive-coverage test (Definition 3.4) against a ground example: the
-    /// clause covers it iff it θ-subsumes the ground clause directly, or
-    /// every repaired clause subsumes some repaired version of the ground
-    /// clause. This is the single decision path shared by the coverage
-    /// engine's positive masks and [`crate::Predictor`].
-    pub fn covers_ground(
+    /// Does this clause cover `example` under `semantics`? The clause covers
+    /// it when it θ-subsumes the ground clause directly; otherwise every
+    /// ([`Semantics::Positive`]) or some ([`Semantics::Negative`]) repaired
+    /// clause must subsume some repaired version of the ground clause.
+    ///
+    /// `cancel` is polled inside each search. A budget-exhausted search acts
+    /// as "no" and is counted in the outcome; a fired token ends the test as
+    /// [`CoverageOutcome::Cancelled`].
+    pub fn covers(
         &self,
         example: &GroundExample,
-        config: &dlearn_logic::SubsumptionConfig,
-    ) -> bool {
-        if subsumes_numbered_decision(self.numbered(), &example.ground, config).is_yes() {
-            return true;
-        }
-        if self.repaired.is_empty() {
-            return false;
-        }
-        self.numbered_repaired().iter().all(|cr| {
-            example
-                .repaired
-                .iter()
-                .any(|gr| subsumes_numbered_decision(cr, gr, config).is_yes())
-        })
-    }
-
-    /// [`PreparedClause::covers_ground`] with cancellation and exhaustion
-    /// accounting: runs the identical decision sequence (direct subsumption
-    /// first, then the repaired-clause cross-product in the same
-    /// short-circuit order), but polls `cancel` inside each search and counts
-    /// every subsumption search whose step budget ran out. When no budget
-    /// binds and no cancellation fires, the verdict is bit-identical to
-    /// `covers_ground`.
-    pub fn covers_ground_controlled(
-        &self,
-        example: &GroundExample,
-        config: &dlearn_logic::SubsumptionConfig,
+        semantics: Semantics,
+        config: &SubsumptionConfig,
         cancel: Option<&CancelToken>,
     ) -> CoverageOutcome {
         let mut exhausted: u32 = 0;
-        let mut decide = |c: &NumberedClause, d: &GroundClause| -> Result<bool, CoverageOutcome> {
-            match subsumes_numbered_decision_controlled(c, d, config, cancel) {
-                Decision::Yes => Ok(true),
-                Decision::No => Ok(false),
-                Decision::BudgetExhausted => {
-                    exhausted += 1;
-                    Ok(false)
-                }
-                Decision::Cancelled => Err(CoverageOutcome::Cancelled),
+        match self.decide(example, semantics, config, cancel, &mut exhausted) {
+            Some(true) => CoverageOutcome::Covered {
+                exhausted_searches: exhausted,
+            },
+            Some(false) => CoverageOutcome::NotCovered {
+                exhausted_searches: exhausted,
+            },
+            None => CoverageOutcome::Cancelled,
+        }
+    }
+
+    /// The verdict of [`PreparedClause::covers`]; `None` when cancelled.
+    fn decide(
+        &self,
+        example: &GroundExample,
+        semantics: Semantics,
+        config: &SubsumptionConfig,
+        cancel: Option<&CancelToken>,
+        exhausted: &mut u32,
+    ) -> Option<bool> {
+        let mut test = |c: &NumberedClause, d: &GroundClause| match subsumes(c, d, config, cancel) {
+            Decision::Yes => Some(true),
+            Decision::No => Some(false),
+            Decision::BudgetExhausted => {
+                *exhausted += 1;
+                Some(false)
             }
+            Decision::Cancelled => None,
         };
-        macro_rules! check {
-            ($e:expr) => {
-                match $e {
-                    Ok(b) => b,
-                    Err(outcome) => return outcome,
-                }
-            };
+        if test(&self.numbered, &example.ground)? {
+            return Some(true);
         }
-        if check!(decide(self.numbered(), &example.ground)) {
-            return CoverageOutcome::Covered {
-                exhausted_searches: exhausted,
-            };
+        if self.numbered_repaired.is_empty() {
+            return Some(false);
         }
-        if self.repaired.is_empty() {
-            return CoverageOutcome::NotCovered {
-                exhausted_searches: exhausted,
-            };
-        }
-        for cr in self.numbered_repaired() {
-            let mut any = false;
+        // Definition 3.4 needs every repaired clause, 3.6 needs one: stop at
+        // the first repaired clause whose answer settles the verdict.
+        let every = semantics == Semantics::Positive;
+        for cr in &self.numbered_repaired {
+            let mut hit = false;
             for gr in &example.repaired {
-                if check!(decide(cr, gr)) {
-                    any = true;
+                if test(cr, gr)? {
+                    hit = true;
                     break;
                 }
             }
-            if !any {
-                return CoverageOutcome::NotCovered {
-                    exhausted_searches: exhausted,
-                };
+            if hit != every {
+                return Some(hit);
             }
         }
-        CoverageOutcome::Covered {
-            exhausted_searches: exhausted,
-        }
+        Some(every)
     }
 }
 
-/// Outcome of a controlled coverage test: the verdict plus how many of the
-/// underlying subsumption searches ran out of step budget (a budget-exhausted
-/// search acts as "no" for the verdict, exactly as in the uncontrolled path,
-/// but is counted so degraded answers are observable), or `Cancelled` when
-/// the cancel token fired mid-test.
+/// Which coverage definition a test applies to a clause with repair
+/// literals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Semantics {
+    /// Definition 3.4, for positive examples and for prediction: every
+    /// repaired clause covers the example in some repair.
+    Positive,
+    /// Definition 3.6, for negative examples: some repaired clause covers
+    /// the example in some repair.
+    Negative,
+}
+
+/// Outcome of a coverage test: the verdict plus how many of the underlying
+/// subsumption searches ran out of step budget (a budget-exhausted search
+/// acts as "no" for the verdict, but is counted so degraded answers are
+/// observable), or `Cancelled` when the cancel token fired mid-test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoverageOutcome {
     /// The clause covers the example.
@@ -262,6 +254,14 @@ pub struct CoverageCounts {
 }
 
 impl CoverageCounts {
+    /// The counts of a pair of coverage masks (see [`CoverageEngine::masks`]).
+    pub fn of(positives: &[bool], negatives: &[bool]) -> CoverageCounts {
+        CoverageCounts {
+            positives: positives.iter().filter(|&&b| b).count(),
+            negatives: negatives.iter().filter(|&&b| b).count(),
+        }
+    }
+
     /// The clause score used by the covering loop: positives minus negatives.
     pub fn score(&self) -> i64 {
         self.positives as i64 - self.negatives as i64
@@ -386,127 +386,38 @@ impl CoverageEngine {
         &self.positives[index]
     }
 
-    /// Positive coverage (Definition 3.4): the clause covers `example` iff it
-    /// θ-subsumes the ground clause directly, or every one of its repaired
-    /// clauses subsumes some repaired version of the ground clause.
-    pub fn covers_positive(&self, prepared: &PreparedClause, example: &GroundExample) -> bool {
-        prepared.covers_ground(example, &self.config.subsumption)
-    }
-
-    /// Negative coverage (Definition 3.6): the clause covers `example` iff
-    /// some repaired clause of it subsumes some repaired version of the
-    /// ground clause (or the clause subsumes the ground clause directly).
-    pub fn covers_negative(&self, prepared: &PreparedClause, example: &GroundExample) -> bool {
-        if subsumes_numbered_decision(
-            prepared.numbered(),
-            &example.ground,
-            &self.config.subsumption,
-        )
-        .is_yes()
-        {
-            return true;
-        }
-        prepared.numbered_repaired().iter().any(|cr| {
-            example
-                .repaired
-                .iter()
-                .any(|gr| subsumes_numbered_decision(cr, gr, &self.config.subsumption).is_yes())
-        })
-    }
-
-    /// [`CoverageEngine::covers_positive`] under an explicit subsumption
-    /// config and cancel token — the serving-tier entry point, where the
-    /// per-call budget may tighten `max_steps` below the training config.
-    pub fn covers_positive_controlled(
-        &self,
-        prepared: &PreparedClause,
-        example: &GroundExample,
-        config: &dlearn_logic::SubsumptionConfig,
-        cancel: Option<&CancelToken>,
-    ) -> CoverageOutcome {
-        prepared.covers_ground_controlled(example, config, cancel)
-    }
-
-    /// Coverage mask over the positive training examples.
-    pub fn positive_mask(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, true, self.config.effective_threads())
-    }
-
-    /// Coverage mask over the negative training examples.
-    pub fn negative_mask(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, false, self.config.effective_threads())
-    }
-
-    /// [`CoverageEngine::positive_mask`] on one thread, for callers that are
-    /// themselves a parallel fan-out (the FOIL/TILDE candidate scorers, like
-    /// [`CoverageEngine::score_serial`] for generalization scoring) — the
-    /// per-mask threads must not multiply underneath the fan-out.
-    pub fn positive_mask_serial(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, true, 1)
-    }
-
-    /// [`CoverageEngine::negative_mask`] on one thread; see
-    /// [`CoverageEngine::positive_mask_serial`].
-    pub fn negative_mask_serial(&self, prepared: &PreparedClause) -> Vec<bool> {
-        self.mask(prepared, false, 1)
-    }
-
-    fn mask(&self, prepared: &PreparedClause, positive: bool, threads: usize) -> Vec<bool> {
-        let examples = if positive {
-            &self.positives
-        } else {
-            &self.negatives
+    /// Coverage masks over the positive (Definition 3.4) and negative
+    /// (Definition 3.6) training examples, index-aligned with them, computed
+    /// on up to `threads` workers. Callers that are themselves a parallel
+    /// fan-out pass 1, so thread counts do not multiply underneath it; the
+    /// masks are identical at any thread count.
+    pub fn masks(&self, prepared: &PreparedClause, threads: usize) -> (Vec<bool>, Vec<bool>) {
+        let mask = |examples: &[GroundExample], semantics: Semantics| {
+            crate::par::chunked_map(examples, threads, 8, |_, e| {
+                matches!(
+                    prepared.covers(e, semantics, &self.config.subsumption, None),
+                    CoverageOutcome::Covered { .. }
+                )
+            })
         };
-        crate::par::chunked_map(examples, threads, 8, |_, e| {
-            if positive {
-                self.covers_positive(prepared, e)
-            } else {
-                self.covers_negative(prepared, e)
-            }
-        })
+        (
+            mask(&self.positives, Semantics::Positive),
+            mask(&self.negatives, Semantics::Negative),
+        )
     }
 
-    fn counts_with_threads(&self, prepared: &PreparedClause, threads: usize) -> CoverageCounts {
-        let positives = self
-            .mask(prepared, true, threads)
-            .iter()
-            .filter(|&&b| b)
-            .count();
-        let negatives = self
-            .mask(prepared, false, threads)
-            .iter()
-            .filter(|&&b| b)
-            .count();
-        CoverageCounts {
-            positives,
-            negatives,
-        }
-    }
-
-    /// Count coverage over both example sets.
+    /// Count coverage over both example sets, on the configured coverage
+    /// threads.
     pub fn counts(&self, prepared: &PreparedClause) -> CoverageCounts {
-        self.counts_with_threads(prepared, self.config.effective_threads())
-    }
-
-    /// The clause score (covered positives minus covered negatives).
-    pub fn score(&self, prepared: &PreparedClause) -> i64 {
-        self.counts(prepared).score()
-    }
-
-    /// [`CoverageEngine::score`] without the per-mask thread fan-out. Callers
-    /// that already parallelize *over* scoring calls (the generalization
-    /// fan-out in the covering loop) use this so thread counts do not
-    /// multiply to cores². The counts — and therefore the score — are
-    /// identical at any thread count.
-    pub fn score_serial(&self, prepared: &PreparedClause) -> i64 {
-        self.counts_with_threads(prepared, 1).score()
+        let (positives, negatives) = self.masks(prepared, self.config.effective_threads());
+        CoverageCounts::of(&positives, &negatives)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlearn_logic::{Literal, Term};
+    use dlearn_logic::{CondAtom, Literal, RepairGroup, RepairOrigin, Term, Var};
 
     fn config() -> LearnerConfig {
         LearnerConfig {
@@ -570,8 +481,19 @@ mod tests {
             config: config(),
         };
         let prepared = comedy_clause();
-        assert!(engine.covers_positive(&prepared, &engine.positives[0]));
-        assert!(!engine.covers_negative(&prepared, &engine.negatives[0]));
+        let sub = config().subsumption;
+        assert_eq!(
+            prepared
+                .covers(&engine.positives[0], Semantics::Positive, &sub, None)
+                .verdict(),
+            Some(true)
+        );
+        assert_eq!(
+            prepared
+                .covers(&engine.negatives[0], Semantics::Negative, &sub, None)
+                .verdict(),
+            Some(false)
+        );
         let counts = engine.counts(&prepared);
         assert_eq!(
             counts,
@@ -590,8 +512,62 @@ mod tests {
             negatives: vec![],
             config: config(),
         };
-        let mask = engine.positive_mask(&comedy_clause());
+        let (mask, _) = engine.masks(&comedy_clause(), 1);
         assert_eq!(mask, vec![true, false]);
+    }
+
+    #[test]
+    fn partial_repaired_coverage_separates_definitions_3_4_and_3_6() {
+        // Paper Example 3.3: t(x) ← r(y), x ≈ y, s(z), x ≈ z with one MD
+        // repair unifying x with y and another unifying x with z. Its two
+        // repaired clauses are t(v) ← r(v) and t(u) ← s(u).
+        let (x, y, z, vx, ux) = (
+            Term::var(0),
+            Term::var(1),
+            Term::var(2),
+            Term::var(3),
+            Term::var(4),
+        );
+        let mut c = Clause::new(Literal::relation("t", vec![x]));
+        c.push_unique(Literal::relation("r", vec![y]));
+        c.push_unique(Literal::Similar(x, y));
+        c.push_unique(Literal::relation("s", vec![z]));
+        c.push_unique(Literal::Similar(x, z));
+        c.push_repair(RepairGroup::new(
+            RepairOrigin::Md(0),
+            vec![CondAtom::Sim(x, y)],
+            vec![(Var(0), vx), (Var(1), vx)],
+            vec![Literal::Similar(x, y)],
+        ));
+        c.push_repair(RepairGroup::new(
+            RepairOrigin::Md(1),
+            vec![CondAtom::Sim(x, z)],
+            vec![(Var(0), ux), (Var(2), ux)],
+            vec![Literal::Similar(x, z)],
+        ));
+        let prepared = PreparedClause::prepare(c, &config());
+        assert_eq!(prepared.repair_count(), 2);
+
+        // The example has an r-fact but no s-fact: the direct test fails (no
+        // s literal), and only the first repaired clause covers it.
+        let mut d = Clause::new(Literal::relation("t", vec![Term::var(0)]));
+        d.push_unique(Literal::relation("r", vec![Term::var(0)]));
+        let example = ground_from(&d);
+        let sub = config().subsumption;
+        assert_eq!(
+            prepared.covers(&example, Semantics::Negative, &sub, None),
+            CoverageOutcome::Covered {
+                exhausted_searches: 0
+            },
+            "Definition 3.6: some repaired clause covers the example"
+        );
+        assert_eq!(
+            prepared.covers(&example, Semantics::Positive, &sub, None),
+            CoverageOutcome::NotCovered {
+                exhausted_searches: 0
+            },
+            "Definition 3.4: every repaired clause must cover the example"
+        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The paper's pipeline front-loads two expensive, *per-database* artifacts:
 //! the similarity index behind every matching dependency (Section 5) and the
-//! ground bottom clauses of the training examples (Section 4.3). The legacy
-//! one-shot `DLearn::new(cfg).learn(&task)` rebuilt both on every call; an
+//! ground bottom clauses of the training examples (Section 4.3). An
 //! [`Engine`] builds them once at [`Engine::prepare`] time and shares them —
 //! behind `Arc` — across every strategy run and every prediction:
 //!
@@ -22,35 +21,37 @@
 //! * [`Engine::predictor`] binds a learned [`Learned`] value to the session,
 //!   yielding a [`Predictor`] whose [`Predictor::predict_batch`] fans
 //!   bottom-clause grounding across the configured coverage threads with a
-//!   deterministic, order-preserving reduction.
+//!   deterministic, order-preserving reduction. Every serving path —
+//!   `predict`, `predict_batch` and [`crate::PredictorService`] — grounds a
+//!   tuple the same way and decides it through the same per-tuple decision
+//!   over the bound clauses.
 //!
 //! The entire surface is fallible: tasks and configurations are validated at
 //! [`Engine::prepare`] time ([`DlearnError`]), so malformed input is a typed
 //! error instead of a panic deep inside bottom-clause construction.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use dlearn_constraints::{enforce_md_best_match_with_index, minimal_cfd_repair, MdCatalog};
-use dlearn_logic::{Clause, Definition};
+use dlearn_logic::{CancelToken, Clause, Definition, SubsumptionConfig};
 use dlearn_relstore::{Database, Tuple};
 use dlearn_similarity::{IndexConfig, SimilarityOperator};
 
 use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
-use crate::coverage::{CoverageEngine, GroundExample, PreparedClause};
+use crate::coverage::{CoverageEngine, CoverageOutcome, GroundExample, PreparedClause, Semantics};
 use crate::error::DlearnError;
 use crate::learner::{augment_with_target, Strategy};
-use crate::model::ClauseStats;
 use crate::task::LearningTask;
 
 /// The similarity threshold above which a match counts as *exact*: only
 /// identical normalized strings reach it. Castor-Exact restricts MD joins to
 /// matches at or above this score.
 pub(crate) const EXACT_MD_THRESHOLD: f64 = 0.9999;
+
+/// Salt of the serving grounding seed: a served tuple is grounded with
+/// `config.seed ^ SERVE_SEED_SALT`, whatever its batch position or thread.
+const SERVE_SEED_SALT: u64 = 0xdead_beef;
 
 /// One strategy's fully preprocessed state: the (possibly rewritten) task
 /// and config, the MD catalog the strategy joins through, and the ground
@@ -145,27 +146,20 @@ impl Engine {
         // in any of them (a malformed row that slipped past validation, an
         // injected fault) surfaces as a typed error, not a process abort.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Self::prepare_unchecked(task, config)
+            let catalog = Arc::new(build_catalog(&task, &config));
+            let base = Arc::new(StrategyPlan::build(task, config.clone(), catalog, 0));
+            Engine {
+                config,
+                base,
+                plans: Default::default(),
+                maintenance: None,
+                quarantined: false,
+            }
         }))
         .map_err(|payload| DlearnError::WorkerPanicked {
             site: "prepare",
             message: crate::par::panic_message(&*payload),
         })
-    }
-
-    /// [`Engine::prepare`] without the up-front validation. Used by the
-    /// deprecated one-shot entry points, which historically accepted any
-    /// task and failed (or quietly learned nothing) later.
-    pub(crate) fn prepare_unchecked(task: LearningTask, config: LearnerConfig) -> Engine {
-        let catalog = Arc::new(build_catalog(&task, &config));
-        let base = Arc::new(StrategyPlan::build(task, config.clone(), catalog, 0));
-        Engine {
-            config,
-            base,
-            plans: Default::default(),
-            maintenance: None,
-            quarantined: false,
-        }
     }
 
     fn validate_task(task: &LearningTask) -> Result<(), DlearnError> {
@@ -278,9 +272,9 @@ impl Engine {
         Ok(self.plans[slot].get_or_init(|| plan).clone())
     }
 
-    /// Strategy preprocessing, factored out of the legacy one-shot learner:
-    /// rewrite the task/config for the baseline and pick its catalog,
-    /// reusing the prepared index whenever the semantics allow.
+    /// Strategy preprocessing: rewrite the task/config for the baseline and
+    /// pick its catalog, reusing the prepared index whenever the semantics
+    /// allow.
     fn derive_plan(&self, strategy: Strategy) -> Result<StrategyPlan, DlearnError> {
         let mut config = self.config.clone();
         let mut task = self.base.task.clone();
@@ -458,6 +452,17 @@ fn copy_without(db: &Database, skip: &str) -> Result<Database, DlearnError> {
     Ok(out)
 }
 
+/// Per-clause training coverage statistics, mirroring the annotations the
+/// paper prints next to each learned clause ("positive covered=…, negative
+/// covered=…").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClauseStats {
+    /// Positive training examples covered by the clause.
+    pub positives_covered: usize,
+    /// Negative training examples covered by the clause.
+    pub negatives_covered: usize,
+}
+
 /// The outcome of one [`Engine::learn`] run: the learned Horn definition,
 /// its per-clause training statistics, and basic run metrics. A `Learned`
 /// value is plain data — it holds no database, catalog or configuration —
@@ -508,25 +513,21 @@ impl Learned {
 
     /// Render the definition with its per-clause coverage annotations.
     pub fn render(&self) -> String {
-        render_definition(&self.definition, &self.stats)
-    }
-}
-
-pub(crate) fn render_definition(definition: &Definition, stats: &[ClauseStats]) -> String {
-    let mut out = String::new();
-    for (i, clause) in definition.clauses().iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
+        let mut out = String::new();
+        for (i, clause) in self.definition.clauses().iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&clause.to_string());
+            if let Some(s) = self.stats.get(i) {
+                out.push_str(&format!(
+                    "\n  (positive covered={}, negative covered={})",
+                    s.positives_covered, s.negatives_covered
+                ));
+            }
         }
-        out.push_str(&clause.to_string());
-        if let Some(s) = stats.get(i) {
-            out.push_str(&format!(
-                "\n  (positive covered={}, negative covered={})",
-                s.positives_covered, s.negatives_covered
-            ));
-        }
+        out
     }
-    out
 }
 
 /// A learned definition bound to its session's prepared artifacts for
@@ -536,7 +537,7 @@ pub struct Predictor {
     pub(crate) plan: Arc<StrategyPlan>,
     definition: Definition,
     stats: Vec<ClauseStats>,
-    pub(crate) prepared: Vec<PreparedClause>,
+    prepared: Vec<PreparedClause>,
 }
 
 impl Predictor {
@@ -586,8 +587,7 @@ impl Predictor {
     /// ground bottom clause.
     pub fn predict(&self, example: &Tuple) -> Result<bool, DlearnError> {
         self.check_arity(example, 0)?;
-        let builder = self.builder();
-        Ok(self.predict_with(&builder, example))
+        Ok(self.predict_with(&self.builder(), example))
     }
 
     /// Predict a batch of examples, fanning bottom-clause grounding and the
@@ -605,20 +605,7 @@ impl Predictor {
             self.check_arity(e, index)?;
         }
         let builder = self.builder();
-        // Dedup identical tuples: prediction is a pure function of the
-        // tuple, so each distinct tuple is evaluated once, in first-
-        // occurrence order (deterministic at any thread count).
-        let mut slot_of: HashMap<&Tuple, usize> = HashMap::with_capacity(examples.len());
-        let mut unique: Vec<&Tuple> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(examples.len());
-        for e in examples {
-            let next = unique.len();
-            let slot = *slot_of.entry(e).or_insert(next);
-            if slot == next {
-                unique.push(e);
-            }
-            slots.push(slot);
-        }
+        let (unique, slots) = crate::par::dedup(examples);
         let threads = self.plan.config.effective_threads();
         let verdicts =
             crate::par::chunked_map(&unique, threads, 2, |_, e| self.predict_with(&builder, e));
@@ -641,32 +628,57 @@ impl Predictor {
         BottomClauseBuilder::new(&self.plan.task, &self.plan.catalog, &self.plan.config)
     }
 
-    /// Ground one example exactly the way [`Predictor::predict`] does: the
-    /// grounding RNG derives from the session seed alone, never from batch
-    /// position or thread, so grounding is a pure function of the tuple —
-    /// the invariant the serving cache relies on.
-    pub(crate) fn ground_for_serving(
+    /// Ground one example for serving. The grounding RNG derives from the
+    /// session seed alone, never from batch position or thread, so grounding
+    /// is a pure function of the tuple — the invariant the serving cache
+    /// relies on.
+    pub(crate) fn ground(
         &self,
         builder: &BottomClauseBuilder<'_>,
         example: &Tuple,
     ) -> GroundExample {
         let config = &self.plan.config;
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xdead_beef);
-        let (ground_clause, probes) = builder.build_probed(example, &mut rng);
-        let mut ground = GroundExample::from_clause(example.clone(), &ground_clause, config);
-        ground.probes = probes;
-        ground
+        GroundExample::build(builder, example, config, config.seed ^ SERVE_SEED_SALT)
+    }
+
+    /// The per-tuple decision every serving path shares: the definition
+    /// covers a ground example iff some bound clause covers it under
+    /// Definition 3.4 (Section 2.1). Stops at the first covering clause; the
+    /// outcome counts the exhausted searches of every clause tried.
+    pub(crate) fn decide(
+        &self,
+        ground: &GroundExample,
+        config: &SubsumptionConfig,
+        cancel: Option<&CancelToken>,
+    ) -> CoverageOutcome {
+        let mut exhausted = 0;
+        for prepared in &self.prepared {
+            match prepared.covers(ground, Semantics::Positive, config, cancel) {
+                CoverageOutcome::NotCovered { exhausted_searches } => {
+                    exhausted += exhausted_searches
+                }
+                CoverageOutcome::Covered { exhausted_searches } => {
+                    return CoverageOutcome::Covered {
+                        exhausted_searches: exhausted + exhausted_searches,
+                    }
+                }
+                CoverageOutcome::Cancelled => return CoverageOutcome::Cancelled,
+            }
+        }
+        CoverageOutcome::NotCovered {
+            exhausted_searches: exhausted,
+        }
     }
 
     fn predict_with(&self, builder: &BottomClauseBuilder<'_>, example: &Tuple) -> bool {
         if self.definition.is_empty() {
             return false;
         }
-        let config = &self.plan.config;
-        let ground = self.ground_for_serving(builder, example);
-        self.prepared
-            .iter()
-            .any(|prepared| prepared.covers_ground(&ground, &config.subsumption))
+        let ground = self.ground(builder, example);
+        matches!(
+            self.decide(&ground, &self.plan.config.subsumption, None),
+            CoverageOutcome::Covered { .. }
+        )
     }
 }
 
@@ -717,22 +729,43 @@ mod tests {
             .map(|e| predictor.predict(e).expect("predict"))
             .collect();
         assert_eq!(verdicts, singles, "batch diverged from single predictions");
+        let (pos, neg) = verdicts.split_at(task.positives.len());
+        let covered = |side: &[bool]| side.iter().filter(|&&b| b).count();
         assert!(
-            verdicts[..task.positives.len()]
-                .iter()
-                .filter(|&&b| b)
-                .count()
-                >= 2,
+            covered(pos) >= 2,
             "positives covered:\n{}",
             learned.render()
         );
+        assert!(
+            covered(neg) <= 2,
+            "negatives covered:\n{}",
+            learned.render()
+        );
+    }
+
+    #[test]
+    fn learned_reports_runtime_and_bottom_clause_counts() {
+        let task = two_source_task();
+        let engine = Engine::prepare(task.clone(), config()).expect("valid task");
+        let learned = engine.learn(Strategy::DLearn).expect("learn");
+        assert!(learned.seconds() >= 0.0);
+        assert!(learned.bottom_clauses_built() >= task.example_count());
+    }
+
+    #[test]
+    fn castor_clean_predictor_serves_over_the_cleaned_database() {
+        let task = two_source_task();
+        let engine = Engine::prepare(task.clone(), config()).expect("valid task");
+        let learned = engine.learn(Strategy::CastorClean).expect("learn");
+        let predictor = engine.predictor(&learned).expect("bind predictor");
+        predictor.predict(&task.positives[0]).expect("predict");
     }
 
     #[test]
     fn all_strategies_run_against_one_prepared_session() {
         let task = two_source_task();
         let engine = Engine::prepare(task, config()).expect("valid task");
-        for strategy in Strategy::all() {
+        for strategy in Strategy::ALL {
             let learned = engine.learn(strategy).expect("learn");
             // Each strategy's plan is cached: a second run reuses it and
             // must produce the identical definition.
@@ -748,8 +781,15 @@ mod tests {
 
     #[test]
     fn extension_learners_separate_the_two_source_task() {
+        // The rating that separates the hits is three hops from the head
+        // (id → IMDB title ≈ OMDB title → oid → rating); two iterations of
+        // the bottom-clause walk stop before `omdb_ratings`.
         let task = two_source_task();
-        let engine = Engine::prepare(task.clone(), config()).expect("valid task");
+        let config = LearnerConfig {
+            iterations: 3,
+            ..config()
+        };
+        let engine = Engine::prepare(task.clone(), config).expect("valid task");
         for strategy in [Strategy::Foil, Strategy::Tilde] {
             let learned = engine.learn(strategy).expect("learn");
             assert!(

@@ -10,12 +10,11 @@ use dlearn_logic::{Clause, Definition, NumberedClause};
 
 use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
-use crate::coverage::{CoverageEngine, PreparedClause};
-use crate::engine::StrategyPlan;
+use crate::coverage::{CoverageCounts, CoverageEngine, PreparedClause};
+use crate::engine::{ClauseStats, StrategyPlan};
 use crate::generalize::generalize_prepared;
-use crate::model::ClauseStats;
 
-use super::{accept_clause, Refined, Refiner};
+use super::{accept_clause, mask_threads, Refined, Refiner};
 
 /// The covering loop (Algorithm 1) over a strategy's prepared artifacts:
 /// generalize a seed bottom clause toward sampled uncovered positives,
@@ -49,7 +48,7 @@ impl Refiner for CoveringRefiner {
             // uncovered positives, hill-climbing on the clause score.
             let mut current = bottom;
             let mut current_prepared = PreparedClause::prepare(current.clone(), config);
-            let mut current_score = engine.score(&current_prepared);
+            let mut current_score = engine.counts(&current_prepared).score();
             for _round in 0..config.max_generalization_rounds {
                 let mut sample: Vec<usize> = uncovered
                     .iter()
@@ -80,24 +79,20 @@ impl Refiner for CoveringRefiner {
 
             // Minimum criterion: the clause must cover enough positives and
             // more positives than negatives.
-            let positive_mask = engine.positive_mask(&current_prepared);
-            let positives_covered = positive_mask.iter().filter(|&&b| b).count();
-            let negatives_covered = engine
-                .negative_mask(&current_prepared)
-                .iter()
-                .filter(|&&b| b)
-                .count();
+            let (positive_mask, negative_mask) =
+                engine.masks(&current_prepared, config.effective_threads());
+            let counts = CoverageCounts::of(&positive_mask, &negative_mask);
             if accept_clause(
                 &current,
-                positives_covered,
-                negatives_covered,
+                counts.positives,
+                counts.negatives,
                 config.min_positive_coverage,
                 uncovered.len(),
             ) {
                 definition.push(current);
                 stats.push(ClauseStats {
-                    positives_covered,
-                    negatives_covered,
+                    positives_covered: counts.positives,
+                    negatives_covered: counts.negatives,
                 });
                 uncovered.retain(|&i| !positive_mask[i]);
                 if uncovered.first() == Some(&seed_example) {
@@ -123,10 +118,8 @@ impl Refiner for CoveringRefiner {
 /// positive's ground bottom clause, expand/renumber the result, score it
 /// against the full training set — is independent across samples, so it fans
 /// out across `std::thread::scope` workers in contiguous chunks (the same
-/// order-preserving [`crate::par::chunked_map`] the coverage masks use).
-/// Workers score with [`CoverageEngine::score_serial`] so the per-mask
-/// coverage threads do not multiply underneath the fan-out (cores², with
-/// both knobs defaulting to available cores). The reduction is deterministic
+/// order-preserving [`crate::par::chunked_map`] the coverage masks use),
+/// with masks on [`mask_threads`] workers. The reduction is deterministic
 /// and matches the serial loop exactly: highest score wins, ties broken by
 /// the earliest sample position, so learned definitions are bit-identical at
 /// any thread count.
@@ -138,7 +131,7 @@ fn best_generalization(
     config: &LearnerConfig,
 ) -> Option<(i64, PreparedClause)> {
     let threads = config.effective_generalization_threads();
-    let fanned_out = threads > 1 && sample.len() >= 2;
+    let inner = mask_threads(config, threads, sample.len());
     let scored = crate::par::chunked_map(sample, threads, 2, |_, &ei| {
         let target_ground = &engine.positive(ei).ground;
         let candidate =
@@ -147,12 +140,8 @@ fn best_generalization(
             return None;
         }
         let prepared = PreparedClause::prepare(candidate, config);
-        let score = if fanned_out {
-            engine.score_serial(&prepared)
-        } else {
-            engine.score(&prepared)
-        };
-        Some((score, prepared))
+        let (positives, negatives) = engine.masks(&prepared, inner);
+        Some((CoverageCounts::of(&positives, &negatives).score(), prepared))
     });
 
     // First strict maximum in sample order — identical to the serial loop.

@@ -33,10 +33,9 @@ use dlearn_logic::{Clause, Definition};
 use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
 use crate::coverage::{CoverageEngine, PreparedClause};
-use crate::engine::StrategyPlan;
-use crate::model::ClauseStats;
+use crate::engine::{ClauseStats, StrategyPlan};
 
-use super::{accept_clause, subclause, Refined, Refiner};
+use super::{accept_clause, mask_threads, subclause, Refined, Refiner};
 
 /// Minimum gain a literal must contribute to be added: guards against
 /// floating-point noise keeping the loop alive on literals that change
@@ -129,8 +128,7 @@ fn specialize(
     let mut selected = vec![false; body_len];
     let mut current = subclause(bottom, &selected);
     let initial = PreparedClause::prepare(current.clone(), config);
-    let mut positive_mask = engine.positive_mask(&initial);
-    let mut negative_mask = engine.negative_mask(&initial);
+    let (mut positive_mask, mut negative_mask) = engine.masks(&initial, config.effective_threads());
 
     for _step in 0..body_len.min(MAX_LITERALS) {
         let p0 = uncovered.iter().filter(|&&i| positive_mask[i]).count();
@@ -147,7 +145,7 @@ fn specialize(
         // Score every candidate literal: the same parallel fan-out (and the
         // same serial-inside-fan-out masking) as generalization scoring.
         let threads = config.effective_generalization_threads();
-        let fanned_out = threads > 1 && candidates.len() >= 2;
+        let inner = mask_threads(config, threads, candidates.len());
         let current_len = current.body.len();
         let scored = crate::par::chunked_map(&candidates, threads, 2, |_, &index| {
             let mut keep = selected.clone();
@@ -159,17 +157,7 @@ fn specialize(
                 return None;
             }
             let prepared = PreparedClause::prepare(candidate.clone(), config);
-            let (pos, neg) = if fanned_out {
-                (
-                    engine.positive_mask_serial(&prepared),
-                    engine.negative_mask_serial(&prepared),
-                )
-            } else {
-                (
-                    engine.positive_mask(&prepared),
-                    engine.negative_mask(&prepared),
-                )
-            };
+            let (pos, neg) = engine.masks(&prepared, inner);
             let p1 = uncovered.iter().filter(|&&i| pos[i]).count();
             if p1 == 0 {
                 return None;

@@ -29,13 +29,13 @@ pub(crate) mod covering;
 pub(crate) mod foil;
 pub(crate) mod tilde;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use dlearn_logic::{Clause, Definition, Term, Var};
 
-use crate::engine::StrategyPlan;
+use crate::config::LearnerConfig;
+use crate::engine::{ClauseStats, StrategyPlan};
 use crate::learner::Strategy;
-use crate::model::ClauseStats;
 
 /// The outcome of one refinement run over a strategy plan.
 pub(crate) struct Refined {
@@ -64,6 +64,19 @@ pub(crate) fn refine(strategy: Strategy, plan: &StrategyPlan) -> Refined {
         Strategy::Foil => foil::FoilRefiner.refine(plan),
         Strategy::Tilde => tilde::TildeRefiner.refine(plan),
         _ => covering::CoveringRefiner.refine(plan),
+    }
+}
+
+/// Coverage threads for the masks scored inside a fan-out of `items`
+/// candidates over `threads` workers: one when the fan-out runs in parallel,
+/// so the per-mask threads do not multiply underneath it (cores², with both
+/// knobs defaulting to available cores), else the session's coverage
+/// threads. Masks are identical at any thread count.
+pub(crate) fn mask_threads(config: &LearnerConfig, threads: usize, items: usize) -> usize {
+    if threads > 1 && items >= 2 {
+        1
+    } else {
+        config.effective_threads()
     }
 }
 
@@ -101,10 +114,13 @@ pub(crate) fn subclause(bottom: &Clause, keep: &[bool]) -> Clause {
 }
 
 /// Extract the head-connected *test* rooted at body literal `at`: the literal
-/// itself plus a backward chain of earlier literals linking its variables to
-/// the head. Bottom-clause construction walks outward from the head, so a
-/// literal's connection chain always lies among the literals before it;
-/// scanning backwards greedily yields a deterministic, short support set.
+/// itself plus a chain of literals linking its variables to the head.
+/// Bottom-clause construction walks outward from the head, so a relation
+/// literal's chain usually lies among the literals before it, and scanning
+/// backwards greedily yields a deterministic, short support set. The `≈`
+/// literal of a similarity join, though, is appended after the relation
+/// literals it joins; when the backward scan does not reach a head variable,
+/// the shortest chain through the whole body that does is added.
 /// Returns `None` when no chain reaches the head (the literal would be
 /// dropped by head-connectedness cleanup anyway).
 pub(crate) fn connected_test(bottom: &Clause, at: usize) -> Option<Clause> {
@@ -121,6 +137,39 @@ pub(crate) fn connected_test(bottom: &Clause, at: usize) -> Option<Clause> {
             keep[index] = true;
             frontier.extend(vars);
             connected = frontier.iter().any(|v| head_vars.contains(v));
+        }
+    }
+    if !connected {
+        // Breadth-first over the literals the backward scan left out, from
+        // the frontier to the first literal holding a head variable; only
+        // the chain that reached it is kept, so the test stays short.
+        let vars: Vec<BTreeSet<Var>> = bottom.body.iter().map(|l| l.variables()).collect();
+        let mut parent: Vec<Option<usize>> = vec![None; vars.len()];
+        let mut seen = keep.clone();
+        let mut queue: VecDeque<usize> = VecDeque::new();
+        for (i, v) in vars.iter().enumerate() {
+            if !seen[i] && !v.is_disjoint(&frontier) {
+                seen[i] = true;
+                queue.push_back(i);
+            }
+        }
+        while let Some(i) = queue.pop_front() {
+            if !vars[i].is_disjoint(&head_vars) {
+                let mut at = Some(i);
+                while let Some(j) = at {
+                    keep[j] = true;
+                    at = parent[j];
+                }
+                connected = true;
+                break;
+            }
+            for j in 0..vars.len() {
+                if !seen[j] && !vars[j].is_disjoint(&vars[i]) {
+                    seen[j] = true;
+                    parent[j] = Some(i);
+                    queue.push_back(j);
+                }
+            }
         }
     }
     if !connected {
@@ -221,6 +270,25 @@ mod tests {
             connected_test(&b, 2).is_none(),
             "c has no chain to the head"
         );
+    }
+
+    #[test]
+    fn connected_test_closes_over_a_similarity_literal_after_its_relations() {
+        // t(v0) <- a(v0, v1), b(v2, 'x'), d(v2, v3), v1 ≈ v2: the ≈ joining
+        // a to b comes after both, so no backward chain links b to the head.
+        // The chain kept runs through the ≈; d shares a variable with b but
+        // leads nowhere, so it stays out.
+        let mut c = Clause::new(Literal::relation("t", vec![Term::var(0)]));
+        c.push_unique(Literal::relation("a", vec![Term::var(0), Term::var(1)]));
+        c.push_unique(Literal::relation(
+            "b",
+            vec![Term::var(2), Term::constant("x")],
+        ));
+        c.push_unique(Literal::relation("d", vec![Term::var(2), Term::var(3)]));
+        c.push_unique(Literal::Similar(Term::var(1), Term::var(2)));
+        let t = connected_test(&c, 1).expect("b reaches the head through the ≈");
+        assert_eq!(t.body.len(), 3, "{t}");
+        assert!(t.body.iter().all(|l| l.relation_name() != Some("d")), "{t}");
     }
 
     #[test]

@@ -35,10 +35,9 @@ use dlearn_logic::{Clause, Definition};
 
 use crate::bottom::BottomClauseBuilder;
 use crate::coverage::PreparedClause;
-use crate::engine::StrategyPlan;
-use crate::model::ClauseStats;
+use crate::engine::{ClauseStats, StrategyPlan};
 
-use super::{conjoin_tests, connected_test, entropy, Refined, Refiner};
+use super::{conjoin_tests, connected_test, entropy, mask_threads, Refined, Refiner};
 
 /// Maximum tree depth (longest path of tests). Depth counts *both* branch
 /// directions, and only satisfied tests end up in a leaf's clause, so a
@@ -114,20 +113,10 @@ impl Refiner for TildeRefiner {
         // pure bit-mask counting. Same fan-out shape as generalization
         // scoring (masks serial inside the fan-out).
         let threads = config.effective_generalization_threads();
-        let fanned_out = threads > 1 && candidates.len() >= 2;
+        let inner = mask_threads(config, threads, candidates.len());
         let tests: Vec<Test> = crate::par::chunked_map(&candidates, threads, 2, |_, test| {
             let prepared = PreparedClause::prepare(test.clone(), config);
-            let (pos, neg) = if fanned_out {
-                (
-                    engine.positive_mask_serial(&prepared),
-                    engine.negative_mask_serial(&prepared),
-                )
-            } else {
-                (
-                    engine.positive_mask(&prepared),
-                    engine.negative_mask(&prepared),
-                )
-            };
+            let (pos, neg) = engine.masks(&prepared, inner);
             Test {
                 clause: test.clone(),
                 pos,
@@ -265,21 +254,11 @@ fn measure(
     if clause.body.is_empty() {
         return None;
     }
-    let prepared = PreparedClause::prepare(clause.clone(), config);
-    let positives_covered = engine
-        .positive_mask(&prepared)
-        .iter()
-        .filter(|&&b| b)
-        .count();
-    let negatives_covered = engine
-        .negative_mask(&prepared)
-        .iter()
-        .filter(|&&b| b)
-        .count();
+    let counts = engine.counts(&PreparedClause::prepare(clause.clone(), config));
     Some(Measured {
         clause,
-        positives_covered,
-        negatives_covered,
+        positives_covered: counts.positives,
+        negatives_covered: counts.negatives,
     })
 }
 

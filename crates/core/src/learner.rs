@@ -1,17 +1,11 @@
-//! Strategies, the legacy one-shot learner entry points, and the shared
-//! target-augmentation helper.
+//! Strategies and the shared target-augmentation helper.
 //!
-//! The covering loop (Algorithm 1) and the strategy preprocessing live in
-//! [`crate::engine`] since the API moved to prepared sessions;
-//! [`Learner`]/[`DLearn`] remain as thin deprecated shims that prepare an
-//! [`Engine`] per call and delegate, so existing one-shot callers keep
-//! working while new code prepares once and learns/serves many times.
+//! The strategy preprocessing lives in [`crate::engine`] and the refinement
+//! searches in the `learn` subsystem; [`crate::Engine::learn`] runs any
+//! [`Strategy`] against a prepared session.
 
 use dlearn_relstore::{Attribute, Database, RelationSchema, ValueType};
 
-use crate::config::LearnerConfig;
-use crate::engine::Engine;
-use crate::model::LearnedModel;
 use crate::task::LearningTask;
 
 /// Which system to run. `DLearn` is the paper's contribution; the others are
@@ -59,11 +53,6 @@ impl Strategy {
         Strategy::Foil,
         Strategy::Tilde,
     ];
-
-    /// All strategies, in presentation order (see [`Strategy::ALL`]).
-    pub fn all() -> [Strategy; 7] {
-        Strategy::ALL
-    }
 
     /// Display name matching the paper (extension learners use their
     /// literature names).
@@ -149,130 +138,6 @@ pub fn augment_with_target(task: &LearningTask) -> Database {
         }
     }
     db
-}
-
-/// Outcome of a learning run: the model plus basic run statistics.
-#[derive(Debug)]
-pub struct LearnOutcome {
-    /// The learned model.
-    pub model: LearnedModel,
-    /// Wall-clock learning time in seconds (including, for the one-shot
-    /// entry points, the session preparation an [`Engine`] amortizes).
-    pub seconds: f64,
-    /// Number of bottom clauses constructed.
-    pub bottom_clauses_built: usize,
-}
-
-/// A configurable learner running one of the [`Strategy`] variants.
-///
-/// Deprecated one-shot shim: every `learn` call prepares a fresh
-/// [`Engine`] — rebuilding the similarity index and re-grounding every
-/// training example. Prefer [`Engine::prepare`] + [`Engine::learn`].
-#[derive(Debug, Clone)]
-pub struct Learner {
-    strategy: Strategy,
-    config: LearnerConfig,
-}
-
-impl Learner {
-    /// Create a learner for a strategy.
-    pub fn new(strategy: Strategy, config: LearnerConfig) -> Self {
-        Learner { strategy, config }
-    }
-
-    /// The learner's strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// Learn a definition for the task's target relation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "prepare an `Engine` once and call `Engine::learn`; this shim rebuilds the session per call"
-    )]
-    pub fn learn(&self, task: &LearningTask) -> LearnOutcome {
-        let start = std::time::Instant::now();
-        // The legacy entry points accepted any task: skip validation so a
-        // malformed task fails (or quietly learns nothing) exactly where it
-        // used to, and an empty-positives task still yields an empty model.
-        let engine = Engine::prepare_unchecked(task.clone(), self.config.clone());
-        let learned = engine
-            .learn(self.strategy)
-            .expect("learning over a prepared session is infallible");
-        let model = LearnedModel::from_predictor(
-            engine
-                .predictor(&learned)
-                .expect("the learned strategy's plan is already derived"),
-        );
-        LearnOutcome {
-            model,
-            seconds: start.elapsed().as_secs_f64(),
-            bottom_clauses_built: learned.bottom_clauses_built(),
-        }
-    }
-}
-
-/// The DLearn system with its default strategy (learning directly over the
-/// dirty database with MD and CFD repair literals).
-///
-/// Deprecated one-shot shim over [`Engine`]; see [`Learner`].
-#[derive(Debug, Clone)]
-pub struct DLearn {
-    learner: Learner,
-}
-
-impl DLearn {
-    /// Create a DLearn learner.
-    pub fn new(config: LearnerConfig) -> Self {
-        DLearn {
-            learner: Learner::new(Strategy::DLearn, config),
-        }
-    }
-
-    /// Learn a definition, returning just the model.
-    #[deprecated(
-        since = "0.1.0",
-        note = "prepare an `Engine` once and call `Engine::learn`; this shim rebuilds the session per call"
-    )]
-    pub fn learn(&mut self, task: &LearningTask) -> LearnedModel {
-        #[allow(deprecated)]
-        self.learner.learn(task).model
-    }
-
-    /// Learn a definition, returning the model together with run statistics.
-    #[deprecated(
-        since = "0.1.0",
-        note = "prepare an `Engine` once and call `Engine::learn`; this shim rebuilds the session per call"
-    )]
-    pub fn learn_with_stats(&mut self, task: &LearningTask) -> LearnOutcome {
-        #[allow(deprecated)]
-        self.learner.learn(task)
-    }
-}
-
-/// Convenience constructors for the baseline systems.
-pub mod baselines {
-    use super::{Learner, LearnerConfig, Strategy};
-
-    /// Castor without MD information.
-    pub fn castor_no_md(config: LearnerConfig) -> Learner {
-        Learner::new(Strategy::CastorNoMd, config)
-    }
-
-    /// Castor with exact joins on MD attributes.
-    pub fn castor_exact(config: LearnerConfig) -> Learner {
-        Learner::new(Strategy::CastorExact, config)
-    }
-
-    /// Castor over a best-match-cleaned database.
-    pub fn castor_clean(config: LearnerConfig) -> Learner {
-        Learner::new(Strategy::CastorClean, config)
-    }
-
-    /// DLearn (MDs only) over the minimal CFD repair of the database.
-    pub fn dlearn_repaired(config: LearnerConfig) -> Learner {
-        Learner::new(Strategy::DLearnRepaired, config)
-    }
 }
 
 /// Helpers shared by unit tests across the crate.
@@ -375,71 +240,8 @@ pub(crate) mod test_fixtures {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::test_fixtures::two_source_task;
     use super::*;
-
-    fn config() -> LearnerConfig {
-        LearnerConfig {
-            km: 2,
-            iterations: 2,
-            sample_size: 8,
-            min_positive_coverage: 2,
-            sample_positives: 4,
-            max_generalization_rounds: 3,
-            coverage_threads: 1,
-            ..LearnerConfig::default()
-        }
-    }
-
-    #[test]
-    fn dlearn_learns_a_definition_crossing_the_similarity_join() {
-        let task = two_source_task();
-        let mut learner = DLearn::new(config());
-        let model = learner.learn(&task);
-        assert!(!model.clauses().is_empty(), "no definition learned");
-        // The learned definition must separate training positives from
-        // negatives reasonably well.
-        let pos_hits = task.positives.iter().filter(|e| model.predict(e)).count();
-        let neg_hits = task.negatives.iter().filter(|e| model.predict(e)).count();
-        assert!(
-            pos_hits >= 2,
-            "positives covered: {pos_hits}\n{}",
-            model.render()
-        );
-        assert!(
-            neg_hits <= 2,
-            "negatives covered: {neg_hits}\n{}",
-            model.render()
-        );
-    }
-
-    #[test]
-    fn castor_no_md_cannot_reach_the_other_source() {
-        let task = two_source_task();
-        let outcome = baselines::castor_no_md(config()).learn(&task);
-        // Without MDs the rating is unreachable, so any learned clause can
-        // only use IMDB-side information; it must not mention OMDB relations.
-        for clause in outcome.model.clauses() {
-            assert!(
-                clause.body.iter().all(|l| {
-                    l.relation_name()
-                        .map(|n| !n.starts_with("omdb"))
-                        .unwrap_or(true)
-                }),
-                "clause reaches OMDB without an MD: {clause}"
-            );
-        }
-    }
-
-    #[test]
-    fn learn_outcome_reports_runtime_and_bottom_clause_counts() {
-        let task = two_source_task();
-        let outcome = Learner::new(Strategy::DLearn, config()).learn(&task);
-        assert!(outcome.seconds >= 0.0);
-        assert!(outcome.bottom_clauses_built >= task.example_count());
-    }
 
     #[test]
     fn strategies_expose_paper_names() {
@@ -447,8 +249,7 @@ mod tests {
         assert_eq!(Strategy::CastorNoMd.name(), "Castor-NoMD");
         assert_eq!(Strategy::Foil.name(), "FOIL");
         assert_eq!(Strategy::Tilde.name(), "TILDE");
-        assert_eq!(Strategy::all().len(), 7);
-        assert_eq!(Strategy::all(), Strategy::ALL);
+        assert_eq!(Strategy::ALL.len(), 7);
     }
 
     #[test]
@@ -483,27 +284,6 @@ mod tests {
         assert_eq!(
             db2.require_relation("hit").unwrap().len(),
             task.example_count()
-        );
-    }
-
-    #[test]
-    fn castor_clean_produces_a_database_without_the_target_relation() {
-        let task = two_source_task();
-        let outcome = baselines::castor_clean(config()).learn(&task);
-        // The model must still be usable for prediction.
-        let _ = outcome.model.predict(&task.positives[0]);
-    }
-
-    #[test]
-    fn legacy_shim_learns_the_same_definition_as_the_engine() {
-        let task = two_source_task();
-        let outcome = Learner::new(Strategy::DLearn, config()).learn(&task);
-        let engine = Engine::prepare(task, config()).expect("valid task");
-        let learned = engine.learn(Strategy::DLearn).expect("learn");
-        assert_eq!(
-            outcome.model.definition(),
-            learned.definition(),
-            "legacy shim diverged from the session API"
         );
     }
 }

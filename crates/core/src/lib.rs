@@ -77,7 +77,6 @@ mod fault;
 pub mod generalize;
 pub(crate) mod learn;
 pub mod learner;
-pub mod model;
 mod par;
 pub mod service;
 pub mod swap;
@@ -88,14 +87,13 @@ pub use coalesce::{CoalesceConfig, CoalesceMetrics, Coalescer};
 pub use config::LearnerConfig;
 pub use coverage::{
     CoverageCounts, CoverageEngine, CoverageOutcome, GroundExample, GroundPatchStats,
-    PreparedClause,
+    PreparedClause, Semantics,
 };
 pub use delta::DeltaReport;
-pub use engine::{Engine, Learned, Predictor};
+pub use engine::{ClauseStats, Engine, Learned, Predictor};
 pub use error::DlearnError;
 pub use generalize::{generalize, generalize_prepared};
-pub use learner::{augment_with_target, baselines, DLearn, LearnOutcome, Learner, Strategy};
-pub use model::{ClauseStats, LearnedModel};
+pub use learner::{augment_with_target, Strategy};
 pub use service::{
     Budget, PredictorService, ServeResult, ServeVerdict, ServiceConfig, ServiceMetrics,
 };

@@ -1,10 +1,14 @@
 //! Order-preserving chunked parallel map, shared by the coverage engine and
-//! the covering loop's generalization fan-out.
+//! the covering loop's generalization fan-out, and the first-occurrence
+//! dedup the serving batches fan out over.
 //!
 //! Determinism lives here: items are split into contiguous chunks, each
 //! chunk is mapped on one `std::thread::scope` worker, and the per-chunk
 //! results are concatenated in chunk order — so the output is always
 //! element-for-element identical to the serial map, at any thread count.
+
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Map `f` over `items`, fanning out across at most `threads` scoped worker
 /// threads in contiguous chunks. `f` receives each item's global index.
@@ -69,6 +73,29 @@ where
     })
 }
 
+/// First-occurrence deduplication: the distinct items in order of first
+/// occurrence, and for every input item the position of its copy among
+/// them. A batch evaluated once per distinct item and fanned back out
+/// through the positions is deterministic at any thread count.
+pub(crate) fn dedup<'a, T, I>(items: I) -> (Vec<&'a T>, Vec<usize>)
+where
+    T: Eq + Hash,
+    I: IntoIterator<Item = &'a T>,
+{
+    let items = items.into_iter();
+    let mut slot_of: HashMap<&T, usize> = HashMap::with_capacity(items.size_hint().0);
+    let mut unique: Vec<&T> = Vec::new();
+    let slots: Vec<usize> = items
+        .map(|item| {
+            *slot_of.entry(item).or_insert_with(|| {
+                unique.push(item);
+                unique.len() - 1
+            })
+        })
+        .collect();
+    (unique, slots)
+}
+
 /// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -120,6 +147,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrence_order() {
+        let items = [3, 1, 3, 2, 1];
+        let (unique, slots) = dedup(&items);
+        assert_eq!(unique, vec![&3, &1, &2]);
+        assert_eq!(slots, vec![0, 1, 0, 2, 1]);
     }
 
     #[test]

@@ -676,21 +676,10 @@ impl PredictorService {
         // `Predictor::predict_batch`: serving is a pure function of the
         // tuple (given the snapshot), so each distinct tuple is served once
         // per batch.
-        let mut slot_of: HashMap<&Tuple, usize> = HashMap::with_capacity(examples.len());
-        let mut unique: Vec<&Tuple> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(examples.len());
-        for (i, e) in examples.iter().enumerate() {
-            if results[i].is_some() {
-                slots.push(None);
-                continue;
-            }
-            let next = unique.len();
-            let slot = *slot_of.entry(e).or_insert(next);
-            if slot == next {
-                unique.push(e);
-            }
-            slots.push(Some(slot));
-        }
+        let valid: Vec<usize> = (0..examples.len())
+            .filter(|&i| results[i].is_none())
+            .collect();
+        let (unique, slots) = crate::par::dedup(valid.iter().map(|&i| &examples[i]));
 
         let threads = if self.config.worker_threads > 0 {
             self.config.worker_threads
@@ -723,10 +712,8 @@ impl PredictorService {
             })
             .collect();
 
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(s) = slot {
-                results[i] = Some(served[*s].clone());
-            }
+        for (&i, &slot) in valid.iter().zip(&slots) {
+            results[i] = Some(served[slot].clone());
         }
         results
             .into_iter()
@@ -779,7 +766,7 @@ impl PredictorService {
                 // Budget exhaustion is a coverage-site fault; at grounding
                 // only panics and delays apply, both executed inside.
                 let _ = fault::checkpoint(fault::Site::Grounding, &key);
-                let g = Arc::new(model.predictor.ground_for_serving(builder, example));
+                let g = Arc::new(model.predictor.ground(builder, example));
                 (g, true)
             }
         };
@@ -809,26 +796,16 @@ impl PredictorService {
             sub.max_steps = 0;
         }
 
-        let mut covered = false;
-        let mut exhausted: u32 = 0;
-        for prepared in &model.predictor.prepared {
-            match prepared.covers_ground_controlled(&ground, &sub, cancel.as_ref()) {
-                CoverageOutcome::Cancelled => {
-                    self.counters
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(DlearnError::DeadlineExceeded { budget_ms });
-                }
-                CoverageOutcome::Covered { exhausted_searches } => {
-                    exhausted += exhausted_searches;
-                    covered = true;
-                    break;
-                }
-                CoverageOutcome::NotCovered { exhausted_searches } => {
-                    exhausted += exhausted_searches;
-                }
+        let (covered, exhausted) = match model.predictor.decide(&ground, &sub, cancel.as_ref()) {
+            CoverageOutcome::Cancelled => {
+                self.counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(DlearnError::DeadlineExceeded { budget_ms });
             }
-        }
+            CoverageOutcome::Covered { exhausted_searches } => (true, exhausted_searches),
+            CoverageOutcome::NotCovered { exhausted_searches } => (false, exhausted_searches),
+        };
 
         // Only a fully successful serve populates the cache — and never for
         // a quarantined tuple.

@@ -12,7 +12,8 @@
 //! * [`RepairGroup`], [`CondAtom`], [`RepairOrigin`] — repair literals.
 //! * [`Clause`], [`Definition`] — Horn clauses / definitions.
 //! * [`repaired_clauses`] — expansion into repaired clauses (Section 3.2).
-//! * [`subsumes`], [`GroundClause`] — θ-subsumption (Section 4.2/4.3).
+//! * [`subsumes`], [`witness`], [`GroundClause`] — θ-subsumption (Section
+//!   4.2/4.3): one search with a decision view and a witness view.
 
 #![warn(missing_docs)]
 
@@ -32,9 +33,8 @@ pub use numbering::{NumberedClause, VarNumbering};
 pub use repair::{CondAtom, RepairGroup, RepairOrigin};
 pub use substitution::{FlatSubstitution, Substitution};
 pub use subsumption::{
-    extend_bindings, extend_bindings_flat, head_bindings, head_bindings_numbered, subsumes,
-    subsumes_numbered, subsumes_numbered_decision, subsumes_numbered_decision_controlled,
-    CancelToken, Decision, GroundClause, SubsumptionConfig, CANCEL_CHECK_INTERVAL,
+    extend_bindings, head_bindings, subsumes, witness, CancelToken, Decision, GroundClause,
+    SubsumptionConfig, CANCEL_CHECK_INTERVAL,
 };
 pub use term::{Term, Var};
 
@@ -51,12 +51,23 @@ mod proptests {
     use crate::clause::Clause;
     use crate::expand::{repaired_clauses, ExpandLimits};
     use crate::literal::Literal;
+    use crate::numbering::NumberedClause;
     use crate::repair::{CondAtom, RepairGroup, RepairOrigin};
     use crate::substitution::Substitution;
     use crate::subsumption::{subsumes, GroundClause, SubsumptionConfig};
     use crate::term::{Term, Var};
 
     const CASES: usize = 200;
+
+    fn holds(c: &Clause, d: &GroundClause) -> bool {
+        subsumes(
+            &NumberedClause::new(c),
+            d,
+            &SubsumptionConfig::default(),
+            None,
+        )
+        .is_yes()
+    }
 
     /// Generate a small random clause over a fixed vocabulary of relations.
     pub(crate) fn random_clause(rng: &mut StdRng) -> Clause {
@@ -80,10 +91,7 @@ mod proptests {
         for _ in 0..CASES {
             let c = random_clause(&mut rng);
             let d = GroundClause::new(&c);
-            assert!(
-                subsumes(&c, &d, &SubsumptionConfig::default()).is_some(),
-                "clause failed reflexivity: {c}"
-            );
+            assert!(holds(&c, &d), "clause failed reflexivity: {c}");
         }
     }
 
@@ -98,7 +106,7 @@ mod proptests {
             reduced.body.retain(|_| rng.gen_bool(0.5));
             let d = GroundClause::new(&c);
             assert!(
-                subsumes(&reduced, &d, &SubsumptionConfig::default()).is_some(),
+                holds(&reduced, &d),
                 "reduced clause {reduced} must subsume {c}"
             );
         }
@@ -119,7 +127,7 @@ mod proptests {
             let renamed = c.apply(&renaming);
             let d = GroundClause::new(&c);
             assert!(
-                subsumes(&renamed, &d, &SubsumptionConfig::default()).is_some(),
+                holds(&renamed, &d),
                 "renamed clause {renamed} must subsume {c}"
             );
         }

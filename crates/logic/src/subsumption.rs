@@ -51,12 +51,15 @@
 //! [`crate::numbering::NumberedClause`]), so θ is a [`FlatSubstitution`] —
 //! a `Vec<Option<Term>>` indexed by variable number. Every `get`/`bind`/
 //! `remove` in the inner loop is a direct slot access and trail unwinding is
-//! `O(1)` per binding; no hashing happens anywhere in the search. The
-//! hash-keyed [`Substitution`] path ([`head_bindings`], [`extend_bindings`])
-//! is kept as the general-purpose reference implementation over the same
-//! generic matcher internals; [`subsumes`] renumbers on the fly, while
-//! [`subsumes_numbered`] / [`subsumes_numbered_decision`] reuse a
-//! prepared-once numbering (the covering loop's hot path).
+//! `O(1)` per binding; no hashing happens anywhere in the search.
+//!
+//! ## One search, two views
+//!
+//! Every caller runs the same search over a prepared-once numbering.
+//! [`subsumes`] is the decision view: a three-valued [`Decision`] under an
+//! optional [`CancelToken`], which coverage testing and serving call.
+//! [`witness`] is the witness view: the witnessing substitution translated
+//! back to `C`'s original variables, which the θ-verification oracles check.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,55 +73,6 @@ use crate::numbering::NumberedClause;
 use crate::repair::{RepairGroup, RepairOrigin};
 use crate::substitution::{FlatSubstitution, Substitution};
 use crate::term::{Term, Var};
-
-/// The θ interface the matcher internals are generic over: implemented by
-/// the flat, clause-locally-numbered [`FlatSubstitution`] (the hot path) and
-/// by the hash-keyed [`Substitution`] (the arbitrary-variable reference
-/// path). Monomorphization keeps the flat instantiation allocation- and
-/// hash-free.
-trait Theta {
-    fn binding(&self, v: Var) -> Option<&Term>;
-    fn bind(&mut self, v: Var, t: Term);
-    fn unbind(&mut self, v: Var);
-    fn try_bind(&mut self, v: Var, t: Term) -> bool;
-    fn apply(&self, t: &Term) -> Term;
-}
-
-impl Theta for Substitution {
-    fn binding(&self, v: Var) -> Option<&Term> {
-        self.get(v)
-    }
-    fn bind(&mut self, v: Var, t: Term) {
-        Substitution::bind(self, v, t);
-    }
-    fn unbind(&mut self, v: Var) {
-        self.remove(v);
-    }
-    fn try_bind(&mut self, v: Var, t: Term) -> bool {
-        Substitution::try_bind(self, v, t)
-    }
-    fn apply(&self, t: &Term) -> Term {
-        Substitution::apply(self, t)
-    }
-}
-
-impl Theta for FlatSubstitution {
-    fn binding(&self, v: Var) -> Option<&Term> {
-        self.get(v)
-    }
-    fn bind(&mut self, v: Var, t: Term) {
-        FlatSubstitution::bind(self, v, t);
-    }
-    fn unbind(&mut self, v: Var) {
-        self.remove(v);
-    }
-    fn try_bind(&mut self, v: Var, t: Term) -> bool {
-        FlatSubstitution::try_bind(self, v, t)
-    }
-    fn apply(&self, t: &Term) -> Term {
-        FlatSubstitution::apply(self, t)
-    }
-}
 
 /// The outcome of a θ-subsumption decision.
 ///
@@ -360,7 +314,12 @@ impl GroundClause {
     /// through the per-position value indexes for every argument that is
     /// already determined (a constant, or a θ-bound variable). Every literal
     /// skipped by the pruning could not have matched.
-    fn candidates_pruned<T: Theta>(&self, relation: RelId, args: &[Term], theta: &T) -> &[usize] {
+    fn candidates_pruned(
+        &self,
+        relation: RelId,
+        args: &[Term],
+        theta: &FlatSubstitution,
+    ) -> &[usize] {
         let Some(bucket) = self.buckets.get(&(relation, args.len())) else {
             return &EMPTY_IDS;
         };
@@ -368,7 +327,7 @@ impl GroundClause {
         for (p, arg) in args.iter().enumerate() {
             let determined = match arg {
                 Term::Const(_) => Some(*arg),
-                Term::Var(v) => theta.binding(*v).copied(),
+                Term::Var(v) => theta.get(*v).copied(),
             };
             if let Some(term) = determined {
                 match bucket.by_pos[p].get(&term) {
@@ -387,10 +346,10 @@ impl GroundClause {
 
 /// Try to unify (match) a literal of `C` against a concrete literal of `D`,
 /// extending the substitution and recording fresh bindings on `trail`.
-fn match_literal<T: Theta>(
+fn match_literal(
     c_lit: &Literal,
     d_lit: &Literal,
-    theta: &mut T,
+    theta: &mut FlatSubstitution,
     trail: &mut Vec<Var>,
 ) -> bool {
     match (c_lit, d_lit) {
@@ -420,13 +379,18 @@ fn match_literal<T: Theta>(
 
 /// Match a term of `C` against a term of `D` under the current substitution,
 /// recording any fresh binding on `trail`.
-fn match_term<T: Theta>(c_term: &Term, d_term: &Term, theta: &mut T, trail: &mut Vec<Var>) -> bool {
+fn match_term(
+    c_term: &Term,
+    d_term: &Term,
+    theta: &mut FlatSubstitution,
+    trail: &mut Vec<Var>,
+) -> bool {
     match c_term {
         Term::Const(v) => match d_term {
             Term::Const(w) => v == w,
             Term::Var(_) => false,
         },
-        Term::Var(v) => match theta.binding(*v) {
+        Term::Var(v) => match theta.get(*v) {
             Some(existing) => existing == d_term,
             None => {
                 theta.bind(*v, *d_term);
@@ -438,9 +402,9 @@ fn match_term<T: Theta>(c_term: &Term, d_term: &Term, theta: &mut T, trail: &mut
 }
 
 /// Undo every binding recorded past `mark`.
-fn unwind<T: Theta>(theta: &mut T, trail: &mut Vec<Var>, mark: usize) {
+fn unwind(theta: &mut FlatSubstitution, trail: &mut Vec<Var>, mark: usize) {
     for var in trail.drain(mark..) {
-        theta.unbind(var);
+        theta.remove(var);
     }
 }
 
@@ -491,48 +455,15 @@ impl SearchState {
     }
 }
 
-/// Test whether `c` θ-subsumes the indexed clause `d`.
+/// Decide whether `c` θ-subsumes the indexed clause `d`.
 ///
-/// Returns the witnessing substitution (over `c`'s original variables) when
-/// it does. This renumbers `c` on every call; callers testing one clause
-/// against many ground clauses should renumber once and use
-/// [`subsumes_numbered`] / [`subsumes_numbered_decision`].
-pub fn subsumes(c: &Clause, d: &GroundClause, config: &SubsumptionConfig) -> Option<Substitution> {
-    subsumes_numbered(&NumberedClause::new(c), d, config)
-}
-
-/// [`subsumes`] over a clause whose variable numbering was prepared once.
-pub fn subsumes_numbered(
-    c: &NumberedClause,
-    d: &GroundClause,
-    config: &SubsumptionConfig,
-) -> Option<Substitution> {
-    search_subsumption(c, d, config, None)
-        .0
-        .map(|flat| c.to_original(&flat))
-}
-
-/// Decision-only variant of [`subsumes_numbered`]: skips translating the
-/// witness back to the original variable space. This is what coverage
-/// testing calls in the covering loop.
-///
-/// The decision is three-valued: a search that ran out of its step budget
-/// reports [`Decision::BudgetExhausted`] instead of collapsing to "no", so
-/// callers can observe (and count) degraded answers. Use
-/// [`Decision::is_yes`] for the legacy boolean reading.
-pub fn subsumes_numbered_decision(
-    c: &NumberedClause,
-    d: &GroundClause,
-    config: &SubsumptionConfig,
-) -> Decision {
-    subsumes_numbered_decision_controlled(c, d, config, None)
-}
-
-/// [`subsumes_numbered_decision`] under cooperative cancellation: the search
-/// polls `cancel` alongside its step budget and reports
-/// [`Decision::Cancelled`] when the token fires mid-search. This is the
-/// serving tier's per-call deadline hook.
-pub fn subsumes_numbered_decision_controlled(
+/// The decision is three-valued: a search that runs out of its step budget
+/// reports [`Decision::BudgetExhausted`], and one whose `cancel` token fires
+/// reports [`Decision::Cancelled`], instead of collapsing to "no", so
+/// callers can observe (and count) degraded answers. The token is polled
+/// alongside the step budget; it is the serving tier's per-call deadline
+/// hook. Use [`Decision::is_yes`] for the boolean reading.
+pub fn subsumes(
     c: &NumberedClause,
     d: &GroundClause,
     config: &SubsumptionConfig,
@@ -544,6 +475,19 @@ pub fn subsumes_numbered_decision_controlled(
         (None, Some(StopCause::Cancelled)) => Decision::Cancelled,
         (None, None) => Decision::No,
     }
+}
+
+/// The witness view of [`subsumes`]: the same search, returning the
+/// witnessing substitution over `c`'s original variables when `c` subsumes
+/// `d` within the step budget.
+pub fn witness(
+    c: &NumberedClause,
+    d: &GroundClause,
+    config: &SubsumptionConfig,
+) -> Option<Substitution> {
+    search_subsumption(c, d, config, None)
+        .0
+        .map(|flat| c.to_original(&flat))
 }
 
 /// A relation literal of the candidate clause, destructured once so the
@@ -719,7 +663,7 @@ fn finish_mapping(ctx: &SearchCtx, state: &mut SearchState) -> bool {
 }
 
 /// Verify (and where necessary bind) the non-relation literals of `C`.
-fn check_constraints<T: Theta>(lits: &[&Literal], theta: &mut T, d: &GroundClause) -> bool {
+fn check_constraints(lits: &[&Literal], theta: &mut FlatSubstitution, d: &GroundClause) -> bool {
     for lit in lits {
         match lit {
             Literal::Similar(a, b) => {
@@ -753,8 +697,8 @@ enum PairKind {
     Equal,
 }
 
-fn check_pair<T: Theta>(
-    theta: &mut T,
+fn check_pair(
+    theta: &mut FlatSubstitution,
     d: &GroundClause,
     a: &Term,
     b: &Term,
@@ -766,14 +710,8 @@ fn check_pair<T: Theta>(
     };
     let ta = theta.apply(a);
     let tb = theta.apply(b);
-    let a_bound = ta.is_const()
-        || a.as_var()
-            .map(|v| theta.binding(v).is_some())
-            .unwrap_or(true);
-    let b_bound = tb.is_const()
-        || b.as_var()
-            .map(|v| theta.binding(v).is_some())
-            .unwrap_or(true);
+    let a_bound = ta.is_const() || a.as_var().map(|v| theta.get(v).is_some()).unwrap_or(true);
+    let b_bound = tb.is_const() || b.as_var().map(|v| theta.get(v).is_some()).unwrap_or(true);
     match (a_bound, b_bound) {
         (true, true) => ta == tb || pairs.contains(&(ta, tb)),
         (true, false) => {
@@ -885,21 +823,9 @@ fn strict_repairs_ok(state: &SearchState, d: &GroundClause) -> bool {
     true
 }
 
-/// Bindings of the head of a candidate clause against the head of a ground
-/// clause. Returns `None` when the heads cannot unify.
-pub fn head_bindings(head: &Literal, d: &GroundClause) -> Option<Substitution> {
-    let mut theta = Substitution::new();
-    let mut trail = Vec::new();
-    if match_literal(head, d.head(), &mut theta, &mut trail) {
-        Some(theta)
-    } else {
-        None
-    }
-}
-
-/// Flat-substitution counterpart of [`head_bindings`], over a renumbered
-/// candidate clause.
-pub fn head_bindings_numbered(c: &NumberedClause, d: &GroundClause) -> Option<FlatSubstitution> {
+/// Bindings of the head of a renumbered candidate clause against the head
+/// of a ground clause. Returns `None` when the heads cannot unify.
+pub fn head_bindings(c: &NumberedClause, d: &GroundClause) -> Option<FlatSubstitution> {
     let mut theta = c.fresh_substitution();
     let mut trail = Vec::new();
     if match_literal(&c.clause().head, d.head(), &mut theta, &mut trail) {
@@ -912,36 +838,18 @@ pub fn head_bindings_numbered(c: &NumberedClause, d: &GroundClause) -> Option<Fl
 /// Extend a set of partial substitutions with one more literal of the
 /// candidate clause, against the ground clause `d`. Used by the
 /// generalization algorithm to detect blocking literals incrementally.
+/// `lit` must be a literal of the renumbered clause the bindings were
+/// created for.
 ///
 /// The result is capped at `cap` substitutions; an empty result means the
 /// literal is *blocking* for every current binding.
 pub fn extend_bindings(
     lit: &Literal,
-    bindings: &[Substitution],
-    d: &GroundClause,
-    cap: usize,
-) -> Vec<Substitution> {
-    extend_bindings_impl(lit, bindings, d, cap)
-}
-
-/// Flat-substitution counterpart of [`extend_bindings`]. `lit` must be a
-/// literal of the renumbered clause the bindings were created for.
-pub fn extend_bindings_flat(
-    lit: &Literal,
     bindings: &[FlatSubstitution],
     d: &GroundClause,
     cap: usize,
 ) -> Vec<FlatSubstitution> {
-    extend_bindings_impl(lit, bindings, d, cap)
-}
-
-fn extend_bindings_impl<T: Theta + Clone>(
-    lit: &Literal,
-    bindings: &[T],
-    d: &GroundClause,
-    cap: usize,
-) -> Vec<T> {
-    let mut out: Vec<T> = Vec::new();
+    let mut out: Vec<FlatSubstitution> = Vec::new();
     let mut trail: Vec<Var> = Vec::new();
     for theta in bindings {
         match lit {
@@ -990,6 +898,18 @@ mod tests {
     use crate::repair::CondAtom;
     use crate::term::Var;
 
+    /// The witness of `c` against `d`, renumbering `c` on the fly; the
+    /// decision view must agree with it.
+    fn theta(c: &Clause, d: &GroundClause, config: &SubsumptionConfig) -> Option<Substitution> {
+        let numbered = NumberedClause::new(c);
+        let found = witness(&numbered, d, config);
+        assert_eq!(
+            subsumes(&numbered, d, config, None).is_yes(),
+            found.is_some()
+        );
+        found
+    }
+
     /// D: highGrossing(v0) ← movies(v1, v2, v3), mov2genres(v1, 'comedy'),
     ///                        v0 ≈ v2, with an MD repair unifying v0 and v2.
     fn ground_clause() -> GroundClause {
@@ -1021,7 +941,7 @@ mod tests {
         ));
         c.push_unique(Literal::Similar(Term::var(10), Term::var(12)));
         let d = ground_clause();
-        let theta = subsumes(&c, &d, &SubsumptionConfig::default());
+        let theta = theta(&c, &d, &SubsumptionConfig::default());
         assert!(theta.is_some());
         let theta = theta.unwrap();
         assert_eq!(theta.apply(&Term::var(10)), Term::var(0));
@@ -1036,7 +956,7 @@ mod tests {
             vec![Term::var(1), Term::constant("drama")],
         ));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_none());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_none());
     }
 
     #[test]
@@ -1047,14 +967,14 @@ mod tests {
             vec![Term::var(1), Term::constant("comedy")],
         ));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_some());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_some());
     }
 
     #[test]
     fn different_head_relation_never_subsumes() {
         let c = Clause::new(Literal::relation("other", vec![Term::var(0)]));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_none());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_none());
     }
 
     #[test]
@@ -1065,7 +985,7 @@ mod tests {
             vec![Term::var(1), Term::var(2)],
         ));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_none());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_none());
     }
 
     #[test]
@@ -1078,7 +998,7 @@ mod tests {
             vec![Term::var(1), Term::var(2)],
         ));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_none());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_none());
     }
 
     #[test]
@@ -1092,7 +1012,7 @@ mod tests {
         ));
         c.push_unique(Literal::Similar(Term::var(10), Term::var(13)));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_none());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_none());
     }
 
     #[test]
@@ -1110,12 +1030,12 @@ mod tests {
             vec![Literal::Similar(Term::var(10), Term::var(12))],
         ));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_some());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_some());
 
         // A repair from a different constraint cannot be matched.
         let mut c2 = c.clone();
         c2.repairs[0].origin = RepairOrigin::Md(3);
-        assert!(subsumes(&c2, &d, &SubsumptionConfig::default()).is_none());
+        assert!(theta(&c2, &d, &SubsumptionConfig::default()).is_none());
     }
 
     #[test]
@@ -1133,8 +1053,8 @@ mod tests {
             strict_repair_mapping: true,
             ..lenient
         };
-        assert!(subsumes(&c, &d, &lenient).is_some());
-        assert!(subsumes(&c, &d, &strict).is_none());
+        assert!(theta(&c, &d, &lenient).is_some());
+        assert!(theta(&c, &d, &strict).is_none());
     }
 
     #[test]
@@ -1176,11 +1096,11 @@ mod tests {
             ..lenient
         };
         assert!(
-            subsumes(&c, &g, &lenient).is_some(),
+            theta(&c, &g, &lenient).is_some(),
             "lenient mode must accept"
         );
         assert!(
-            subsumes(&c, &g, &strict).is_none(),
+            theta(&c, &g, &strict).is_none(),
             "strict mode must reject: g0 (touching the mapped v1) was only \
              used on an abandoned branch"
         );
@@ -1189,24 +1109,33 @@ mod tests {
     #[test]
     fn extend_bindings_detects_blocking_literals() {
         let d = ground_clause();
-        let head = Literal::relation("highGrossing", vec![Term::var(10)]);
-        let start = vec![head_bindings(&head, &d).unwrap()];
-        let movies = Literal::relation("movies", vec![Term::var(11), Term::var(12), Term::var(13)]);
-        let after_movies = extend_bindings(&movies, &start, &d, 16);
-        assert_eq!(after_movies.len(), 1);
+        let mut c = Clause::new(Literal::relation("highGrossing", vec![Term::var(10)]));
+        c.push_unique(Literal::relation(
+            "movies",
+            vec![Term::var(11), Term::var(12), Term::var(13)],
+        ));
         // A literal whose relation does not exist in D blocks every binding.
-        let blocking = Literal::relation("mov2releasedate", vec![Term::var(11), Term::var(14)]);
-        assert!(extend_bindings(&blocking, &after_movies, &d, 16).is_empty());
+        c.push_unique(Literal::relation(
+            "mov2releasedate",
+            vec![Term::var(11), Term::var(14)],
+        ));
         // A genre literal with the wrong constant also blocks.
-        let wrong_genre =
-            Literal::relation("mov2genres", vec![Term::var(11), Term::constant("drama")]);
-        assert!(extend_bindings(&wrong_genre, &after_movies, &d, 16).is_empty());
-        let right_genre =
-            Literal::relation("mov2genres", vec![Term::var(11), Term::constant("comedy")]);
-        assert_eq!(
-            extend_bindings(&right_genre, &after_movies, &d, 16).len(),
-            1
-        );
+        c.push_unique(Literal::relation(
+            "mov2genres",
+            vec![Term::var(11), Term::constant("drama")],
+        ));
+        c.push_unique(Literal::relation(
+            "mov2genres",
+            vec![Term::var(11), Term::constant("comedy")],
+        ));
+        let numbered = NumberedClause::new(&c);
+        let body = &numbered.clause().body;
+        let start = vec![head_bindings(&numbered, &d).unwrap()];
+        let after_movies = extend_bindings(&body[0], &start, &d, 16);
+        assert_eq!(after_movies.len(), 1);
+        assert!(extend_bindings(&body[1], &after_movies, &d, 16).is_empty());
+        assert!(extend_bindings(&body[2], &after_movies, &d, 16).is_empty());
+        assert_eq!(extend_bindings(&body[3], &after_movies, &d, 16).len(), 1);
     }
 
     #[test]
@@ -1222,7 +1151,7 @@ mod tests {
             vec![Term::var(4), Term::var(5), Term::var(6)],
         ));
         let d = ground_clause();
-        assert!(subsumes(&c, &d, &SubsumptionConfig::default()).is_some());
+        assert!(theta(&c, &d, &SubsumptionConfig::default()).is_some());
     }
 
     #[test]
@@ -1240,7 +1169,7 @@ mod tests {
             max_steps: 1,
             ..SubsumptionConfig::default()
         };
-        assert!(subsumes(&c, &d, &tiny).is_none());
+        assert!(theta(&c, &d, &tiny).is_none());
     }
 
     #[test]
@@ -1268,7 +1197,7 @@ mod tests {
             max_steps: 2,
             ..SubsumptionConfig::default()
         };
-        let theta = subsumes(&c, &g, &tight).expect("pruned search must succeed in 2 steps");
+        let theta = theta(&c, &g, &tight).expect("pruned search must succeed in 2 steps");
         assert_eq!(theta.apply(&Term::var(11)), Term::var(200));
     }
 }

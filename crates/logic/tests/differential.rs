@@ -26,8 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dlearn_logic::{
-    subsumes, subsumes_numbered, subsumes_numbered_decision, Clause, GroundClause, Literal,
-    NumberedClause, SubsumptionConfig, Term, Var,
+    subsumes, witness, Clause, GroundClause, Literal, NumberedClause, SubsumptionConfig, Term, Var,
 };
 use dlearn_test_support::{
     backtracking_heavy_pair, derived_candidate, random_candidate, random_ground, string_reference,
@@ -68,11 +67,12 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
         let oracle = OracleGround::new(&d);
         let string_ground = StringGround::new(&d);
 
-        let witness = subsumes(&c, &ground, &unbounded());
-        let decision = witness.is_some();
+        let numbered = NumberedClause::new(&c);
+        let found = witness(&numbered, &ground, &unbounded());
+        let decision = found.is_some();
 
         // Soundness: the returned θ embeds C into D.
-        if let Some(theta) = &witness {
+        if let Some(theta) = &found {
             assert!(
                 oracle.verify_witness(&c, theta),
                 "unsound witness on case {case}:\n  C = {c}\n  D = {d}\n  θ does not embed"
@@ -98,21 +98,20 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
             assert!(oracle.verify_witness(&c, sigma));
         }
 
-        // Ordering invariance: static ordering and the prepared-numbering
-        // entry points decide identically, and their witnesses verify.
-        let numbered = NumberedClause::new(&c);
+        // Ordering invariance: static ordering and the decision view decide
+        // identically, and their witnesses verify.
         assert_eq!(
-            subsumes_numbered_decision(&numbered, &ground, &unbounded()).is_yes(),
+            subsumes(&numbered, &ground, &unbounded(), None).is_yes(),
             decision,
             "numbered decision diverged on case {case}:\n  C = {c}\n  D = {d}"
         );
-        if let Some(theta) = subsumes_numbered(&numbered, &ground, &unbounded()) {
+        if let Some(theta) = witness(&numbered, &ground, &unbounded()) {
             assert!(
                 oracle.verify_witness(&c, &theta),
                 "unsound numbered witness on case {case}:\n  C = {c}\n  D = {d}"
             );
         }
-        let static_witness = subsumes(&c, &ground, &static_order());
+        let static_witness = witness(&numbered, &ground, &static_order());
         assert_eq!(
             static_witness.is_some(),
             decision,
@@ -139,8 +138,9 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
 fn backtracking_heavy_pair_is_rejected_by_everyone() {
     let (c, d) = backtracking_heavy_pair();
     let ground = GroundClause::new(&d);
-    assert!(subsumes(&c, &ground, &unbounded()).is_none());
-    assert!(subsumes(&c, &ground, &static_order()).is_none());
+    let numbered = NumberedClause::new(&c);
+    assert!(witness(&numbered, &ground, &unbounded()).is_none());
+    assert!(witness(&numbered, &ground, &static_order()).is_none());
     assert!(!string_reference::subsumes(&c, &StringGround::new(&d)));
     assert!(OracleGround::new(&d).enumerate(&c).is_none());
 }
@@ -157,13 +157,14 @@ fn budget_exhaustion_is_a_clean_no() {
         let c = derived_candidate(&mut rng, &d, &cfg);
         let ground = GroundClause::new(&d);
         let oracle = OracleGround::new(&d);
-        let full = subsumes(&c, &ground, &unbounded()).is_some();
+        let numbered = NumberedClause::new(&c);
+        let full = witness(&numbered, &ground, &unbounded()).is_some();
         for budget in [0usize, 1, 2, 5, 20] {
             let tiny = SubsumptionConfig {
                 max_steps: budget,
                 ..SubsumptionConfig::default()
             };
-            if let Some(theta) = subsumes(&c, &ground, &tiny) {
+            if let Some(theta) = witness(&numbered, &ground, &tiny) {
                 // A budgeted yes must be a real yes; a budgeted no is allowed.
                 assert!(full, "budget {budget} invented a subsumption");
                 assert!(oracle.verify_witness(&c, &theta));
@@ -181,6 +182,11 @@ fn extreme_variable_indices_do_not_break_matching() {
     let mut d = Clause::new(Literal::relation("t", vec![Term::var(0)]));
     d.push_unique(Literal::relation("r0", vec![Term::var(0)]));
     let ground = GroundClause::new(&d);
-    assert!(subsumes(&c, &ground, &SubsumptionConfig::default()).is_some());
+    assert!(witness(
+        &NumberedClause::new(&c),
+        &ground,
+        &SubsumptionConfig::default()
+    )
+    .is_some());
     let _ = Var(u32::MAX); // the sentinel itself stays constructible
 }

@@ -6,8 +6,7 @@
 
 use crate::length::{length_similarity, length_similarity_from_counts};
 use crate::sw_gotoh::{
-    swg_similarity_normalized_chars, swg_similarity_normalized_chars_at_least, swg_similarity_with,
-    SwgParams, ABANDON_SLACK,
+    swg_similarity_normalized_chars, swg_similarity_with, SwgParams, ABANDON_SLACK,
 };
 use crate::sw_kernel::{aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile};
 
@@ -52,32 +51,12 @@ impl SimilarityOperator {
 
     /// Combined score of two **already-normalized** char slices —
     /// bit-identical to [`SimilarityOperator::score`] on the raw strings
-    /// they were normalized from. Index construction normalizes each value
-    /// once and scores every candidate pair through this path.
+    /// they were normalized from. The exhaustive reference that index
+    /// construction's [`Self::score_profiles_at_least`] is checked against.
     pub fn score_normalized_chars(&self, a: &[char], b: &[char]) -> f64 {
         let swg = swg_similarity_normalized_chars(a, b, &self.swg);
         let len = length_similarity_from_counts(a.len(), b.len());
         (swg + len) / 2.0
-    }
-
-    /// Like [`Self::score_normalized_chars`], but abandons the alignment as
-    /// soon as the combined score provably cannot reach `required` and
-    /// returns `None` ("strictly below `required`"). A `Some` score is
-    /// bit-identical to the exhaustive path. Index construction passes the
-    /// running k-th score here, so hopeless candidates pay for a prefix of
-    /// the dynamic program instead of all of it.
-    pub fn score_normalized_chars_at_least(
-        &self,
-        a: &[char],
-        b: &[char],
-        required: f64,
-    ) -> Option<f64> {
-        let len = length_similarity_from_counts(a.len(), b.len());
-        // combined = (swg + len) / 2 >= required  ⟺  swg >= 2·required - len;
-        // the translation's roundings are covered by the abandon slack.
-        let required_swg = 2.0 * required - len;
-        let swg = swg_similarity_normalized_chars_at_least(a, b, &self.swg, required_swg)?;
-        Some((swg + len) / 2.0)
     }
 
     /// The `≈` predicate: whether two strings are similar under the
@@ -172,9 +151,10 @@ impl SimilarityOperator {
 
     /// The profile-to-profile hot path of index construction: the
     /// bit-parallel match bound gates the pair, then the **banded** exact
-    /// dynamic program scores it. Contract mirrors
-    /// [`Self::score_normalized_chars_at_least`] — `None` means the combined
-    /// score is strictly below `required`; a `Some` score is bit-identical
+    /// dynamic program scores it. `None` means the combined score is
+    /// strictly below `required`, so hopeless candidates pay for a prefix
+    /// of the dynamic program instead of all of it; a `Some` score is
+    /// bit-identical
     /// to [`Self::score_normalized_chars`] on the same chars (the band and
     /// the gate only ever drop pairs that provably fall short). Pass
     /// `f64::NEG_INFINITY` to never abandon.

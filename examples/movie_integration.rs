@@ -27,7 +27,7 @@ fn main() -> Result<(), dlearn::core::DlearnError> {
         "{:<18} {:>6} {:>10} {:>10} {:>10}",
         "system", "F1", "precision", "recall", "time(s)"
     );
-    for strategy in Strategy::all() {
+    for strategy in Strategy::ALL {
         if strategy == Strategy::DLearnRepaired {
             continue; // no CFD violations in this scenario
         }

@@ -15,12 +15,11 @@
 use rand::SeedableRng;
 
 use dlearn::core::{
-    BottomClauseBuilder, CoverageEngine, Engine, LearnerConfig, PreparedClause, Strategy,
+    BottomClauseBuilder, CoverageEngine, CoverageOutcome, Engine, GroundExample, LearnerConfig,
+    PreparedClause, Semantics, Strategy,
 };
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
-use dlearn::logic::{
-    subsumes_numbered, subsumes_numbered_decision, Clause, GroundClause, SubsumptionConfig,
-};
+use dlearn::logic::{witness, Clause, GroundClause, SubsumptionConfig};
 use dlearn_constraints::MdCatalog;
 use dlearn_similarity::{IndexConfig, SimilarityOperator};
 use dlearn_test_support::{string_reference, OracleGround, StringGround};
@@ -33,8 +32,8 @@ fn config() -> LearnerConfig {
 }
 
 /// Coverage decision through the reference matcher, replicating
-/// `CoverageEngine::covers_positive` / `covers_negative` over pre-expanded
-/// repaired clauses.
+/// `PreparedClause::covers` under both semantics over pre-expanded repaired
+/// clauses.
 fn reference_covers(
     prepared: &PreparedClause,
     ground: &Clause,
@@ -61,33 +60,23 @@ fn reference_covers(
     }
 }
 
-/// Flat-substitution coverage decision from prepared clauses (mirrors the
-/// engine's covers_* methods exactly: prepared-once variable numbering and
-/// the decision-only subsumption entry point, so both paths see exactly the
-/// same clause inputs).
+/// The shipped coverage decision: `PreparedClause::covers` under the
+/// semantics the example set uses.
 fn interned_covers(
     prepared: &PreparedClause,
-    ground: &GroundClause,
-    repaired_grounds: &[GroundClause],
+    example: &GroundExample,
     positive_semantics: bool,
     sub: &SubsumptionConfig,
 ) -> bool {
-    if subsumes_numbered_decision(prepared.numbered(), ground, sub).is_yes() {
-        return true;
-    }
-    if prepared.repaired.is_empty() {
-        return false;
-    }
-    let one = |cr: &dlearn::logic::NumberedClause| {
-        repaired_grounds
-            .iter()
-            .any(|gr| subsumes_numbered_decision(cr, gr, sub).is_yes())
-    };
-    if positive_semantics {
-        prepared.numbered_repaired().iter().all(one)
+    let semantics = if positive_semantics {
+        Semantics::Positive
     } else {
-        prepared.numbered_repaired().iter().any(one)
-    }
+        Semantics::Negative
+    };
+    matches!(
+        prepared.covers(example, semantics, sub, None),
+        CoverageOutcome::Covered { .. }
+    )
 }
 
 #[test]
@@ -146,8 +135,7 @@ fn movie_task_coverage_decisions_match_string_reference() {
             let repaired_clauses: Vec<Clause> = ge.repaired.iter().map(clause_of).collect();
             let oracle = OracleGround::new(&ground_clause);
             for prepared in &candidates {
-                let new_decision =
-                    interned_covers(prepared, &ge.ground, &ge.repaired, positive_semantics, &sub);
+                let new_decision = interned_covers(prepared, ge, positive_semantics, &sub);
                 let old_decision = reference_covers(
                     prepared,
                     &ground_clause,
@@ -160,13 +148,8 @@ fn movie_task_coverage_decisions_match_string_reference() {
                     prepared.clause, ge.example
                 );
                 // Ordering must not change coverage decisions either.
-                let static_decision = interned_covers(
-                    prepared,
-                    &ge.ground,
-                    &ge.repaired,
-                    positive_semantics,
-                    &static_sub,
-                );
+                let static_decision =
+                    interned_covers(prepared, ge, positive_semantics, &static_sub);
                 assert_eq!(
                     new_decision, static_decision,
                     "adaptive vs static coverage divergence for clause {} on example {}",
@@ -175,7 +158,7 @@ fn movie_task_coverage_decisions_match_string_reference() {
                 // θ-verification on the direct subsumption leg: whenever the
                 // engine would return a witness, it must embed C into the
                 // ground bottom clause.
-                if let Some(theta) = subsumes_numbered(prepared.numbered(), &ge.ground, &sub) {
+                if let Some(theta) = witness(prepared.numbered(), &ge.ground, &sub) {
                     assert!(
                         oracle.verify_witness(&prepared.clause, &theta),
                         "unsound witness for clause {} on example {}",

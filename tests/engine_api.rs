@@ -1,7 +1,7 @@
 //! The fallible session API: typed errors on malformed tasks and
 //! configurations (instead of panics deep inside bottom-clause
-//! construction), and parity between the prepared-session path and the
-//! legacy one-shot entry points.
+//! construction), parity between single and batched prediction, and
+//! determinism across independently prepared sessions.
 
 use dlearn::core::{DlearnError, Engine, LearnerConfig, Strategy, TargetSpec};
 use dlearn::datagen::citations::{generate_citation_dataset, CitationConfig};
@@ -155,10 +155,7 @@ fn target_side_mds_still_validate() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn engine_learn_matches_the_legacy_one_shot_path() {
-    // The deprecated shims delegate to Engine; this pins them together so a
-    // future engine change cannot silently fork the two paths.
+fn single_and_batched_predictions_agree_across_datasets() {
     let datasets = [
         generate_movie_dataset(&MovieConfig::tiny(), 42),
         generate_movie_dataset(&MovieConfig::tiny().with_violation_rate(0.1), 7),
@@ -168,15 +165,6 @@ fn engine_learn_matches_the_legacy_one_shot_path() {
     for dataset in &datasets {
         let engine = Engine::prepare(dataset.task.clone(), fast()).expect("valid task");
         let learned = engine.learn(Strategy::DLearn).expect("learn");
-        let mut legacy = dlearn::core::DLearn::new(fast());
-        let model = legacy.learn(&dataset.task);
-        assert_eq!(
-            model.definition(),
-            learned.definition(),
-            "{}: legacy path diverged from Engine::learn",
-            dataset.name
-        );
-        // Predictions agree too — single, batched, and legacy predict_all.
         let predictor = engine.predictor(&learned).expect("bind predictor");
         let examples: Vec<_> = dataset
             .task
@@ -186,8 +174,6 @@ fn engine_learn_matches_the_legacy_one_shot_path() {
             .cloned()
             .collect();
         let batch = predictor.predict_batch(&examples).expect("predict");
-        let legacy_all = model.predict_all(&examples);
-        assert_eq!(batch, legacy_all, "{}", dataset.name);
         for (e, &verdict) in examples.iter().zip(&batch) {
             assert_eq!(
                 predictor.predict(e).expect("predict"),
@@ -195,7 +181,6 @@ fn engine_learn_matches_the_legacy_one_shot_path() {
                 "{}: single prediction diverged from batch",
                 dataset.name
             );
-            assert_eq!(model.predict(e), verdict, "{}", dataset.name);
         }
     }
 }
@@ -208,7 +193,7 @@ fn every_strategy_is_deterministic_across_engines() {
     let dataset = generate_movie_dataset(&MovieConfig::tiny().with_violation_rate(0.1), 19);
     let a = Engine::prepare(dataset.task.clone(), fast()).expect("valid task");
     let b = Engine::prepare(dataset.task.clone(), fast()).expect("valid task");
-    for strategy in Strategy::all() {
+    for strategy in Strategy::ALL {
         assert_eq!(
             a.learn(strategy).expect("learn").definition(),
             b.learn(strategy).expect("learn").definition(),

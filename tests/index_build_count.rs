@@ -40,7 +40,7 @@ fn similarity_index_is_built_exactly_once_per_engine() {
     // including repeated runs — plus serving on each learned definition:
     // zero further alignment builds. The extension learners run over the
     // shared base plan, so they inherit the prepare-once contract outright.
-    for strategy in Strategy::all() {
+    for strategy in Strategy::ALL {
         for _ in 0..2 {
             let learned = engine.learn(strategy).expect("learn");
             let predictor = engine.predictor(&learned).expect("bind predictor");

@@ -7,6 +7,7 @@
 
 #![cfg(feature = "fault-injection")]
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use dlearn::core::{
@@ -65,6 +66,15 @@ fn service(fx: &Fixture, workers: usize) -> PredictorService {
     )
 }
 
+/// Fault plans are process-global, so a plan one test installs would also
+/// fire inside another test's unguarded steps (an injected delta panic
+/// inside a neighbour's `apply_delta`). The tests of this suite therefore
+/// run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The injection key of a tuple is its display form (what the service hands
 /// to the checkpoint).
 fn key_of(t: &Tuple) -> String {
@@ -73,6 +83,7 @@ fn key_of(t: &Tuple) -> String {
 
 #[test]
 fn injected_grounding_panic_isolates_one_example_and_never_poisons_the_cache() {
+    let _serial = serial();
     let fx = fixture();
     let victim = fx.trace[1].clone();
     for workers in [1usize, 2, 8] {
@@ -120,6 +131,7 @@ fn injected_grounding_panic_isolates_one_example_and_never_poisons_the_cache() {
 
 #[test]
 fn injected_coverage_delay_blows_only_the_slow_examples_deadline() {
+    let _serial = serial();
     let fx = fixture();
     let victim = fx.trace[0].clone();
     let service = service(&fx, 2);
@@ -157,6 +169,7 @@ fn injected_coverage_delay_blows_only_the_slow_examples_deadline() {
 
 #[test]
 fn injected_budget_exhaustion_degrades_observably_without_errors() {
+    let _serial = serial();
     let fx = fixture();
     let service = service(&fx, 1);
     let _guard = fault::install(FaultPlan::new(3).with_probability(
@@ -186,6 +199,7 @@ fn injected_budget_exhaustion_degrades_observably_without_errors() {
 
 #[test]
 fn injected_alignment_panic_fails_prepare_with_a_typed_error() {
+    let _serial = serial();
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
     let _guard =
         fault::install(FaultPlan::new(1).with_probability(Site::Alignment, 1.0, Fault::Panic));
@@ -200,6 +214,7 @@ fn injected_alignment_panic_fails_prepare_with_a_typed_error() {
 
 #[test]
 fn post_episode_parity_cache_on_vs_off_across_threads() {
+    let _serial = serial();
     // After a full fault episode (panics + delays on a few tuples), a
     // recovered service must serve bit-identical verdicts cache-on vs
     // cache-off at every thread count — the oracle-style pin that the
@@ -247,6 +262,7 @@ fn post_episode_parity_cache_on_vs_off_across_threads() {
 
 #[test]
 fn injected_learn_panic_is_typed_per_strategy_and_leaves_the_session_healthy() {
+    let _serial = serial();
     // A crash inside any strategy's refinement search must surface as a
     // typed WorkerPanicked{site:"learn"} — keyed by the strategy's display
     // name, so one poisoned learner never blocks the others — and the
@@ -293,6 +309,7 @@ fn injected_learn_panic_is_typed_per_strategy_and_leaves_the_session_healthy() {
 
 #[test]
 fn injected_delta_panic_quarantines_the_session_but_keeps_serving_reads() {
+    let _serial = serial();
     // A crash mid-delta-maintenance must be transactional: the engine keeps
     // the last committed state (reads — learn, predict — still serve it
     // bit-identically), and every further delta is refused typed.
@@ -348,6 +365,7 @@ fn injected_delta_panic_quarantines_the_session_but_keeps_serving_reads() {
 
 #[test]
 fn deadline_during_post_delta_serving_degrades_only_the_victim() {
+    let _serial = serial();
     // A delta lands, the service re-binds and keeps serving — and an
     // injected stall on one tuple under a tight deadline must degrade only
     // that tuple, while every neighbor serves the correct *post-delta*
@@ -412,6 +430,7 @@ fn deadline_during_post_delta_serving_degrades_only_the_victim() {
 
 #[test]
 fn injected_swap_panic_leaves_the_old_epoch_serving_and_quarantines_the_swap_path() {
+    let _serial = serial();
     // A panic mid-publication must mirror the engine's delta quarantine: the
     // previous epoch keeps serving the exact committed verdicts, selective
     // delta publications are refused typed, and a clean full publish
