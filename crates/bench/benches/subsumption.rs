@@ -6,8 +6,9 @@
 //! `GroundClause::new` (index construction), `subsumes` (the flat-
 //! substitution matcher over a prepared-once numbering — the covering
 //! loop's hot-path shape), full coverage counting, bottom-clause
-//! construction and one generalization round on bottom clauses of the
-//! synthetic IMDB+OMDB task — plus the `backtracking_heavy` adversarial
+//! construction, repaired-clause expansion of every training bottom clause
+//! (`repaired_clauses`, on the three-MD variant) and one generalization
+//! round on bottom clauses of the synthetic IMDB+OMDB task — plus the `backtracking_heavy` adversarial
 //! workload (an unsatisfiable chain over two disconnected graph
 //! components, scrambled body order) measured under both adaptive and
 //! static literal ordering, so the ordering win shows up in the committed
@@ -53,7 +54,9 @@ use dlearn_core::{
     generalize_prepared, BottomClauseBuilder, CoverageEngine, LearnerConfig, PreparedClause,
 };
 use dlearn_datagen::{generate_movie_dataset, MovieConfig};
-use dlearn_logic::{subsumes, Clause, GroundClause, NumberedClause, SubsumptionConfig};
+use dlearn_logic::{
+    repaired_clauses, subsumes, Clause, GroundClause, NumberedClause, SubsumptionConfig,
+};
 use dlearn_similarity::{IndexConfig, SimilarityIndex, SimilarityOperator};
 use dlearn_test_support::backtracking_heavy_pair;
 use dlearn_test_support::vocab::{dirty_vocabulary, VocabConfig};
@@ -143,6 +146,20 @@ fn bench_subsumption(c: &mut Criterion) {
             criterion::black_box(builder.build(&task.positives[0], &mut rng))
         })
     });
+    // Repaired-clause expansion of every training bottom clause of the
+    // three-MD movie task at the `fast()` limits: what `Engine::prepare`
+    // runs once per example after the walk `bottom_clause_build` times.
+    let expansion_inputs = three_md_bottom_clauses();
+    let expand_limits = LearnerConfig::fast().expand_limits();
+    group.bench_function("repaired_clauses", |b| {
+        b.iter(|| {
+            let mut repaired = 0usize;
+            for clause in &expansion_inputs {
+                repaired += repaired_clauses(criterion::black_box(clause), expand_limits).len();
+            }
+            criterion::black_box(repaired)
+        })
+    });
     // Similarity-index construction on a realistic dirty vocabulary
     // (~1k×1k distinct values): the layer the eval harness rebuilds per
     // cross-validation fold. Measures blocking + length filter + top-k
@@ -214,6 +231,37 @@ fn bench_subsumption(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// Every training bottom clause of the tiny three-MD movie task with CFD
+/// violations, built as `Engine::prepare` builds them under
+/// `LearnerConfig::fast()`.
+fn three_md_bottom_clauses() -> Vec<Clause> {
+    let dataset = generate_movie_dataset(
+        &MovieConfig::tiny()
+            .with_three_mds()
+            .with_violation_rate(0.1),
+        42,
+    );
+    let task = &dataset.task;
+    let config = LearnerConfig::fast();
+    let index_config = IndexConfig {
+        top_k: config.km,
+        operator: SimilarityOperator::with_threshold(config.similarity_threshold),
+        ..IndexConfig::default()
+    };
+    let catalog = MdCatalog::build(
+        &task.mds,
+        &dlearn_core::augment_with_target(task),
+        &index_config,
+    );
+    let builder = BottomClauseBuilder::new(task, &catalog, &config);
+    task.positives
+        .iter()
+        .chain(&task.negatives)
+        .enumerate()
+        .map(|(i, e)| builder.build(e, &mut StdRng::seed_from_u64(i as u64)))
+        .collect()
 }
 
 /// Scaling curves: the same hot paths at ~3 sizes each, so the committed
@@ -610,6 +658,11 @@ fn gate_tolerance(name: &str) -> f64 {
         // Gated since graduation, at the widest slack: thread spawn/join
         // and batcher timer behavior dominate on small machines.
         return 0.35;
+    }
+    if name == "subsumption/repaired_clauses" {
+        // New and ungated: expansion cost tracks the bottom clauses' repair
+        // groups; the tolerance rides along for graduation.
+        return 0.30;
     }
     if name.starts_with("learn/") {
         // New and ungated: refinement search cost tracks the learned tree/

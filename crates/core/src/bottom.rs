@@ -394,8 +394,9 @@ impl<'a> BottomClauseBuilder<'a> {
                     let z2 = *clause.body[*body_b].args()[rhs_index];
                     let (Some(_v1), Some(v2)) = (z1.as_var(), z2.as_var()) else {
                         // Constant right-hand sides are not repaired at the
-                        // clause level (see DESIGN.md); generators keep CFD
-                        // right-hand sides variablized.
+                        // clause level: the Section 4.1 reduction above only
+                        // repairs over existing variables, and the
+                        // generators keep CFD right-hand sides variablized.
                         continue;
                     };
                     if z1 == z2 {

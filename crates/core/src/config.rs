@@ -1,6 +1,7 @@
 //! Learner configuration.
 
 use dlearn_logic::subsumption::SubsumptionConfig;
+use dlearn_logic::ExpandLimits;
 
 /// All tunable parameters of the learner.
 ///
@@ -143,6 +144,17 @@ impl LearnerConfig {
     pub fn with_adaptive_ordering(mut self, adaptive: bool) -> Self {
         self.subsumption.adaptive_ordering = adaptive;
         self
+    }
+
+    /// The limits of every repaired-clause expansion the learner runs: each
+    /// ground bottom clause (training examples and served tuples) and each
+    /// candidate clause. At most `max_repaired_clauses` repaired clauses,
+    /// within a fixed budget of 2048 search steps.
+    pub fn expand_limits(&self) -> ExpandLimits {
+        ExpandLimits {
+            max_repairs: self.max_repaired_clauses,
+            max_steps: 2048,
+        }
     }
 
     /// Number of coverage worker threads to actually use.

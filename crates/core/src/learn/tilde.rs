@@ -31,7 +31,7 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dlearn_logic::{Clause, Definition};
+use dlearn_logic::{CanonicalKey, Clause, Definition};
 
 use crate::bottom::BottomClauseBuilder;
 use crate::coverage::PreparedClause;
@@ -82,7 +82,7 @@ impl Refiner for TildeRefiner {
         // canonical form, in first-seen order.
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut candidates: Vec<Clause> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
+        let mut seen: HashSet<CanonicalKey> = HashSet::new();
         let mut head: Option<dlearn_logic::Literal> = None;
         'examples: for example in &task.positives {
             let bottom = builder.build(example, &mut rng);
@@ -99,7 +99,7 @@ impl Refiner for TildeRefiner {
             }
             for at in 0..bottom.body.len() {
                 if let Some(test) = connected_test(&bottom, at) {
-                    if seen.insert(test.canonical_string()) {
+                    if seen.insert(test.canonical_key()) {
                         candidates.push(test);
                     }
                 }
@@ -151,7 +151,7 @@ impl Refiner for TildeRefiner {
         //   conjunct removal: positives can only grow).
         let mut definition = Definition::new();
         let mut stats: Vec<ClauseStats> = Vec::new();
-        let mut emitted: HashSet<String> = HashSet::new();
+        let mut emitted: HashSet<CanonicalKey> = HashSet::new();
         for path in &paths {
             let mut kept: Vec<usize> = path.clone();
             let mut measured = match measure(&kept, &tests, engine, config) {
@@ -206,7 +206,7 @@ impl Refiner for TildeRefiner {
                     _ => at += 1,
                 }
             }
-            if !emitted.insert(measured.clause.canonical_string()) {
+            if !emitted.insert(measured.clause.canonical_key()) {
                 continue;
             }
             // Same decisiveness bar as the leaf rule, but on the clause's

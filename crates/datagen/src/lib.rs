@@ -7,8 +7,7 @@
 //! entities whose shared keys are spelled differently (recoverable only by
 //! the similarity operator / matching dependencies), target labels that
 //! require crossing the similarity join, and configurable CFD-violation
-//! injection (`p`), exactly mirroring Section 6.1 of the paper. See DESIGN.md
-//! for the substitution rationale.
+//! injection (`p`), exactly mirroring Section 6.1 of the paper.
 //!
 //! * [`movies`] — IMDB+OMDB, target `dramaRestrictedMovies(imdbId)`.
 //! * [`products`] — Walmart+Amazon, target `upcOfComputersAccessories(upc)`.

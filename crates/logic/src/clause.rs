@@ -3,6 +3,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use dlearn_relstore::FxHashMap;
+
 use crate::literal::Literal;
 use crate::repair::RepairGroup;
 use crate::substitution::Substitution;
@@ -114,61 +116,79 @@ impl Clause {
     /// head-connected when it shares a variable with the head or with another
     /// head-connected literal), then drop repair groups that are no longer
     /// connected to any remaining relation literal or the head.
+    ///
+    /// Connectivity is one union–find pass over dense variable ids: every
+    /// body literal joins its variables, and a literal is head-connected
+    /// when it is ground or its variables share the head's component.
     pub fn retain_head_connected(&mut self) {
-        let mut connected: BTreeSet<Var> = self.head.variables();
-        let mut kept = vec![false; self.body.len()];
-        // Fixpoint over body literals.
-        loop {
-            let mut changed = false;
-            for (i, l) in self.body.iter().enumerate() {
-                if kept[i] {
-                    continue;
-                }
-                let vars = l.variables();
-                if vars.is_empty() {
-                    // Fully ground literal: keep (it is trivially connected
-                    // through constants that came from the example walk).
-                    kept[i] = true;
-                    changed = true;
-                    continue;
-                }
-                if vars.iter().any(|v| connected.contains(v)) {
-                    kept[i] = true;
-                    connected.extend(vars);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
+        let mut vars = VarComponents::with_capacity(
+            self.body.iter().map(|l| l.terms().count()).sum::<usize>() + self.head.terms().count(),
+        );
+        let mut head_root = None;
+        for t in self.head.terms() {
+            if let Term::Var(v) = t {
+                let id = vars.id(*v);
+                head_root = Some(head_root.map_or(id, |root| vars.union(root, id)));
             }
         }
-        let mut idx = 0;
-        self.body.retain(|_| {
-            let keep = kept[idx];
-            idx += 1;
-            keep
-        });
+        let firsts: Vec<Option<u32>> = self
+            .body
+            .iter()
+            .map(|l| {
+                let mut first = None;
+                for t in l.terms() {
+                    if let Term::Var(v) = t {
+                        let id = vars.id(*v);
+                        first = Some(first.map_or(id, |f| vars.union(f, id)));
+                    }
+                }
+                first
+            })
+            .collect();
+        let head_root = head_root.map(|root| vars.find(root));
+        // Ground literals are kept: they are trivially connected through
+        // constants that came from the example walk.
+        let mut kept = firsts
+            .iter()
+            .map(|first| first.is_none_or(|id| Some(vars.find(id)) == head_root));
+        self.body
+            .retain(|_| kept.next().expect("one flag per literal"));
         // Section 3.2 cleanup: similarity/equality/inequality literals whose
         // variables no longer appear in the head or in any schema relation
         // literal constrain nothing and are dropped.
-        let mut schema_vars: BTreeSet<Var> = self.head.variables();
-        for l in &self.body {
-            if l.is_relation() {
-                schema_vars.extend(l.variables());
+        let mut schema = vec![false; vars.len()];
+        let mark = |marks: &mut Vec<bool>, l: &Literal| {
+            for t in l.terms() {
+                if let Term::Var(v) = t {
+                    marks[vars.get(*v).expect("clause variable") as usize] = true;
+                }
             }
+        };
+        mark(&mut schema, &self.head);
+        for l in self.body.iter().filter(|l| l.is_relation()) {
+            mark(&mut schema, l);
         }
-        self.body
-            .retain(|l| l.is_relation() || l.variables().iter().all(|v| schema_vars.contains(v)));
+        self.body.retain(|l| {
+            l.is_relation()
+                || l.terms().all(|t| match t {
+                    Term::Var(v) => schema[vars.get(*v).expect("clause variable") as usize],
+                    Term::Const(_) => true,
+                })
+        });
         // Repair groups must stay connected to the surviving literals.
-        let mut live_vars: BTreeSet<Var> = self.head.variables();
+        let mut live = vec![false; vars.len()];
+        mark(&mut live, &self.head);
         for l in &self.body {
-            live_vars.extend(l.variables());
+            mark(&mut live, l);
         }
         // A repair survives only while every variable it replaces is still in
         // the clause: an MD repair that lost one side of its match (because
         // the literal carrying it was dropped) can no longer unify anything.
-        self.repairs
-            .retain(|g| g.targets().iter().all(|v| live_vars.contains(v)));
+        self.repairs.retain(|g| {
+            g.replacements
+                .iter()
+                .all(|(v, _)| vars.get(*v).is_some_and(|id| live[id as usize]))
+        });
     }
 
     /// Remove the body literal at `index` along with repair groups whose only
@@ -182,66 +202,62 @@ impl Clause {
         self.retain_head_connected();
     }
 
-    /// A canonical string form: variables renamed by first appearance and the
-    /// body sorted, used to deduplicate logically identical repaired clauses.
-    pub fn canonical_string(&self) -> String {
-        let mut clause = self.clone();
-        for _ in 0..2 {
-            let renaming = clause.first_appearance_renaming();
-            clause = clause.apply(&renaming);
-            clause.body.sort_by_key(|l| l.to_string());
-        }
-        let mut s = clause.head.to_string();
-        s.push_str(" <- ");
-        s.push_str(
-            &clause
-                .body
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        for g in &clause.repairs {
-            s.push_str(" & ");
-            s.push_str(&g.render());
-        }
-        s
-    }
-
-    fn first_appearance_renaming(&self) -> Substitution {
-        let mut renaming = Substitution::new();
-        let mut next = 0u32;
-        let visit = |term: &Term, renaming: &mut Substitution, next: &mut u32| {
-            if let Some(v) = term.as_var() {
-                if renaming.get(v).is_none() {
-                    renaming.bind(v, Term::var(*next));
-                    *next += 1;
-                }
-            }
-        };
-        for t in self.head.args() {
-            visit(t, &mut renaming, &mut next);
-        }
-        for l in &self.body {
-            for t in l.args() {
-                visit(t, &mut renaming, &mut next);
-            }
-        }
-        for g in &self.repairs {
-            for (v, t) in &g.replacements {
-                visit(&Term::Var(*v), &mut renaming, &mut next);
-                visit(t, &mut renaming, &mut next);
-            }
-        }
-        renaming
-    }
-
     /// Relation literals of the body (in order) with their body positions.
     pub fn relation_literals(&self) -> impl Iterator<Item = (usize, &Literal)> {
         self.body
             .iter()
             .enumerate()
             .filter(|(_, l)| l.is_relation())
+    }
+}
+
+/// Dense ids for a clause's variables with a union–find over them.
+struct VarComponents {
+    ids: FxHashMap<Var, u32>,
+    parent: Vec<u32>,
+}
+
+impl VarComponents {
+    fn with_capacity(vars: usize) -> Self {
+        VarComponents {
+            ids: FxHashMap::with_capacity_and_hasher(vars, Default::default()),
+            parent: Vec::with_capacity(vars),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    fn get(&self, v: Var) -> Option<u32> {
+        self.ids.get(&v).copied()
+    }
+
+    fn id(&mut self, v: Var) -> u32 {
+        let next = self.parent.len() as u32;
+        let id = *self.ids.entry(v).or_insert(next);
+        if id == next {
+            self.parent.push(next);
+        }
+        id
+    }
+
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let grand = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = grand;
+            x = grand;
+        }
+        x
+    }
+
+    /// Join the components of `a` and `b`, returning the joined root.
+    fn union(&mut self, a: u32, b: u32) -> u32 {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[rb as usize] = ra;
+        }
+        ra
     }
 }
 

@@ -11,12 +11,15 @@
 //! * [`Literal`] — body/head literals.
 //! * [`RepairGroup`], [`CondAtom`], [`RepairOrigin`] — repair literals.
 //! * [`Clause`], [`Definition`] — Horn clauses / definitions.
+//! * [`CanonicalKey`] — a clause's canonical form, the duplicate key of
+//!   expansion and TILDE.
 //! * [`repaired_clauses`] — expansion into repaired clauses (Section 3.2).
 //! * [`subsumes`], [`witness`], [`GroundClause`] — θ-subsumption (Section
 //!   4.2/4.3): one search with a decision view and a witness view.
 
 #![warn(missing_docs)]
 
+pub mod canonical;
 pub mod clause;
 pub mod expand;
 pub mod literal;
@@ -26,6 +29,7 @@ pub mod substitution;
 pub mod subsumption;
 pub mod term;
 
+pub use canonical::CanonicalKey;
 pub use clause::{Clause, Definition};
 pub use expand::{repaired_clauses, ExpandLimits};
 pub use literal::Literal;

@@ -75,6 +75,38 @@ impl Literal {
         }
     }
 
+    /// Argument terms of the literal, without allocating.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = &Term> {
+        let (head, tail): (&[Term], Option<&Term>) = match self {
+            Literal::Relation { args, .. } => (args, None),
+            Literal::Similar(a, b) | Literal::Equal(a, b) | Literal::NotEqual(a, b) => {
+                (std::slice::from_ref(a), Some(b))
+            }
+        };
+        head.iter().chain(tail)
+    }
+
+    /// Mutable access to the argument terms, in [`Literal::terms`] order.
+    pub(crate) fn terms_mut(&mut self) -> impl Iterator<Item = &mut Term> {
+        let (head, tail): (&mut [Term], Option<&mut Term>) = match self {
+            Literal::Relation { args, .. } => (args, None),
+            Literal::Similar(a, b) | Literal::Equal(a, b) | Literal::NotEqual(a, b) => {
+                (std::slice::from_mut(a), Some(b))
+            }
+        };
+        head.iter_mut().chain(tail)
+    }
+
+    /// The literal's [`Shape`].
+    pub(crate) fn shape(&self) -> Shape {
+        match self {
+            Literal::Relation { relation, .. } => Shape::Relation(*relation),
+            Literal::Similar(_, _) => Shape::Similar,
+            Literal::Equal(_, _) => Shape::Equal,
+            Literal::NotEqual(_, _) => Shape::NotEqual,
+        }
+    }
+
     /// Variables occurring in the literal.
     pub fn variables(&self) -> BTreeSet<Var> {
         self.args().into_iter().filter_map(|t| t.as_var()).collect()
@@ -114,20 +146,53 @@ impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Relation { relation, args } => {
-                write!(f, "{relation}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
+                write_literal(f, Shape::Relation(*relation), args)
             }
-            Literal::Similar(a, b) => write!(f, "{a} ≈ {b}"),
-            Literal::Equal(a, b) => write!(f, "{a} = {b}"),
-            Literal::NotEqual(a, b) => write!(f, "{a} ≠ {b}"),
+            Literal::Similar(a, b) | Literal::Equal(a, b) | Literal::NotEqual(a, b) => {
+                write_literal(f, self.shape(), &[*a, *b])
+            }
         }
     }
+}
+
+/// A literal's kind without its arguments: the relation of a relation
+/// literal, or which binary constraint it is. Paired with an argument slice
+/// it is the flat literal form of clause canonicalization and expansion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Shape {
+    Relation(RelId),
+    Similar,
+    Equal,
+    NotEqual,
+}
+
+/// Write the rendering of the literal `shape(args)` — the one definition
+/// behind `Display` for [`Literal`] and the canonical-form renderer, which
+/// orders literals by exactly these bytes.
+pub(crate) fn write_literal<W: fmt::Write>(
+    out: &mut W,
+    shape: Shape,
+    args: &[Term],
+) -> fmt::Result {
+    let infix = match shape {
+        Shape::Relation(relation) => {
+            out.write_str(relation.as_str())?;
+            out.write_char('(')?;
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                a.write_to(out)?;
+            }
+            return out.write_char(')');
+        }
+        Shape::Similar => " ≈ ",
+        Shape::Equal => " = ",
+        Shape::NotEqual => " ≠ ",
+    };
+    args[0].write_to(out)?;
+    out.write_str(infix)?;
+    args[1].write_to(out)
 }
 
 #[cfg(test)]

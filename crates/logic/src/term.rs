@@ -62,14 +62,34 @@ impl Term {
     pub fn is_const(&self) -> bool {
         matches!(self, Term::Const(_))
     }
+
+    /// Write the term's rendering (`v3`, `'comedy'`, `1977`) to `out`: the
+    /// one definition behind `Display` and the canonical-form renderer.
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Term::Var(v) => {
+                out.write_char('v')?;
+                let mut digits = [0u8; 10];
+                let mut at = digits.len();
+                let mut n = v.0;
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+            }
+            Term::Const(c) => c.write_rendered(out),
+        }
+    }
 }
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Var(v) => write!(f, "{v}"),
-            Term::Const(c) => write!(f, "{}", c.render()),
-        }
+        self.write_to(f)
     }
 }
 

@@ -74,17 +74,31 @@ impl Value {
     /// Embedded quotes and backslashes are escaped, so the rendering is
     /// unambiguous (`it's` renders as `'it\'s'`, not the broken `'it's'`).
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_rendered(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Write [`Value::render`]'s text to `out` without building a `String`
+    /// per value (clause canonicalization renders many literals into one
+    /// reused buffer).
+    pub fn write_rendered<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Null => "null".to_string(),
-            Value::Int(i) => i.to_string(),
+            Value::Null => out.write_str("null"),
+            Value::Int(i) => write!(out, "{i}"),
             Value::Str(s) => {
+                out.write_char('\'')?;
                 let raw = s.as_str();
-                if raw.contains('\'') || raw.contains('\\') {
-                    let escaped = raw.replace('\\', "\\\\").replace('\'', "\\'");
-                    format!("'{escaped}'")
-                } else {
-                    format!("'{raw}'")
+                let mut rest = raw;
+                while let Some(at) = rest.find(['\'', '\\']) {
+                    out.write_str(&rest[..at])?;
+                    out.write_char('\\')?;
+                    out.write_str(&rest[at..at + 1])?;
+                    rest = &rest[at + 1..];
                 }
+                out.write_str(rest)?;
+                out.write_char('\'')
             }
         }
     }

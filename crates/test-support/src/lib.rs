@@ -16,6 +16,10 @@
 //! * [`string_reference`] — the string-keyed, allocation-heavy matcher the
 //!   interning refactor replaced, kept as a second, structurally different
 //!   reference implementation.
+//! * [`expand_reference`] — the clause-cloning repaired-clause expansion
+//!   (with its string `canonical_string` and `BTreeSet` head-connectedness)
+//!   that the production expansion must reproduce clause for clause, in
+//!   order.
 //! * [`vocab`] — seeded dirty-string vocabulary generators (typos, token
 //!   swaps, decorations) whose corruptions always leave the two sides of a
 //!   shared base in a common blocking block.
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod delta;
+pub mod expand_reference;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod gen;
