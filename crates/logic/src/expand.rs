@@ -346,7 +346,10 @@ impl Search {
         }));
     }
 
-    /// [`CondAtom::holds`] on `b`'s body.
+    /// Whether `atom` holds on `b`'s body, as the pre-rewrite expansion's
+    /// condition test decides it (`dlearn_test_support::expand_reference`):
+    /// `=` and `≈` on identical images or a live literal relating them, `≠`
+    /// on distinct images no live `=` literal relates.
     fn holds(&self, b: &Branch, atom: &CondAtom) -> bool {
         let (CondAtom::Eq(x, y) | CondAtom::Neq(x, y) | CondAtom::Sim(x, y)) = atom;
         let (x, y) = (b.image(x), b.image(y));
@@ -430,7 +433,7 @@ impl Search {
                 kill(&mut b.body, at);
             }
         }
-        // `RepairGroup::substitution`: on a repeated target the last
+        // The group's substitution: on a repeated target the last
         // replacement wins.
         let subst = |t: Term| match t {
             Term::Var(v) => pairs

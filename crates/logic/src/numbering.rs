@@ -9,7 +9,10 @@
 //! gaps behind `retain_head_connected`, renamings shift by +40, …), so
 //! [`NumberedClause`] renames a clause's variables to `0..n` **once** — at
 //! `PreparedClause::prepare` time in the covering loop — and every later
-//! subsumption/generalization call against it reuses the dense form.
+//! subsumption/generalization call against it reuses the dense form. The
+//! same pass lists, per slot, the forward checks of the subsumption search
+//! that watch it (see the `subsumption` module docs); a clause without
+//! constraint literals or repair groups has none.
 //!
 //! ## Invariants
 //!
@@ -32,6 +35,7 @@ use crate::clause::Clause;
 use crate::literal::Literal;
 use crate::repair::{CondAtom, RepairGroup};
 use crate::substitution::{FlatSubstitution, Substitution};
+use crate::subsumption::Watches;
 use crate::term::{Term, Var};
 
 /// A bijective mapping between a clause's original variables and the dense
@@ -74,6 +78,8 @@ impl VarNumbering {
 pub struct NumberedClause {
     clause: Clause,
     numbering: VarNumbering,
+    /// The subsumption search's forward checks, watched per slot.
+    watches: Watches,
 }
 
 impl NumberedClause {
@@ -160,6 +166,7 @@ impl NumberedClause {
                 .collect(),
         };
         NumberedClause {
+            watches: Watches::new(&renamed, originals.len()),
             clause: renamed,
             numbering: VarNumbering { originals },
         }
@@ -178,6 +185,11 @@ impl NumberedClause {
     /// The numbering mapping slots back to original variables.
     pub fn numbering(&self) -> &VarNumbering {
         &self.numbering
+    }
+
+    /// The forward checks of the subsumption search, watched per slot.
+    pub(crate) fn watches(&self) -> &Watches {
+        &self.watches
     }
 
     /// A fresh (all-unbound) flat substitution sized for this clause.

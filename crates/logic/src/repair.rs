@@ -84,40 +84,6 @@ impl CondAtom {
         };
         [a, b].into_iter().filter_map(|t| t.as_var()).collect()
     }
-
-    /// Evaluate the atom against a clause body.
-    pub fn holds(&self, body: &[Literal]) -> bool {
-        match self {
-            CondAtom::Eq(a, b) => {
-                a == b
-                    || body.iter().any(|l| {
-                        matches!(l, Literal::Equal(x, y)
-                            if (x == a && y == b) || (x == b && y == a))
-                    })
-            }
-            CondAtom::Neq(a, b) => {
-                if a == b {
-                    return false;
-                }
-                // Distinct constants are unequal; distinct variables are
-                // treated as unequal unless an equality literal unifies them
-                // (Section 4.1: inequality conditions "return true if the
-                // variables are distinct and there is no equality literal
-                // between them").
-                !body.iter().any(|l| {
-                    matches!(l, Literal::Equal(x, y)
-                        if (x == a && y == b) || (x == b && y == a))
-                })
-            }
-            CondAtom::Sim(a, b) => {
-                a == b
-                    || body.iter().any(|l| {
-                        matches!(l, Literal::Similar(x, y)
-                            if (x == a && y == b) || (x == b && y == a))
-                    })
-            }
-        }
-    }
 }
 
 impl fmt::Display for CondAtom {
@@ -162,11 +128,6 @@ impl RepairGroup {
         }
     }
 
-    /// The substitution performed by this repair.
-    pub fn substitution(&self) -> Substitution {
-        self.replacements.iter().map(|(v, t)| (*v, *t)).collect()
-    }
-
     /// Variables mentioned anywhere in the group (replaced variables,
     /// replacement terms and condition variables).
     pub fn variables(&self) -> BTreeSet<Var> {
@@ -185,11 +146,6 @@ impl RepairGroup {
     /// Variables that the repair replaces (the `x` of each `V_c(x, v_x)`).
     pub fn targets(&self) -> BTreeSet<Var> {
         self.replacements.iter().map(|(v, _)| *v).collect()
-    }
-
-    /// Evaluate the group's condition against a clause body.
-    pub fn condition_holds(&self, body: &[Literal]) -> bool {
-        self.condition.iter().all(|atom| atom.holds(body))
     }
 
     /// Apply a substitution to every term in the group (used when another
@@ -212,16 +168,6 @@ impl RepairGroup {
                 .collect(),
             consumes: self.consumes.iter().map(|l| l.apply(subst)).collect(),
         }
-    }
-
-    /// `true` when this repair is *connected to* the given literal in the
-    /// sense of Definition 4.4: the repair mentions a variable of the literal.
-    pub fn connected_to(&self, literal: &Literal) -> bool {
-        let lit_vars = literal.variables();
-        if lit_vars.is_empty() {
-            return false;
-        }
-        self.variables().iter().any(|v| lit_vars.contains(v))
     }
 
     /// Render the group in the paper's repair-literal notation.
@@ -267,28 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn condition_evaluation_over_body() {
-        let body = vec![
-            Literal::Similar(Term::var(0), Term::var(1)),
-            Literal::Equal(Term::var(3), Term::var(4)),
-        ];
-        assert!(CondAtom::Sim(Term::var(0), Term::var(1)).holds(&body));
-        assert!(CondAtom::Sim(Term::var(1), Term::var(0)).holds(&body));
-        assert!(!CondAtom::Sim(Term::var(0), Term::var(2)).holds(&body));
-        assert!(CondAtom::Eq(Term::var(3), Term::var(4)).holds(&body));
-        assert!(CondAtom::Eq(Term::var(7), Term::var(7)).holds(&body));
-        assert!(!CondAtom::Eq(Term::var(0), Term::var(1)).holds(&body));
-        assert!(CondAtom::Neq(Term::var(0), Term::var(1)).holds(&body));
-        assert!(!CondAtom::Neq(Term::var(3), Term::var(4)).holds(&body));
-        assert!(!CondAtom::Neq(Term::var(5), Term::var(5)).holds(&body));
-    }
-
-    #[test]
-    fn group_condition_and_targets() {
+    fn group_targets_and_variables() {
         let g = md_group();
-        let body = vec![Literal::Similar(Term::var(0), Term::var(1))];
-        assert!(g.condition_holds(&body));
-        assert!(!g.condition_holds(&[]));
         assert_eq!(g.targets().len(), 2);
         assert!(g.variables().contains(&Var(2)));
     }
@@ -302,13 +228,6 @@ mod tests {
         assert_eq!(g2.replacements[0].0, Var(9));
         assert_eq!(g2.condition[0], CondAtom::Sim(Term::var(9), Term::var(1)));
         assert_eq!(g2.consumes[0], Literal::Similar(Term::var(9), Term::var(1)));
-    }
-
-    #[test]
-    fn connectivity_follows_shared_variables() {
-        let g = md_group();
-        assert!(g.connected_to(&Literal::relation("r", vec![Term::var(0)])));
-        assert!(!g.connected_to(&Literal::relation("r", vec![Term::var(7)])));
     }
 
     #[test]

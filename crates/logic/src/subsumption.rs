@@ -23,15 +23,46 @@
 //! budget binds, the cheaper adaptive search may answer "yes" where the
 //! static order exhausts its steps first.)
 //!
-//! Similarity, equality and inequality literals are checked as constraints
-//! once a full relation mapping is found, and repair groups are matched
-//! against `D`'s repair facts after that; when the constraint or repair
-//! phase rejects a mapping, the search resumes and tries the next relation
-//! mapping rather than giving up. Decisions are therefore independent of
-//! the literal order for clauses whose constraint variables all occur in
-//! the head or a relation literal (the shape bottom-clause construction
-//! produces), which is exactly the property the brute-force enumeration
-//! oracle in `test-support` pins.
+//! Every complete relation mapping is decided by one final phase
+//! (`finish_mapping`): similarity, equality and inequality literals are
+//! checked as constraints, then repair groups are matched against `D`'s
+//! repair facts; when that phase rejects a mapping, the search resumes and
+//! tries the next relation mapping rather than giving up. Decisions are
+//! therefore independent of the literal order for clauses whose constraint
+//! variables all occur in the head or a relation literal (the shape
+//! bottom-clause construction produces), which is exactly the property the
+//! brute-force enumeration oracle in `test-support` pins.
+//!
+//! ## Forward checks
+//!
+//! The final phase would otherwise see every relation mapping, most of which
+//! a single `≈` literal already rules out. So parts of it also run *inside*
+//! the relation search, as soon as their variables are bound. Call a
+//! variable *relational* when it occurs in the head or in a relation
+//! literal: the head match and the relation search bind exactly those. Two
+//! kinds of check are watched:
+//!
+//! * a `≈`, `=` or `≠` literal whose variables are all relational, tested
+//!   with exactly the test the final phase applies to a fully bound pair;
+//! * a repair replacement `(x, t)` with `x` relational: `D` must hold a
+//!   repair fact of the group's origin with `dx = θx` and — when `t` is a
+//!   constant or relational — `dt = θt`.
+//!
+//! [`NumberedClause::new`] lists, per variable slot the relation search
+//! binds, the checks watching it; a clause without constraint literals or
+//! repair groups has none, and its search does no extra work. A search
+//! counts each check's watched slots that are still unbound. Checks that
+//! watch no slot run right after the head match; every other check runs
+//! right after the literal match that binds its last watched slot; a failed
+//! check drops the branch. Each check is a necessary condition for the
+//! final phase to accept any completion of the branch, since θ only grows
+//! along a branch and the final phase tests the same bound terms. So the
+//! search still reaches every mapping the final phase accepts, in the same
+//! order, and only rejected mappings disappear. A search that finishes
+//! within budget without the checks returns the same [`Decision`] and the
+//! same witness with them, the step count of every search can only fall,
+//! and a search that exhausted its budget without them may now finish. The
+//! final phase still decides every complete mapping.
 //!
 //! ## Indexing
 //!
@@ -168,8 +199,9 @@ impl CancelToken {
 /// Budget and strictness knobs for the subsumption search.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsumptionConfig {
-    /// Maximum number of candidate-extension steps before giving up (a
-    /// failed budget counts as "does not subsume").
+    /// Maximum number of candidate-extension steps before giving up. A
+    /// search that runs out reports [`Decision::BudgetExhausted`]; it is
+    /// the caller that decides how to count that unknown answer.
     pub max_steps: usize,
     /// Enforce the second condition of Definition 4.4: every repair literal
     /// of `D` whose replaced variables are touched by the mapping must be
@@ -230,6 +262,9 @@ pub struct GroundClause {
     /// Flattened repair literals: `(origin, replaced variable as a term,
     /// replacement term, group index)`.
     repair_facts: Vec<(RepairOrigin, Term, Term, usize)>,
+    /// The distinct `(origin, replaced variable, replacement)` triples of
+    /// `repair_facts`, sorted: what the forward repair checks look up.
+    repair_index: Vec<(RepairOrigin, Term, Term)>,
     repairs: Vec<RepairGroup>,
 }
 
@@ -273,6 +308,12 @@ impl GroundClause {
                 repair_facts.push((g.origin, Term::Var(*v), *t, gi));
             }
         }
+        let mut repair_index: Vec<_> = repair_facts
+            .iter()
+            .map(|&(origin, x, t, _)| (origin, x, t))
+            .collect();
+        repair_index.sort_unstable();
+        repair_index.dedup();
         GroundClause {
             head: clause.head.clone(),
             body: clause.body.clone(),
@@ -280,6 +321,7 @@ impl GroundClause {
             similar_pairs,
             equal_pairs,
             repair_facts,
+            repair_index,
             repairs: clause.repairs.clone(),
         }
     }
@@ -341,6 +383,39 @@ impl GroundClause {
             }
         }
         best
+    }
+
+    /// `D`'s similarity or equality pairs (symmetrically closed).
+    fn pairs(&self, kind: PairKind) -> &BTreeSet<(Term, Term)> {
+        match kind {
+            PairKind::Similar => &self.similar_pairs,
+            PairKind::Equal => &self.equal_pairs,
+        }
+    }
+
+    /// The test a similarity (`kind` [`PairKind::Similar`]) or equality
+    /// literal passes between two determined terms: they are identical or
+    /// `D` states the pair.
+    fn related(&self, kind: PairKind, ta: Term, tb: Term) -> bool {
+        ta == tb || self.pairs(kind).contains(&(ta, tb))
+    }
+
+    /// The test an inequality literal passes between two determined terms:
+    /// they differ and `D` does not equate them.
+    fn unequal(&self, ta: Term, tb: Term) -> bool {
+        ta != tb && !self.equal_pairs.contains(&(ta, tb))
+    }
+
+    /// Does `D` hold a repair fact of `origin` replacing `dx`, by `dt` when
+    /// given (by anything otherwise)?
+    fn has_repair_fact(&self, origin: RepairOrigin, dx: Term, dt: Option<Term>) -> bool {
+        match dt {
+            Some(dt) => self.repair_index.binary_search(&(origin, dx, dt)).is_ok(),
+            None => self
+                .repair_index
+                .binary_search_by(|(o, x, _)| (o, x).cmp(&(&origin, &dx)))
+                .is_ok(),
+        }
     }
 }
 
@@ -422,6 +497,9 @@ struct SearchState {
     theta: FlatSubstitution,
     trail: Vec<Var>,
     used_repair_groups: Vec<bool>,
+    /// Per forward check, how many of its watched slots are still unbound;
+    /// empty until the first literal match.
+    unbound: Vec<u32>,
     steps: usize,
     /// Set once when the search stops inconclusively; every later `charge`
     /// fails immediately so the whole recursion unwinds without doing work.
@@ -500,6 +578,8 @@ struct RelLit<'a> {
 
 /// Everything immutable the relation search threads through its recursion.
 struct SearchCtx<'a> {
+    clause: &'a Clause,
+    watches: &'a Watches,
     relations: Vec<RelLit<'a>>,
     constraints: Vec<&'a Literal>,
     repairs: &'a [RepairGroup],
@@ -526,7 +606,19 @@ fn search_subsumption(
         return (None, None);
     }
 
-    // 2. Collect C's relation literals. Under adaptive ordering the search
+    // 2. Run the forward checks the head already settles.
+    let watches = c.watches();
+    let head_settled = watches
+        .checks
+        .iter()
+        .zip(&watches.watched)
+        .filter(|(_, &watched)| watched == 0)
+        .all(|(check, _)| check.holds(clause, &theta, d));
+    if !head_settled {
+        return (None, None);
+    }
+
+    // 3. Collect C's relation literals. Under adaptive ordering the search
     // re-selects the most constrained one at every node, so the initial
     // order is irrelevant; the static fallback fixes a fewest-candidates-
     // first order here, pruned once under the head bindings.
@@ -549,6 +641,8 @@ fn search_subsumption(
     let constraint_lits: Vec<&Literal> = clause.body.iter().filter(|l| !l.is_relation()).collect();
 
     let ctx = SearchCtx {
+        clause,
+        watches,
         relations,
         constraints: constraint_lits,
         repairs: &clause.repairs,
@@ -560,6 +654,7 @@ fn search_subsumption(
         theta,
         trail: Vec::new(),
         used_repair_groups: vec![false; d.repairs().len()],
+        unbound: Vec::new(),
         steps: 0,
         stop: None,
     };
@@ -576,7 +671,8 @@ fn search_subsumption(
 /// [`finish_mapping`]. A mapping rejected by the constraint or repair phase
 /// does not end the search: the relation search backtracks and offers the
 /// next mapping, so the decision never depends on which mapping is
-/// enumerated first.
+/// enumerated first. After every literal match the forward checks whose
+/// last watched slot it bound run, and a failed one drops the branch.
 fn search_relations(
     ctx: &SearchCtx,
     matched: &mut [bool],
@@ -625,15 +721,198 @@ fn search_relations(
             return false;
         }
         let mark = state.trail.len();
-        if match_literal(lit, &ctx.d.body()[idx], &mut state.theta, &mut state.trail)
-            && search_relations(ctx, matched, n_matched + 1, state)
-        {
-            return true;
+        if match_literal(lit, &ctx.d.body()[idx], &mut state.theta, &mut state.trail) {
+            if forward_checks_hold(ctx, state, mark)
+                && search_relations(ctx, matched, n_matched + 1, state)
+            {
+                return true;
+            }
+            uncount_bindings(ctx.watches, state, mark);
         }
         unwind(&mut state.theta, &mut state.trail, mark);
     }
     matched[pick] = false;
     false
+}
+
+/// Count the bindings made since `mark` against the checks watching them,
+/// and run every check whose last unbound watched slot they bound. Every
+/// binding is counted even after a check fails, so [`uncount_bindings`] can
+/// restore the counts exactly.
+fn forward_checks_hold(ctx: &SearchCtx, state: &mut SearchState, mark: usize) -> bool {
+    if ctx.watches.checks.is_empty() {
+        return true;
+    }
+    if state.unbound.is_empty() {
+        // The first literal match of the search: every watched slot is
+        // still unbound. (Most searches fail before matching anything, so
+        // they never pay for the counts.)
+        state.unbound.extend_from_slice(&ctx.watches.watched);
+    }
+    let mut ok = true;
+    for &v in &state.trail[mark..] {
+        for &ci in ctx.watches.watching(v) {
+            let unbound = &mut state.unbound[ci as usize];
+            *unbound -= 1;
+            if *unbound == 0 && ok {
+                ok = ctx.watches.checks[ci as usize].holds(ctx.clause, &state.theta, ctx.d);
+            }
+        }
+    }
+    ok
+}
+
+/// Undo [`forward_checks_hold`]'s counting of the bindings made since
+/// `mark`, before they are unwound.
+fn uncount_bindings(watches: &Watches, state: &mut SearchState, mark: usize) {
+    if watches.checks.is_empty() {
+        return;
+    }
+    for &v in &state.trail[mark..] {
+        for &ci in watches.watching(v) {
+            state.unbound[ci as usize] += 1;
+        }
+    }
+}
+
+/// A part of the final phase that the relation search runs early (see the
+/// module docs): it holds for every mapping the final phase accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// The `≈`, `=` or `≠` literal at this body index; all its variables are
+    /// relational.
+    Constraint(usize),
+    /// Replacement `index` of repair group `group`; its replaced variable is
+    /// relational.
+    Replacement { group: usize, index: usize },
+}
+
+impl Check {
+    /// Run the check on `clause` (the renumbered candidate) under θ, which
+    /// binds every slot the check watches.
+    fn holds(self, clause: &Clause, theta: &FlatSubstitution, d: &GroundClause) -> bool {
+        match self {
+            Check::Constraint(i) => match &clause.body[i] {
+                Literal::Similar(a, b) => {
+                    d.related(PairKind::Similar, theta.apply(a), theta.apply(b))
+                }
+                Literal::Equal(a, b) => d.related(PairKind::Equal, theta.apply(a), theta.apply(b)),
+                Literal::NotEqual(a, b) => d.unequal(theta.apply(a), theta.apply(b)),
+                Literal::Relation { .. } => unreachable!("relation literals are matched"),
+            },
+            Check::Replacement { group, index } => {
+                let g = &clause.repairs[group];
+                let (x, t) = &g.replacements[index];
+                // A target only the repair phase binds may take any fact's.
+                let dt = match t {
+                    Term::Const(_) => Some(*t),
+                    Term::Var(v) => theta.get(*v).copied(),
+                };
+                d.has_repair_fact(g.origin, theta.apply(&Term::Var(*x)), dt)
+            }
+        }
+    }
+}
+
+/// The forward checks of a renumbered candidate clause and, per variable
+/// slot, the checks watching it. Built once by [`NumberedClause::new`].
+///
+/// Only slots the relation search binds are watched: a slot of a relation
+/// literal that is not a head variable (the head binds its variables before
+/// the search starts). A check watching no slot is settled by the head.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Watches {
+    checks: Vec<Check>,
+    /// Per check, how many slots it watches: all unbound when the relation
+    /// search starts.
+    watched: Vec<u32>,
+    /// The checks watching slot `s` are `by_slot[starts[s]..starts[s + 1]]`.
+    /// Both are empty when there are no checks.
+    starts: Vec<u32>,
+    by_slot: Vec<u32>,
+}
+
+impl Watches {
+    /// The forward checks of `clause`, whose variables are `0..var_count`.
+    pub(crate) fn new(clause: &Clause, var_count: usize) -> Watches {
+        if clause.repairs.is_empty() && clause.body.iter().all(Literal::is_relation) {
+            return Watches::default();
+        }
+        let mut in_head = vec![false; var_count];
+        let mut relational = vec![false; var_count];
+        for t in clause.head.terms() {
+            if let Term::Var(v) = t {
+                in_head[v.0 as usize] = true;
+                relational[v.0 as usize] = true;
+            }
+        }
+        for t in clause
+            .body
+            .iter()
+            .filter(|l| l.is_relation())
+            .flat_map(Literal::terms)
+        {
+            if let Term::Var(v) = t {
+                relational[v.0 as usize] = true;
+            }
+        }
+        let known = |t: &Term| t.as_var().is_none_or(|v| relational[v.0 as usize]);
+
+        let mut checks = Vec::new();
+        let mut watched = Vec::new();
+        // (watched slot, check id) pairs.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut watch = |check: Check, terms: &[&Term]| {
+            let id = checks.len() as u32;
+            checks.push(check);
+            let before = pairs.len();
+            for v in terms.iter().filter_map(|t| t.as_var()) {
+                if !in_head[v.0 as usize] && !pairs[before..].contains(&(v.0, id)) {
+                    pairs.push((v.0, id));
+                }
+            }
+            watched.push((pairs.len() - before) as u32);
+        };
+        for (i, lit) in clause.body.iter().enumerate() {
+            let (Literal::Similar(a, b) | Literal::Equal(a, b) | Literal::NotEqual(a, b)) = lit
+            else {
+                continue;
+            };
+            if known(a) && known(b) {
+                watch(Check::Constraint(i), &[a, b]);
+            }
+        }
+        for (group, g) in clause.repairs.iter().enumerate() {
+            for (index, (x, t)) in g.replacements.iter().enumerate() {
+                if relational[x.0 as usize] {
+                    let x = Term::Var(*x);
+                    let terms: &[&Term] = if known(t) { &[&x, t] } else { &[&x] };
+                    watch(Check::Replacement { group, index }, terms);
+                }
+            }
+        }
+
+        pairs.sort_unstable();
+        let mut starts = vec![0u32; var_count + 1];
+        for &(slot, _) in &pairs {
+            starts[slot as usize + 1] += 1;
+        }
+        for s in 0..var_count {
+            starts[s + 1] += starts[s];
+        }
+        Watches {
+            checks,
+            watched,
+            starts,
+            by_slot: pairs.into_iter().map(|(_, id)| id).collect(),
+        }
+    }
+
+    /// The checks watching slot `v`. Only called when there are checks.
+    fn watching(&self, v: Var) -> &[u32] {
+        let s = v.0 as usize;
+        &self.by_slot[self.starts[s] as usize..self.starts[s + 1] as usize]
+    }
 }
 
 /// Check the constraint literals and repair groups against a complete
@@ -677,11 +956,7 @@ fn check_constraints(lits: &[&Literal], theta: &mut FlatSubstitution, d: &Ground
                 }
             }
             Literal::NotEqual(a, b) => {
-                let ta = theta.apply(a);
-                let tb = theta.apply(b);
-                // Unequal iff the mapped terms differ and are not explicitly
-                // equated in D.
-                if ta == tb || d.equal_pairs.contains(&(ta, tb)) {
+                if !d.unequal(theta.apply(a), theta.apply(b)) {
                     return false;
                 }
             }
@@ -704,16 +979,13 @@ fn check_pair(
     b: &Term,
     kind: PairKind,
 ) -> bool {
-    let pairs = match kind {
-        PairKind::Similar => &d.similar_pairs,
-        PairKind::Equal => &d.equal_pairs,
-    };
+    let pairs = d.pairs(kind);
     let ta = theta.apply(a);
     let tb = theta.apply(b);
     let a_bound = ta.is_const() || a.as_var().map(|v| theta.get(v).is_some()).unwrap_or(true);
     let b_bound = tb.is_const() || b.as_var().map(|v| theta.get(v).is_some()).unwrap_or(true);
     match (a_bound, b_bound) {
-        (true, true) => ta == tb || pairs.contains(&(ta, tb)),
+        (true, true) => d.related(kind, ta, tb),
         (true, false) => {
             // Bind b to any partner of a (BTreeSet iteration: deterministic,
             // smallest partner first).

@@ -21,12 +21,20 @@
 //! the head or a relation literal, the shape bottom-clause construction
 //! emits. This is what makes the greedy constraint phase complete, so the
 //! three matchers are deciding the same ∃-question.
+//!
+//! The seeded suites run over two generator configurations: the default
+//! one, and a constraint-heavy one (more `≈`/`=`/`≠` literals and repair
+//! groups, longer bodies) that exercises the forward checks of the
+//! relation search. Hand-built regression pairs pin that the forward
+//! checks settle, within a small budget, searches that enumerating every
+//! relation mapping would exhaust.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dlearn_logic::{
-    subsumes, witness, Clause, GroundClause, Literal, NumberedClause, SubsumptionConfig, Term, Var,
+    subsumes, witness, Clause, Decision, GroundClause, Literal, NumberedClause, RepairGroup,
+    RepairOrigin, SubsumptionConfig, Term, Var,
 };
 use dlearn_test_support::{
     backtracking_heavy_pair, derived_candidate, random_candidate, random_ground, string_reference,
@@ -49,19 +57,47 @@ fn static_order() -> SubsumptionConfig {
     }
 }
 
-/// The main contract: 600 seeded random cases (≥ 500 required), half
-/// derived from `D` (positive-leaning), half independent (negative-leaning).
+/// The generator configurations every seeded suite runs over, by name: the
+/// default one, and a constraint-heavy one whose candidates carry many
+/// `≈`/`=`/`≠` literals and repair groups.
+fn gen_configs() -> [(&'static str, GenConfig); 2] {
+    [
+        ("default", GenConfig::default()),
+        (
+            "constraint-heavy",
+            GenConfig {
+                max_similar: 6,
+                max_equal: 4,
+                max_repairs: 4,
+                p_keep_literal: 0.8,
+                p_keep_repair: 0.8,
+                p_not_equal: 0.6,
+                max_body: 12,
+                ..GenConfig::default()
+            },
+        ),
+    ]
+}
+
+/// The main contract: 600 seeded random cases (≥ 500 required) per
+/// generator configuration, half derived from `D` (positive-leaning), half
+/// independent (negative-leaning).
 #[test]
 fn decisions_agree_with_both_references_and_witnesses_verify() {
-    let cfg = GenConfig::default();
+    for (name, cfg) in gen_configs() {
+        decisions_agree_on(name, &cfg);
+    }
+}
+
+fn decisions_agree_on(name: &str, cfg: &GenConfig) {
     let mut rng = StdRng::seed_from_u64(0xd1ff);
     let mut positives = 0usize;
     for case in 0..600 {
-        let d = random_ground(&mut rng, &cfg);
+        let d = random_ground(&mut rng, cfg);
         let c = if case % 2 == 0 {
-            derived_candidate(&mut rng, &d, &cfg)
+            derived_candidate(&mut rng, &d, cfg)
         } else {
-            random_candidate(&mut rng, &cfg)
+            random_candidate(&mut rng, cfg)
         };
         let ground = GroundClause::new(&d);
         let oracle = OracleGround::new(&d);
@@ -75,7 +111,7 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
         if let Some(theta) = &found {
             assert!(
                 oracle.verify_witness(&c, theta),
-                "unsound witness on case {case}:\n  C = {c}\n  D = {d}\n  θ does not embed"
+                "unsound witness on {name} case {case}:\n  C = {c}\n  D = {d}\n  θ does not embed"
             );
         }
 
@@ -83,7 +119,7 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
         assert_eq!(
             decision,
             string_reference::subsumes(&c, &string_ground),
-            "string-reference divergence on case {case}:\n  C = {c}\n  D = {d}"
+            "string-reference divergence on {name} case {case}:\n  C = {c}\n  D = {d}"
         );
 
         // Decision agreement with the enumeration oracle, and the oracle's
@@ -92,7 +128,7 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
         assert_eq!(
             decision,
             enumerated.is_some(),
-            "oracle divergence on case {case}:\n  C = {c}\n  D = {d}"
+            "oracle divergence on {name} case {case}:\n  C = {c}\n  D = {d}"
         );
         if let Some(sigma) = &enumerated {
             assert!(oracle.verify_witness(&c, sigma));
@@ -103,19 +139,19 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
         assert_eq!(
             subsumes(&numbered, &ground, &unbounded(), None).is_yes(),
             decision,
-            "numbered decision diverged on case {case}:\n  C = {c}\n  D = {d}"
+            "numbered decision diverged on {name} case {case}:\n  C = {c}\n  D = {d}"
         );
         if let Some(theta) = witness(&numbered, &ground, &unbounded()) {
             assert!(
                 oracle.verify_witness(&c, &theta),
-                "unsound numbered witness on case {case}:\n  C = {c}\n  D = {d}"
+                "unsound numbered witness on {name} case {case}:\n  C = {c}\n  D = {d}"
             );
         }
         let static_witness = witness(&numbered, &ground, &static_order());
         assert_eq!(
             static_witness.is_some(),
             decision,
-            "static-ordering divergence on case {case}:\n  C = {c}\n  D = {d}"
+            "static-ordering divergence on {name} case {case}:\n  C = {c}\n  D = {d}"
         );
         if let Some(theta) = &static_witness {
             assert!(oracle.verify_witness(&c, theta));
@@ -124,10 +160,13 @@ fn decisions_agree_with_both_references_and_witnesses_verify() {
         positives += decision as usize;
     }
     // The generator must exercise both outcomes or the suite is vacuous.
-    assert!(positives > 75, "too few positive cases: {positives}");
+    assert!(
+        positives > 75,
+        "{name}: too few positive cases: {positives}"
+    );
     assert!(
         positives < 525,
-        "too few negative cases: {}",
+        "{name}: too few negative cases: {}",
         600 - positives
     );
 }
@@ -147,14 +186,20 @@ fn backtracking_heavy_pair_is_rejected_by_everyone() {
 
 /// Budget exhaustion must report "does not subsume" (never panic), at every
 /// budget size, and a positive answer under a small budget must be sound —
-/// it agrees with the unbounded decision and its witness verifies.
+/// it agrees with the unbounded decision and its witness verifies. Runs
+/// over every generator configuration.
 #[test]
 fn budget_exhaustion_is_a_clean_no() {
-    let cfg = GenConfig::default();
+    for (_, cfg) in gen_configs() {
+        budget_exhaustion_is_a_clean_no_on(&cfg);
+    }
+}
+
+fn budget_exhaustion_is_a_clean_no_on(cfg: &GenConfig) {
     let mut rng = StdRng::seed_from_u64(0xb4d9);
     for _ in 0..50 {
-        let d = random_ground(&mut rng, &cfg);
-        let c = derived_candidate(&mut rng, &d, &cfg);
+        let d = random_ground(&mut rng, cfg);
+        let c = derived_candidate(&mut rng, &d, cfg);
         let ground = GroundClause::new(&d);
         let oracle = OracleGround::new(&d);
         let numbered = NumberedClause::new(&c);
@@ -189,4 +234,121 @@ fn extreme_variable_indices_do_not_break_matching() {
     )
     .is_some());
     let _ = Var(u32::MAX); // the sentinel itself stays constructible
+}
+
+/// A budget the forward checks settle the regression pairs below within,
+/// and that enumerating every relation mapping exhausts: each match of
+/// `a(x, y)` opens 5⁵ mappings of the five `b` literals.
+const SMALL_BUDGET: usize = 1000;
+
+/// `C = t(x) ← a(x, y), b(z1), …, b(z5)`, plus `y ≈ x` when `similar`.
+fn chain_candidate(similar: bool) -> Clause {
+    let mut c = Clause::new(Literal::relation("t", vec![Term::var(100)]));
+    c.push_unique(Literal::relation("a", vec![Term::var(100), Term::var(101)]));
+    for z in 1..=5 {
+        c.push_unique(Literal::relation("b", vec![Term::var(110 + z)]));
+    }
+    if similar {
+        c.push_unique(Literal::Similar(Term::var(101), Term::var(100)));
+    }
+    c
+}
+
+/// `D = t(c0) ← a(c0, v1), b(e0), …, b(e4)`, plus `a(c0, v2)` when
+/// `second_match`.
+fn chain_ground(second_match: bool) -> Clause {
+    let c0 = Term::constant("c0");
+    let mut d = Clause::new(Literal::relation("t", vec![c0]));
+    d.push_unique(Literal::relation("a", vec![c0, Term::var(1)]));
+    if second_match {
+        d.push_unique(Literal::relation("a", vec![c0, Term::var(2)]));
+    }
+    for e in 0..5 {
+        d.push_unique(Literal::relation(
+            "b",
+            vec![Term::constant(format!("e{e}"))],
+        ));
+    }
+    d
+}
+
+/// Under both orderings, `c` against `d` decides `expected` within
+/// [`SMALL_BUDGET`], as the unbounded search does and with the same
+/// witness; the enumeration oracle agrees and the witness verifies.
+fn assert_settled_within_small_budget(c: &Clause, d: &Clause, expected: Decision) {
+    let ground = GroundClause::new(d);
+    let numbered = NumberedClause::new(c);
+    let oracle = OracleGround::new(d);
+    assert_eq!(
+        oracle.enumerate(c).is_some(),
+        expected == Decision::Yes,
+        "oracle disagrees:\n  C = {c}\n  D = {d}"
+    );
+    for adaptive_ordering in [true, false] {
+        let full = SubsumptionConfig {
+            adaptive_ordering,
+            ..unbounded()
+        };
+        let small = SubsumptionConfig {
+            max_steps: SMALL_BUDGET,
+            ..full
+        };
+        assert_eq!(subsumes(&numbered, &ground, &full, None), expected);
+        assert_eq!(
+            subsumes(&numbered, &ground, &small, None),
+            expected,
+            "adaptive {adaptive_ordering}: not settled within {SMALL_BUDGET} steps:\n  C = {c}\n  D = {d}"
+        );
+        let found = witness(&numbered, &ground, &small);
+        assert_eq!(found, witness(&numbered, &ground, &full));
+        if let Some(theta) = &found {
+            assert!(oracle.verify_witness(c, theta));
+        }
+    }
+}
+
+/// `y ≈ x` fails as soon as `a(x, y)` binds `y`: without forward checks
+/// the search would try all 5⁵ mappings of the `b` literals first.
+#[test]
+fn similarity_literal_prunes_before_the_remaining_relation_literals() {
+    let c = chain_candidate(true);
+    assert_settled_within_small_budget(&c, &chain_ground(false), Decision::No);
+
+    // With a second `a` match that is similar to c0, the first match fails
+    // its check at once and the second one leads to the witness.
+    let mut d = chain_ground(true);
+    d.push_unique(Literal::Similar(Term::constant("c0"), Term::var(2)));
+    assert_settled_within_small_budget(&c, &d, Decision::Yes);
+}
+
+/// A repair replacement `(y, w)` needs a repair fact of its origin for θy
+/// as soon as `a(x, y)` binds `y`.
+#[test]
+fn repair_replacement_prunes_before_the_remaining_relation_literals() {
+    let mut c = chain_candidate(false);
+    c.push_repair(RepairGroup::new(
+        RepairOrigin::Md(0),
+        vec![],
+        vec![(Var(101), Term::var(102))],
+        vec![],
+    ));
+    // D has a fact for v1, but of another origin, and an md0 fact for v2,
+    // which only the second `a` match binds.
+    let facts = |d: &mut Clause| {
+        for (origin, x) in [(RepairOrigin::Md(1), 1), (RepairOrigin::Md(0), 2)] {
+            d.push_repair(RepairGroup::new(
+                origin,
+                vec![],
+                vec![(Var(x), Term::var(9))],
+                vec![],
+            ));
+        }
+    };
+    let mut d = chain_ground(false);
+    facts(&mut d);
+    assert_settled_within_small_budget(&c, &d, Decision::No);
+
+    let mut d = chain_ground(true);
+    facts(&mut d);
+    assert_settled_within_small_budget(&c, &d, Decision::Yes);
 }

@@ -1,6 +1,7 @@
 //! Reference re-implementation of the **clause-cloning repaired-clause
 //! expansion** that `dlearn_logic::repaired_clauses` replaced, together with
-//! the `canonical_string` and `retain_head_connected` it relied on.
+//! the `canonical_string`, `retain_head_connected` and repair-group helpers
+//! (condition evaluation, a group's substitution) it relied on.
 //!
 //! Deliberately kept as it was: every branch clones the whole clause, every
 //! repair application runs `Clause::apply` over the clause, every leaf runs
@@ -14,7 +15,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use dlearn_logic::{Clause, ExpandLimits, Literal, Substitution, Term, Var};
+use dlearn_logic::{Clause, CondAtom, ExpandLimits, Literal, RepairGroup, Substitution, Term, Var};
 
 /// Enumerate the repaired clauses of `clause`, up to the given limits.
 ///
@@ -43,7 +44,7 @@ pub fn repaired_clauses(clause: &Clause, limits: ExpandLimits) -> Vec<Clause> {
             .repairs
             .iter()
             .enumerate()
-            .filter(|(_, g)| g.condition_holds(&current.body))
+            .filter(|(_, g)| condition_holds(g, &current.body))
             .map(|(i, _)| i)
             .collect();
 
@@ -110,8 +111,57 @@ fn apply_repair(clause: &Clause, index: usize) -> Clause {
         }
         true
     });
-    let subst = group.substitution();
+    let subst = substitution(&group);
     c.apply(&subst)
+}
+
+/// The substitution a repair group performs: each replaced variable to its
+/// replacement (on a repeated target the last replacement wins).
+fn substitution(group: &RepairGroup) -> Substitution {
+    group.replacements.iter().map(|(v, t)| (*v, *t)).collect()
+}
+
+/// Evaluate a repair group's condition (a conjunction) against a clause
+/// body.
+fn condition_holds(group: &RepairGroup, body: &[Literal]) -> bool {
+    group
+        .condition
+        .iter()
+        .all(|atom| cond_atom_holds(atom, body))
+}
+
+/// Evaluate one condition atom against a clause body.
+fn cond_atom_holds(atom: &CondAtom, body: &[Literal]) -> bool {
+    match atom {
+        CondAtom::Eq(a, b) => {
+            a == b
+                || body.iter().any(|l| {
+                    matches!(l, Literal::Equal(x, y)
+                        if (x == a && y == b) || (x == b && y == a))
+                })
+        }
+        CondAtom::Neq(a, b) => {
+            if a == b {
+                return false;
+            }
+            // Distinct constants are unequal; distinct variables are
+            // treated as unequal unless an equality literal unifies them
+            // (Section 4.1: inequality conditions "return true if the
+            // variables are distinct and there is no equality literal
+            // between them").
+            !body.iter().any(|l| {
+                matches!(l, Literal::Equal(x, y)
+                    if (x == a && y == b) || (x == b && y == a))
+            })
+        }
+        CondAtom::Sim(a, b) => {
+            a == b
+                || body.iter().any(|l| {
+                    matches!(l, Literal::Similar(x, y)
+                        if (x == a && y == b) || (x == b && y == a))
+                })
+        }
+    }
 }
 
 /// Keep only head-connected body literals (Section 2.1: a literal is
@@ -293,5 +343,47 @@ pub fn assert_agrees(clause: &Clause, context: &str) {
                 checked[j]
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlearn_logic::RepairOrigin;
+
+    #[test]
+    fn condition_evaluation_over_body() {
+        let body = vec![
+            Literal::Similar(Term::var(0), Term::var(1)),
+            Literal::Equal(Term::var(3), Term::var(4)),
+        ];
+        let holds = |atom: CondAtom| cond_atom_holds(&atom, &body);
+        assert!(holds(CondAtom::Sim(Term::var(0), Term::var(1))));
+        assert!(holds(CondAtom::Sim(Term::var(1), Term::var(0))));
+        assert!(!holds(CondAtom::Sim(Term::var(0), Term::var(2))));
+        assert!(holds(CondAtom::Eq(Term::var(3), Term::var(4))));
+        assert!(holds(CondAtom::Eq(Term::var(7), Term::var(7))));
+        assert!(!holds(CondAtom::Eq(Term::var(0), Term::var(1))));
+        assert!(holds(CondAtom::Neq(Term::var(0), Term::var(1))));
+        assert!(!holds(CondAtom::Neq(Term::var(3), Term::var(4))));
+        assert!(!holds(CondAtom::Neq(Term::var(5), Term::var(5))));
+    }
+
+    #[test]
+    fn group_condition_and_substitution() {
+        // V_{v0 ≈ v1}(v0, v2), V_{v0 ≈ v1}(v1, v2): unify v0 and v1 into v2.
+        let g = RepairGroup::new(
+            RepairOrigin::Md(0),
+            vec![CondAtom::Sim(Term::var(0), Term::var(1))],
+            vec![(Var(0), Term::var(2)), (Var(1), Term::var(2))],
+            vec![Literal::Similar(Term::var(0), Term::var(1))],
+        );
+        let body = vec![Literal::Similar(Term::var(0), Term::var(1))];
+        assert!(condition_holds(&g, &body));
+        assert!(!condition_holds(&g, &[]));
+        let subst = substitution(&g);
+        assert_eq!(subst.apply(&Term::var(0)), Term::var(2));
+        assert_eq!(subst.apply(&Term::var(1)), Term::var(2));
+        assert_eq!(subst.len(), 2);
     }
 }

@@ -17,9 +17,9 @@
 //!   interning refactor replaced, kept as a second, structurally different
 //!   reference implementation.
 //! * [`expand_reference`] — the clause-cloning repaired-clause expansion
-//!   (with its string `canonical_string` and `BTreeSet` head-connectedness)
-//!   that the production expansion must reproduce clause for clause, in
-//!   order.
+//!   (with its string `canonical_string`, `BTreeSet` head-connectedness and
+//!   repair-condition evaluation) that the production expansion must
+//!   reproduce clause for clause, in order.
 //! * [`vocab`] — seeded dirty-string vocabulary generators (typos, token
 //!   swaps, decorations) whose corruptions always leave the two sides of a
 //!   shared base in a common blocking block.
