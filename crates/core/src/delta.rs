@@ -38,6 +38,7 @@ use crate::coverage::GroundPatchStats;
 use crate::engine::{index_config_for, Engine, StrategyPlan};
 use crate::error::DlearnError;
 use crate::learner::augment_with_target;
+use crate::task::LearningTask;
 
 /// What one committed [`Engine::apply_delta`] call did: the change set it
 /// applied, how much incremental work each maintenance path performed, and
@@ -230,8 +231,20 @@ fn compute_delta(
         Arc::new(MdCatalog::default())
     };
 
-    let mut task = old.task.clone();
-    task.database = db;
+    // Every field but the database carries over; cloning the old task
+    // whole would copy its database only to drop it.
+    let old_task = &old.task;
+    let task = LearningTask {
+        database: db,
+        mds: old_task.mds.clone(),
+        cfds: old_task.cfds.clone(),
+        target: old_task.target.clone(),
+        positives: old_task.positives.clone(),
+        negatives: old_task.negatives.clone(),
+        constant_attributes: old_task.constant_attributes.clone(),
+        sources: old_task.sources.clone(),
+        target_source: old_task.target_source.clone(),
+    };
 
     let mut report = DeltaReport {
         changes,

@@ -128,7 +128,7 @@ impl Clause {
         for t in self.head.terms() {
             if let Term::Var(v) = t {
                 let id = vars.id(*v);
-                head_root = Some(head_root.map_or(id, |root| vars.union(root, id)));
+                head_root = Some(head_root.map_or(id, |root| vars.sets.union(root, id)));
             }
         }
         let firsts: Vec<Option<u32>> = self
@@ -139,24 +139,24 @@ impl Clause {
                 for t in l.terms() {
                     if let Term::Var(v) = t {
                         let id = vars.id(*v);
-                        first = Some(first.map_or(id, |f| vars.union(f, id)));
+                        first = Some(first.map_or(id, |f| vars.sets.union(f, id)));
                     }
                 }
                 first
             })
             .collect();
-        let head_root = head_root.map(|root| vars.find(root));
+        let head_root = head_root.map(|root| vars.sets.find(root));
         // Ground literals are kept: they are trivially connected through
         // constants that came from the example walk.
         let mut kept = firsts
             .iter()
-            .map(|first| first.is_none_or(|id| Some(vars.find(id)) == head_root));
+            .map(|first| first.is_none_or(|id| Some(vars.sets.find(id)) == head_root));
         self.body
             .retain(|_| kept.next().expect("one flag per literal"));
         // Section 3.2 cleanup: similarity/equality/inequality literals whose
         // variables no longer appear in the head or in any schema relation
         // literal constrain nothing and are dropped.
-        let mut schema = vec![false; vars.len()];
+        let mut schema = vec![false; vars.sets.len()];
         let mark = |marks: &mut Vec<bool>, l: &Literal| {
             for t in l.terms() {
                 if let Term::Var(v) = t {
@@ -176,7 +176,7 @@ impl Clause {
                 })
         });
         // Repair groups must stay connected to the surviving literals.
-        let mut live = vec![false; vars.len()];
+        let mut live = vec![false; vars.sets.len()];
         mark(&mut live, &self.head);
         for l in &self.body {
             mark(&mut live, l);
@@ -214,19 +214,15 @@ impl Clause {
 /// Dense ids for a clause's variables with a union–find over them.
 struct VarComponents {
     ids: FxHashMap<Var, u32>,
-    parent: Vec<u32>,
+    sets: UnionFind,
 }
 
 impl VarComponents {
     fn with_capacity(vars: usize) -> Self {
         VarComponents {
             ids: FxHashMap::with_capacity_and_hasher(vars, Default::default()),
-            parent: Vec::with_capacity(vars),
+            sets: UnionFind::with_capacity(vars),
         }
-    }
-
-    fn len(&self) -> usize {
-        self.parent.len()
     }
 
     fn get(&self, v: Var) -> Option<u32> {
@@ -234,15 +230,46 @@ impl VarComponents {
     }
 
     fn id(&mut self, v: Var) -> u32 {
-        let next = self.parent.len() as u32;
+        let next = self.sets.len() as u32;
         let id = *self.ids.entry(v).or_insert(next);
         if id == next {
-            self.parent.push(next);
+            self.sets.push();
         }
         id
     }
+}
 
-    fn find(&mut self, mut x: u32) -> u32 {
+/// A union–find over the dense ids `0..len`, halving paths as it finds.
+pub(crate) struct UnionFind {
+    parent: Vec<u32>,
+}
+
+impl UnionFind {
+    /// `n` singleton sets, with ids `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n as u32).collect(),
+        }
+    }
+
+    fn with_capacity(n: usize) -> Self {
+        UnionFind {
+            parent: Vec::with_capacity(n),
+        }
+    }
+
+    /// Add a singleton set.
+    fn push(&mut self) {
+        self.parent.push(self.parent.len() as u32);
+    }
+
+    /// The number of ids.
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The root of `x`'s set.
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -251,8 +278,8 @@ impl VarComponents {
         x
     }
 
-    /// Join the components of `a` and `b`, returning the joined root.
-    fn union(&mut self, a: u32, b: u32) -> u32 {
+    /// Join the sets of `a` and `b`, returning the joined root.
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> u32 {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[rb as usize] = ra;

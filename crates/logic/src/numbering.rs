@@ -14,6 +14,15 @@
 //! that watch it (see the `subsumption` module docs); a clause without
 //! constraint literals or repair groups has none.
 //!
+//! It also partitions the clause into the independent parts the subsumption
+//! search decides one at a time. The head match binds the head's variables,
+//! which the numbering puts first, so only the later slots link items: a
+//! union–find over them merges the slots of each body literal and each
+//! repair group (its replaced variables and replacement terms), and every
+//! item takes the part of its slots, numbered in order of first appearance.
+//! An item without such a slot is a part by itself. Each part's items are
+//! stored as indices into the clause.
+//!
 //! ## Invariants
 //!
 //! * The numbering is assigned in **first-appearance order** over the head
@@ -29,13 +38,13 @@
 //!   back to the original variable space with [`NumberedClause::to_original`],
 //!   so callers never observe renumbered variables.
 
-use std::collections::HashMap;
+use dlearn_relstore::FxHashMap;
 
 use crate::clause::Clause;
 use crate::literal::Literal;
 use crate::repair::{CondAtom, RepairGroup};
 use crate::substitution::{FlatSubstitution, Substitution};
-use crate::subsumption::Watches;
+use crate::subsumption::{Parts, Watches};
 use crate::term::{Term, Var};
 
 /// A bijective mapping between a clause's original variables and the dense
@@ -80,13 +89,17 @@ pub struct NumberedClause {
     numbering: VarNumbering,
     /// The subsumption search's forward checks, watched per slot.
     watches: Watches,
+    /// The clause's independent parts once the head is bound.
+    parts: Parts,
 }
 
 impl NumberedClause {
     /// Renumber a clause. The result's body has the same length and order as
     /// the input (pure renaming, no deduplication).
     pub fn new(clause: &Clause) -> Self {
-        let mut map: HashMap<Var, u32> = HashMap::new();
+        // Only ever probed, never iterated: the cheap hasher cannot change
+        // the numbering.
+        let mut map: FxHashMap<Var, u32> = FxHashMap::default();
         let mut originals: Vec<Var> = Vec::new();
         let mut note = |term: &Term| {
             if let Term::Var(v) = term {
@@ -167,6 +180,7 @@ impl NumberedClause {
         };
         NumberedClause {
             watches: Watches::new(&renamed, originals.len()),
+            parts: Parts::new(&renamed, originals.len()),
             clause: renamed,
             numbering: VarNumbering { originals },
         }
@@ -190,6 +204,11 @@ impl NumberedClause {
     /// The forward checks of the subsumption search, watched per slot.
     pub(crate) fn watches(&self) -> &Watches {
         &self.watches
+    }
+
+    /// The independent parts the subsumption search decides one at a time.
+    pub(crate) fn parts(&self) -> &Parts {
+        &self.parts
     }
 
     /// A fresh (all-unbound) flat substitution sized for this clause.
@@ -257,6 +276,68 @@ mod tests {
         let c = gappy_clause();
         let n = NumberedClause::new(&c);
         assert_eq!(c.canonical_string(), n.clause().canonical_string());
+    }
+
+    /// `t(x) ← a(x, y), c(y, w), d(w), b(z1), …, b(z5)`.
+    fn parted_clause() -> Clause {
+        let mut c = Clause::new(Literal::relation("t", vec![Term::var(0)]));
+        c.push_unique(Literal::relation("a", vec![Term::var(0), Term::var(1)]));
+        c.push_unique(Literal::relation("c", vec![Term::var(1), Term::var(2)]));
+        c.push_unique(Literal::relation("d", vec![Term::var(2)]));
+        for z in 1..=5 {
+            c.push_unique(Literal::relation("b", vec![Term::var(10 + z)]));
+        }
+        c
+    }
+
+    /// Per part: its relation literals (positions among the relation
+    /// literals), constraint literals (body indices) and repair groups.
+    fn parts_of(c: &Clause) -> Vec<[Vec<u32>; 3]> {
+        let n = NumberedClause::new(c);
+        (0..n.parts().len())
+            .map(|p| n.parts().lists(p).map(<[u32]>::to_vec))
+            .collect()
+    }
+
+    fn relations_only(parts: &[&[u32]]) -> Vec<[Vec<u32>; 3]> {
+        parts
+            .iter()
+            .map(|rels| [rels.to_vec(), vec![], vec![]])
+            .collect()
+    }
+
+    #[test]
+    fn parts_link_items_through_variables_the_head_does_not_bind() {
+        // a, c and d share y and w; each b(zi) is a part by itself.
+        let c = parted_clause();
+        let six = relations_only(&[&[0, 1, 2], &[3], &[4], &[5], &[6], &[7]]);
+        assert_eq!(parts_of(&c), six);
+
+        // y ≈ z1 (body index 8) merges the chain with b(z1).
+        let mut similar = c.clone();
+        similar.push_unique(Literal::Similar(Term::var(1), Term::var(11)));
+        let mut five = relations_only(&[&[0, 1, 2, 3], &[4], &[5], &[6], &[7]]);
+        five[0][1] = vec![8];
+        assert_eq!(parts_of(&similar), five);
+
+        // So does a repair group replacing y and z1 by one target.
+        let mut repaired = c.clone();
+        repaired.push_repair(RepairGroup::new(
+            RepairOrigin::Md(0),
+            vec![],
+            vec![(Var(1), Term::var(20)), (Var(11), Term::var(20))],
+            vec![],
+        ));
+        five[0][1] = vec![];
+        five[0][2] = vec![0];
+        assert_eq!(parts_of(&repaired), five);
+
+        // A constraint over head variables alone is a part by itself.
+        let mut head_only = c;
+        head_only.push_unique(Literal::NotEqual(Term::var(0), Term::constant("k")));
+        let mut seven = six;
+        seven.push([vec![], vec![8], vec![]]);
+        assert_eq!(parts_of(&head_only), seven);
     }
 
     #[test]

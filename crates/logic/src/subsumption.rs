@@ -64,6 +64,48 @@
 //! and a search that exhausted its budget without them may now finish. The
 //! final phase still decides every complete mapping.
 //!
+//! ## Independent parts
+//!
+//! The head match binds every head variable, and what is left of `C` often
+//! falls apart. Call two items of `C` (body literals and repair groups)
+//! *linked* when they share a variable the head does not bind; a repair
+//! group links through its replaced variables and replacement terms, the
+//! only terms of it the search reads. The classes of linked items are the
+//! clause's *parts*, and an item without such a variable is a part by itself.
+//! A θ for the whole clause exists iff each part has one, and no part's
+//! mapping constrains another's. Searched as one, though, the clause
+//! re-proves a part without a mapping under every mapping of the others.
+//! [`NumberedClause::new`] computes the partition once per clause, with a
+//! union–find over the slots the head does not bind, and stores each part's
+//! items as indices. It does not depend on `D`.
+//!
+//! The search finds every relation literal's candidates under the head
+//! bindings, the scan the first node of a whole-clause search makes, and
+//! answers No when one has none. It then orders the parts: those without
+//! relation literals first, since they only run the final phase, then by
+//! their most constrained literal (fewest candidates, then earliest), so the
+//! whole-clause search's first pick leads. The relation search and the final
+//! phase run on each part in turn over one state: θ, trail, step budget and
+//! forward-check counts. Each part keeps its first accepted mapping, the
+//! first part without one ends the search with No, and the witness is the
+//! union of the parts' mappings. Under
+//! [`SubsumptionConfig::strict_repair_mapping`] the used-group check couples
+//! the parts through `D`'s repair groups, so the whole clause is one part,
+//! and its search is the whole-clause search.
+//!
+//! The pick rule ranks a part's literals by their candidates, which depend on
+//! the bindings of that part alone, and the static order is a fixed order.
+//! So the whole-clause search, restricted to one part, tries that part's
+//! candidates in the part's own order, and its first witness, restricted to
+//! a part, is that part's first mapping. Every search that finished within
+//! budget as one returns the same decision and the same witness part by
+//! part, and no Yes takes more steps. A No is still a proof, since a part's
+//! search is exhaustive, but it can take more steps than the whole-clause
+//! search when that search happened to reach the failing part sooner. Should
+//! that exhaust the budget, the answer reads [`Decision::BudgetExhausted`],
+//! which coverage counts as not covered. A search that exhausted its budget
+//! as one may now finish.
+//!
 //! ## Indexing
 //!
 //! [`GroundClause`] is the index side: candidate literals are bucketed by
@@ -98,7 +140,7 @@ use std::time::Instant;
 
 use dlearn_relstore::{FxHashMap, RelId};
 
-use crate::clause::Clause;
+use crate::clause::{Clause, UnionFind};
 use crate::literal::Literal;
 use crate::numbering::NumberedClause;
 use crate::repair::{RepairGroup, RepairOrigin};
@@ -208,7 +250,9 @@ pub struct SubsumptionConfig {
     /// matched by a repair literal of `C`. This is the strict reading; it is
     /// off by default because ground bottom clauses built with `km > 1`
     /// routinely carry alternative-match repair literals that a learned
-    /// clause has no reason to mention.
+    /// clause has no reason to mention. The strict check couples a clause's
+    /// independent parts, so under it the search takes the clause as one
+    /// part.
     pub strict_repair_mapping: bool,
     /// Re-select the most constrained literal (fewest pruned candidates
     /// under the current θ) at every search node instead of fixing a
@@ -570,27 +614,31 @@ pub fn witness(
 
 /// A relation literal of the candidate clause, destructured once so the
 /// search never re-matches the enum inside the hot loop.
+#[derive(Clone, Copy)]
 struct RelLit<'a> {
     lit: &'a Literal,
     relation: RelId,
     args: &'a [Term],
+    /// The literal's candidates under the head bindings.
+    candidates: &'a [usize],
 }
 
-/// Everything immutable the relation search threads through its recursion.
+/// Everything immutable the relation search of one part threads through its
+/// recursion.
 struct SearchCtx<'a> {
     clause: &'a Clause,
     watches: &'a Watches,
-    relations: Vec<RelLit<'a>>,
-    constraints: Vec<&'a Literal>,
-    repairs: &'a [RepairGroup],
+    relations: &'a [RelLit<'a>],
+    constraints: &'a [&'a Literal],
+    repairs: &'a [&'a RepairGroup],
     d: &'a GroundClause,
     config: &'a SubsumptionConfig,
     cancel: Option<&'a CancelToken>,
 }
 
 /// The backtracking search over the renumbered candidate clause, with θ as a
-/// flat substitution. Returns the witness (if any) together with the cause
-/// of an inconclusive early stop.
+/// flat substitution, one independent part at a time. Returns the witness
+/// (if any) together with the cause of an inconclusive early stop.
 fn search_subsumption(
     c: &NumberedClause,
     d: &GroundClause,
@@ -599,12 +647,14 @@ fn search_subsumption(
 ) -> (Option<FlatSubstitution>, Option<StopCause>) {
     let clause = c.clause();
 
-    // 1. Heads must unify.
+    // 1. Heads must unify. The head's bindings are never undone, so the
+    // trail starts empty again for the search.
     let mut theta = c.fresh_substitution();
-    let mut head_trail = Vec::new();
-    if !match_literal(&clause.head, d.head(), &mut theta, &mut head_trail) {
+    let mut trail = Vec::new();
+    if !match_literal(&clause.head, d.head(), &mut theta, &mut trail) {
         return (None, None);
     }
+    trail.clear();
 
     // 2. Run the forward checks the head already settles.
     let watches = c.watches();
@@ -618,53 +668,91 @@ fn search_subsumption(
         return (None, None);
     }
 
-    // 3. Collect C's relation literals. Under adaptive ordering the search
-    // re-selects the most constrained one at every node, so the initial
-    // order is irrelevant; the static fallback fixes a fewest-candidates-
-    // first order here, pruned once under the head bindings.
-    let mut relations: Vec<RelLit> = clause
-        .body
-        .iter()
-        .filter_map(|l| match l {
-            Literal::Relation { relation, args } => Some(RelLit {
+    // 3. Find every relation literal's candidates under the head bindings.
+    // A literal with none cannot be matched on any branch.
+    let mut relations: Vec<RelLit> = Vec::with_capacity(clause.body.len());
+    for l in &clause.body {
+        if let Literal::Relation { relation, args } = l {
+            let candidates = d.candidates_pruned(*relation, args, &theta);
+            if candidates.is_empty() {
+                return (None, None);
+            }
+            relations.push(RelLit {
                 lit: l,
                 relation: *relation,
                 args,
-            }),
-            _ => None,
-        })
-        .collect();
-    if !config.adaptive_ordering {
-        relations.sort_by_key(|r| d.candidates_pruned(r.relation, r.args, &theta).len());
+                candidates,
+            });
+        }
     }
 
-    let constraint_lits: Vec<&Literal> = clause.body.iter().filter(|l| !l.is_relation()).collect();
-
-    let ctx = SearchCtx {
-        clause,
-        watches,
-        relations,
-        constraints: constraint_lits,
-        repairs: &clause.repairs,
-        d,
-        config,
-        cancel,
+    // 4. Order the parts: those without relation literals first (they only
+    // run the final phase), then by their most constrained literal, fewest
+    // candidates then earliest, so the first pick of the whole-clause search
+    // leads. Under the strict reading of Definition 4.4 the used-group check
+    // couples the parts through D's repair groups, so the clause is one part.
+    let whole;
+    let parts = if config.strict_repair_mapping {
+        whole = Parts::whole(clause);
+        &whole
+    } else {
+        c.parts()
     };
+    let mut order: Vec<(Option<(usize, u32)>, usize)> = (0..parts.len())
+        .map(|p| {
+            let [rels, _, _] = parts.lists(p);
+            let lead = rels
+                .iter()
+                .map(|&r| (relations[r as usize].candidates.len(), r))
+                .min();
+            (lead, p)
+        })
+        .collect();
+    order.sort_unstable();
+
+    // 5. Search each part in turn over one state, keeping its first mapping:
+    // the first part without one ends the search. The static fallback fixes
+    // a fewest-candidates-first literal order within each part.
     let mut state = SearchState {
         theta,
-        trail: Vec::new(),
+        trail,
         used_repair_groups: vec![false; d.repairs().len()],
         unbound: Vec::new(),
         steps: 0,
         stop: None,
     };
-    let mut matched = vec![false; ctx.relations.len()];
-
-    if search_relations(&ctx, &mut matched, 0, &mut state) {
-        (Some(state.theta), None)
-    } else {
-        (None, state.stop)
+    let mut part_relations: Vec<RelLit> = Vec::new();
+    let mut part_constraints: Vec<&Literal> = Vec::new();
+    let mut part_repairs: Vec<&RepairGroup> = Vec::new();
+    let mut matched: Vec<bool> = Vec::new();
+    for (_, p) in order {
+        let [rels, constraints, repairs] = parts.lists(p);
+        part_relations.clear();
+        part_relations.extend(rels.iter().map(|&r| relations[r as usize]));
+        if !config.adaptive_ordering {
+            part_relations.sort_by_key(|r| r.candidates.len());
+        }
+        part_constraints.clear();
+        part_constraints.extend(constraints.iter().map(|&i| &clause.body[i as usize]));
+        part_repairs.clear();
+        part_repairs.extend(repairs.iter().map(|&g| &clause.repairs[g as usize]));
+        matched.clear();
+        matched.resize(part_relations.len(), false);
+        let ctx = SearchCtx {
+            clause,
+            watches,
+            relations: &part_relations,
+            constraints: &part_constraints,
+            repairs: &part_repairs,
+            d,
+            config,
+            cancel,
+        };
+        if !search_relations(&ctx, &mut matched, 0, &mut state) {
+            return (None, state.stop);
+        }
     }
+    (Some(state.theta), None)
 }
 
 /// Match the remaining relation literals, then hand the complete mapping to
@@ -688,7 +776,15 @@ fn search_relations(
     // failing the node outright when any unmatched literal has none (cheap
     // fail-fast — that literal could never be matched on this branch).
     // Under static ordering, position `n_matched` of the presorted order.
-    let (pick, candidates) = if ctx.config.adaptive_ordering {
+    // Both agree at a part's first node, where θ binds none of the part's
+    // slots yet: the candidates found under the head bindings are current,
+    // and none is empty.
+    let (pick, candidates) = if n_matched == 0 {
+        let pick = (0..ctx.relations.len())
+            .min_by_key(|&i| ctx.relations[i].candidates.len())
+            .expect("n_matched < relations.len() implies an unmatched literal");
+        (pick, ctx.relations[pick].candidates)
+    } else if ctx.config.adaptive_ordering {
         let mut best: Option<(usize, &[usize])> = None;
         for (i, rel) in ctx.relations.iter().enumerate() {
             if matched[i] {
@@ -915,6 +1011,159 @@ impl Watches {
     }
 }
 
+/// The independent parts of a renumbered candidate clause (see the module
+/// docs), as lists of item indices per part. Built once by
+/// [`NumberedClause::new`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Parts {
+    /// Per part, in order of first appearance over the body literals and
+    /// then the repair groups: the part's relation literals (as positions
+    /// among the body's relation literals), its `≈`/`=`/`≠` literals (as body
+    /// indices) and its repair groups (as group indices), each in clause
+    /// order.
+    items: Vec<u32>,
+    /// Where each part's three lists end in `items`; part `p`'s lists start
+    /// where part `p - 1`'s end.
+    ends: Vec<[u32; 3]>,
+}
+
+impl Parts {
+    /// The parts of `clause`, whose variables are `0..var_count` with the
+    /// head's numbered first (as [`NumberedClause::new`] numbers them).
+    pub(crate) fn new(clause: &Clause, var_count: usize) -> Parts {
+        // The head match binds the head's slots, so they link nothing.
+        let free = clause
+            .head
+            .terms()
+            .filter_map(Term::as_var)
+            .map(|v| v.0 + 1)
+            .max()
+            .unwrap_or(0);
+        // A union–find over the slots merges the free slots of each item: a
+        // body literal's arguments, or a repair group's replaced variables
+        // and replacement terms (the search reads nothing else of a group).
+        // `part` holds each item's first free slot meanwhile.
+        let mut sets = UnionFind::new(var_count);
+        let mut part = Vec::with_capacity(clause.body.len() + clause.repairs.len());
+        for l in &clause.body {
+            part.push(link(&mut sets, free, l.terms().filter_map(Term::as_var)));
+        }
+        for g in &clause.repairs {
+            let vars = g
+                .replacements
+                .iter()
+                .flat_map(|(x, t)| std::iter::once(*x).chain(t.as_var()));
+            part.push(link(&mut sets, free, vars));
+        }
+        // Each item takes the part of its set, numbered in order of first
+        // appearance; an item without a free slot is a part by itself.
+        let mut label: Vec<Option<u32>> = vec![None; var_count];
+        let mut count = 0;
+        for slot in &mut part {
+            let set = (*slot != NO_SLOT).then(|| sets.find(*slot) as usize);
+            *slot = match set.and_then(|r| label[r]) {
+                Some(p) => p,
+                None => {
+                    if let Some(r) = set {
+                        label[r] = Some(count);
+                    }
+                    count += 1;
+                    count - 1
+                }
+            };
+        }
+        Parts::grouped(clause, count as usize, |item| part[item])
+    }
+
+    /// The whole of `clause` as one part.
+    pub(crate) fn whole(clause: &Clause) -> Parts {
+        Parts::grouped(clause, 1, |_| 0)
+    }
+
+    /// Lay the items of `clause` out part by part, `part_of` giving the
+    /// part of body literal `i` at `i` and of repair group `g` at
+    /// `body.len() + g`.
+    fn grouped(clause: &Clause, count: usize, part_of: impl Fn(usize) -> u32) -> Parts {
+        let body = clause.body.len();
+        let kind = |item: usize| match clause.body.get(item) {
+            Some(l) if l.is_relation() => 0,
+            Some(_) => 1,
+            None => 2,
+        };
+        let items = body + clause.repairs.len();
+        // Count each list, turn the counts into starts, then place every
+        // item at its list's next slot; the starts become the ends.
+        let mut ends = vec![[0u32; 3]; count];
+        for item in 0..items {
+            ends[part_of(item) as usize][kind(item)] += 1;
+        }
+        let mut next = 0;
+        for list in ends.iter_mut().flatten() {
+            let len = *list;
+            *list = next;
+            next += len;
+        }
+        let mut laid_out = vec![0; items];
+        let mut relations = 0;
+        for item in 0..items {
+            let k = kind(item);
+            let slot = &mut ends[part_of(item) as usize][k];
+            laid_out[*slot as usize] = match k {
+                0 => {
+                    relations += 1;
+                    relations - 1
+                }
+                1 => item as u32,
+                _ => (item - body) as u32,
+            };
+            *slot += 1;
+        }
+        Parts {
+            items: laid_out,
+            ends,
+        }
+    }
+
+    /// The number of parts.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Part `p`'s relation literals (positions among the body's relation
+    /// literals), `≈`/`=`/`≠` literals (body indices) and repair groups
+    /// (group indices), each in clause order.
+    pub(crate) fn lists(&self, p: usize) -> [&[u32]; 3] {
+        let start = if p == 0 {
+            0
+        } else {
+            self.ends[p - 1][2] as usize
+        };
+        let [relations, constraints, repairs] = self.ends[p].map(|end| end as usize);
+        [
+            &self.items[start..relations],
+            &self.items[relations..constraints],
+            &self.items[constraints..repairs],
+        ]
+    }
+}
+
+/// Marks an item without a free slot while [`Parts::new`] links.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Merge the sets of the slots `vars` at or above `free`, and return the
+/// first such slot ([`NO_SLOT`] when there is none).
+fn link(sets: &mut UnionFind, free: u32, vars: impl Iterator<Item = Var>) -> u32 {
+    let mut first = NO_SLOT;
+    for v in vars.filter(|v| v.0 >= free) {
+        if first == NO_SLOT {
+            first = v.0;
+        } else {
+            sets.union(first, v.0);
+        }
+    }
+    first
+}
+
 /// Check the constraint literals and repair groups against a complete
 /// relation mapping. On rejection every side effect is rolled back — the
 /// pair checker binds constraint-only variables without trailing them and
@@ -930,7 +1179,7 @@ fn finish_mapping(ctx: &SearchCtx, state: &mut SearchState) -> bool {
     let mark = state.trail.len();
     let theta_snapshot = state.theta.clone();
     let used_snapshot = state.used_repair_groups.clone();
-    let ok = check_constraints(&ctx.constraints, &mut state.theta, ctx.d)
+    let ok = check_constraints(ctx.constraints, &mut state.theta, ctx.d)
         && match_repairs(ctx.repairs, 0, ctx.d, state, ctx.config, ctx.cancel)
         && (!ctx.config.strict_repair_mapping || strict_repairs_ok(state, ctx.d));
     if !ok {
@@ -1024,7 +1273,7 @@ fn check_pair(
 /// (Definition 4.4, first condition: repair literals are treated as ordinary
 /// literals under θ).
 fn match_repairs(
-    groups: &[RepairGroup],
+    groups: &[&RepairGroup],
     depth: usize,
     d: &GroundClause,
     state: &mut SearchState,
@@ -1034,7 +1283,7 @@ fn match_repairs(
     if depth == groups.len() {
         return true;
     }
-    let group = &groups[depth];
+    let group = groups[depth];
     // Match each replacement (x, t) of the group against some repair fact of
     // D with the same origin.
     match_group_replacements(group, 0, d, state, config, cancel)
@@ -1376,6 +1625,28 @@ mod tests {
             "strict mode must reject: g0 (touching the mapped v1) was only \
              used on an abandoned branch"
         );
+    }
+
+    #[test]
+    fn a_constraint_literal_joins_the_parts_it_bridges() {
+        // C: t(x) ← a(x, y), b(z), y ≈ z. The ≈ literal links the a and b
+        // literals into one part; searched on its own, before either binds
+        // y or z, it would bind them to D's first similar pair (v1, v2), and
+        // a(c0, v1) does not exist.
+        let mut c = Clause::new(Literal::relation("t", vec![Term::var(0)]));
+        c.push_unique(Literal::relation("a", vec![Term::var(0), Term::var(1)]));
+        c.push_unique(Literal::relation("b", vec![Term::var(2)]));
+        c.push_unique(Literal::Similar(Term::var(1), Term::var(2)));
+        let c0 = Term::constant("c0");
+        let mut d = Clause::new(Literal::relation("t", vec![c0]));
+        d.push_unique(Literal::relation("a", vec![c0, Term::var(5)]));
+        d.push_unique(Literal::relation("b", vec![Term::var(6)]));
+        d.push_unique(Literal::relation("b", vec![Term::var(7)]));
+        d.push_unique(Literal::Similar(Term::var(1), Term::var(2)));
+        d.push_unique(Literal::Similar(Term::var(5), Term::var(7)));
+        let theta = theta(&c, &GroundClause::new(&d), &SubsumptionConfig::default())
+            .expect("y = v5 and z = v7 embed C");
+        assert_eq!(theta.apply(&Term::var(2)), Term::var(7));
     }
 
     #[test]

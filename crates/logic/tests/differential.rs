@@ -27,7 +27,9 @@
 //! groups, longer bodies) that exercises the forward checks of the
 //! relation search. Hand-built regression pairs pin that the forward
 //! checks settle, within a small budget, searches that enumerating every
-//! relation mapping would exhaust.
+//! relation mapping would exhaust, and that searching the independent parts
+//! of a clause one at a time settles, within the same budget, a search that
+//! interleaving the parts would exhaust.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -236,9 +238,9 @@ fn extreme_variable_indices_do_not_break_matching() {
     let _ = Var(u32::MAX); // the sentinel itself stays constructible
 }
 
-/// A budget the forward checks settle the regression pairs below within,
-/// and that enumerating every relation mapping exhausts: each match of
-/// `a(x, y)` opens 5⁵ mappings of the five `b` literals.
+/// A budget the regression pairs below are settled within, and that
+/// enumerating every relation mapping exhausts: each match of `a(x, y)`
+/// opens 5⁵ mappings of the five `b` literals.
 const SMALL_BUDGET: usize = 1000;
 
 /// `C = t(x) ← a(x, y), b(z1), …, b(z5)`, plus `y ≈ x` when `similar`.
@@ -351,4 +353,57 @@ fn repair_replacement_prunes_before_the_remaining_relation_literals() {
     let mut d = chain_ground(true);
     facts(&mut d);
     assert_settled_within_small_budget(&c, &d, Decision::Yes);
+}
+
+/// `C = t(x) ← a(x, y), c(y, w), d(w), b(z1), …, b(z5)`. Once the head binds
+/// `x`, the chain through `y` and `w` and each `b(zi)` are six parts that
+/// share no variable.
+fn parts_candidate() -> Clause {
+    let mut c = Clause::new(Literal::relation("t", vec![Term::var(100)]));
+    c.push_unique(Literal::relation("a", vec![Term::var(100), Term::var(101)]));
+    c.push_unique(Literal::relation("c", vec![Term::var(101), Term::var(102)]));
+    c.push_unique(Literal::relation("d", vec![Term::var(102)]));
+    for z in 1..=5 {
+        c.push_unique(Literal::relation("b", vec![Term::var(110 + z)]));
+    }
+    c
+}
+
+/// `D = t(c0) ← a(c0, v1), a(c0, v2), c(v1, w1), …, c(v1, w6), d(w7), …,
+/// d(w12), b(e0), …, b(e4)`, plus `c(v2, w7)` when `joined`.
+fn parts_ground(joined: bool) -> Clause {
+    let c0 = Term::constant("c0");
+    let mut d = Clause::new(Literal::relation("t", vec![c0]));
+    d.push_unique(Literal::relation("a", vec![c0, Term::var(1)]));
+    d.push_unique(Literal::relation("a", vec![c0, Term::var(2)]));
+    for w in 1..=6 {
+        d.push_unique(Literal::relation(
+            "c",
+            vec![Term::var(1), Term::var(10 + w)],
+        ));
+    }
+    for w in 7..=12 {
+        d.push_unique(Literal::relation("d", vec![Term::var(10 + w)]));
+    }
+    if joined {
+        d.push_unique(Literal::relation("c", vec![Term::var(2), Term::var(17)]));
+    }
+    for e in 0..5 {
+        d.push_unique(Literal::relation(
+            "b",
+            vec![Term::constant(format!("e{e}"))],
+        ));
+    }
+    d
+}
+
+/// The chain part has no mapping unless `c(v2, w7)` joins it, and finding
+/// that out takes a handful of steps when the part is searched on its own.
+/// Interleaved with the `b` parts, which have fewer candidates, the search
+/// would re-prove the chain's failure under each of their 5⁵ mappings.
+#[test]
+fn independent_parts_are_searched_one_at_a_time() {
+    let c = parts_candidate();
+    assert_settled_within_small_budget(&c, &parts_ground(false), Decision::No);
+    assert_settled_within_small_budget(&c, &parts_ground(true), Decision::Yes);
 }
