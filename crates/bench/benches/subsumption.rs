@@ -10,9 +10,7 @@
 //! (`repaired_clauses`, on the three-MD variant) and one generalization
 //! round on bottom clauses of the synthetic IMDB+OMDB task — plus the `backtracking_heavy` adversarial
 //! workload (an unsatisfiable chain over two disconnected graph
-//! components, scrambled body order) measured under both adaptive and
-//! static literal ordering, so the ordering win shows up in the committed
-//! trajectory as a machine-independent ratio — plus `index_build`, the
+//! components, scrambled body order) — plus `index_build`, the
 //! similarity-index construction on a ~1k×1k dirty vocabulary (length
 //! filter + top-k early exit + parallel fan-out) — plus the serving pair
 //! `predict_loop`/`predict_batch`, per-example prediction vs the batched
@@ -117,28 +115,13 @@ fn bench_subsumption(c: &mut Criterion) {
         b.iter(|| criterion::black_box(engine.counts(&prepared)))
     });
     // Adversarial many-same-relation workload: the matcher must exhaust an
-    // unsatisfiable search space. Adaptive ordering follows the bindings
-    // through the chain and fail-fasts; the static twin pins the cost of
-    // the order the pre-adaptive matcher would have used.
+    // unsatisfiable search space. Picking the most constrained literal at
+    // every node follows the bindings through the chain and fail-fasts.
     let (heavy_c, heavy_d) = backtracking_heavy_pair();
     let heavy_ground = GroundClause::new(&heavy_d);
     let heavy_numbered = NumberedClause::new(&heavy_c);
     group.bench_function("backtracking_heavy", |b| {
         b.iter(|| criterion::black_box(subsumes(&heavy_numbered, &heavy_ground, &sub_config, None)))
-    });
-    let static_config = SubsumptionConfig {
-        adaptive_ordering: false,
-        ..sub_config
-    };
-    group.bench_function("backtracking_heavy_static", |b| {
-        b.iter(|| {
-            criterion::black_box(subsumes(
-                &heavy_numbered,
-                &heavy_ground,
-                &static_config,
-                None,
-            ))
-        })
     });
     group.bench_function("bottom_clause_build", |b| {
         b.iter(|| {

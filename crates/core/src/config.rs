@@ -31,7 +31,7 @@ pub struct LearnerConfig {
     pub max_repaired_clauses: usize,
     /// Cap on partial bindings tracked during generalization.
     pub binding_cap: usize,
-    /// θ-subsumption search budget and strictness.
+    /// θ-subsumption search budget.
     pub subsumption: SubsumptionConfig,
     /// Use matching dependencies (similarity joins) during learning.
     /// Castor-NoMD and Castor-Clean set this to `false`.
@@ -128,21 +128,6 @@ impl LearnerConfig {
     /// Set the RNG seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Toggle adaptive (most-constrained-literal-first) ordering in the
-    /// θ-subsumption search (builder style). As long as searches complete
-    /// within `subsumption.max_steps`, coverage and generalization
-    /// decisions — and therefore the learned definition — are identical
-    /// either way (`tests/parallel_determinism.rs` pins this on the movie
-    /// workload). When the budget *binds*, ordering matters: adaptive
-    /// ordering spends far fewer steps (≈11× on the adversarial bench), so
-    /// turning it off can flip a within-budget "yes" into a budgeted "no".
-    /// The flag exists for benchmarking the ordering win and as an escape
-    /// hatch.
-    pub fn with_adaptive_ordering(mut self, adaptive: bool) -> Self {
-        self.subsumption.adaptive_ordering = adaptive;
         self
     }
 
@@ -271,13 +256,6 @@ mod tests {
         assert_eq!(c.iterations, 4);
         assert_eq!(c.sample_size, 3);
         assert_eq!(c.seed, 99);
-    }
-
-    #[test]
-    fn adaptive_ordering_builder_reaches_subsumption_config() {
-        assert!(LearnerConfig::default().subsumption.adaptive_ordering);
-        let c = LearnerConfig::fast().with_adaptive_ordering(false);
-        assert!(!c.subsumption.adaptive_ordering);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl Substitution {
     pub fn domain(&self) -> impl Iterator<Item = Var> + '_ {
         self.map.keys().copied()
     }
-
-    /// Terms in the range of this substitution.
-    pub fn range(&self) -> impl Iterator<Item = &Term> {
-        self.map.values()
-    }
 }
 
 impl FromIterator<(Var, Term)> for Substitution {
@@ -213,11 +208,6 @@ impl FlatSubstitution {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|t| (Var(i as u32), t)))
-    }
-
-    /// Terms in the range of this substitution.
-    pub fn range(&self) -> impl Iterator<Item = &Term> {
-        self.slots.iter().filter_map(|slot| slot.as_ref())
     }
 }
 

@@ -2,9 +2,12 @@
 //!
 //! Clause `C` θ-subsumes clause `D` iff there is a substitution θ such that
 //! `Cθ ⊆ D` (Section 4.2). Definition 4.4 extends this to clauses with repair
-//! literals: repair literals are matched like ordinary literals, and —
-//! optionally (see [`SubsumptionConfig::strict_repair_mapping`]) — every
-//! repair literal of `D` connected to a mapped literal must itself be mapped.
+//! literals, and the matcher implements its first condition only: repair
+//! literals are matched like ordinary literals under θ. Its second condition,
+//! that every repair literal of `D` connected to a mapped literal be mapped
+//! too, is not checked: ground bottom clauses built with `km > 1` routinely
+//! carry alternative-match repair literals that a learned clause has no
+//! reason to mention.
 //!
 //! θ-subsumption is NP-hard, so the matcher is a backtracking search over the
 //! relation literals of `C` with a global step budget. Literal order is
@@ -14,24 +17,19 @@
 //! the node immediately when any unmatched literal has no candidate left.
 //! Bindings made early therefore shrink the branching factor of every later
 //! choice, which is where the remaining backtracking in the covering loop
-//! goes. Setting [`SubsumptionConfig::adaptive_ordering`] to `false` falls
-//! back to a static fewest-candidates-first order fixed before the search
-//! (one pruning pass under the head bindings); as long as the search
-//! completes within [`SubsumptionConfig::max_steps`], the *decision* is
-//! identical either way — ordering only affects which witness is found
-//! first and how much of the step budget a search consumes. (When the
-//! budget binds, the cheaper adaptive search may answer "yes" where the
-//! static order exhausts its steps first.)
+//! goes. The order affects which witness is found first and how much of the
+//! step budget ([`SubsumptionConfig::max_steps`]) a search consumes.
 //!
 //! Every complete relation mapping is decided by one final phase
 //! (`finish_mapping`): similarity, equality and inequality literals are
 //! checked as constraints, then repair groups are matched against `D`'s
-//! repair facts; when that phase rejects a mapping, the search resumes and
-//! tries the next relation mapping rather than giving up. Decisions are
-//! therefore independent of the literal order for clauses whose constraint
-//! variables all occur in the head or a relation literal (the shape
-//! bottom-clause construction produces), which is exactly the property the
-//! brute-force enumeration oracle in `test-support` pins.
+//! repair facts; when that phase rejects a mapping, the search unwinds its
+//! bindings with the mapping's and resumes with the next relation mapping
+//! rather than giving up. Decisions are therefore independent of the literal
+//! order for clauses whose constraint variables all occur in the head or a
+//! relation literal (the shape bottom-clause construction produces), which is
+//! exactly the property the brute-force enumeration oracle in `test-support`
+//! pins.
 //!
 //! ## Forward checks
 //!
@@ -88,23 +86,19 @@
 //! phase run on each part in turn over one state: θ, trail, step budget and
 //! forward-check counts. Each part keeps its first accepted mapping, the
 //! first part without one ends the search with No, and the witness is the
-//! union of the parts' mappings. Under
-//! [`SubsumptionConfig::strict_repair_mapping`] the used-group check couples
-//! the parts through `D`'s repair groups, so the whole clause is one part,
-//! and its search is the whole-clause search.
+//! union of the parts' mappings.
 //!
 //! The pick rule ranks a part's literals by their candidates, which depend on
-//! the bindings of that part alone, and the static order is a fixed order.
-//! So the whole-clause search, restricted to one part, tries that part's
-//! candidates in the part's own order, and its first witness, restricted to
-//! a part, is that part's first mapping. Every search that finished within
-//! budget as one returns the same decision and the same witness part by
-//! part, and no Yes takes more steps. A No is still a proof, since a part's
-//! search is exhaustive, but it can take more steps than the whole-clause
-//! search when that search happened to reach the failing part sooner. Should
-//! that exhaust the budget, the answer reads [`Decision::BudgetExhausted`],
-//! which coverage counts as not covered. A search that exhausted its budget
-//! as one may now finish.
+//! the bindings of that part alone. So the whole-clause search, restricted to
+//! one part, tries that part's candidates in the part's own order, and its
+//! first witness, restricted to a part, is that part's first mapping. Every
+//! search that finished within budget as one returns the same decision and the
+//! same witness part by part, and no Yes takes more steps. A No is still a
+//! proof, since a part's search is exhaustive, but it can take more steps than
+//! the whole-clause search when that search happened to reach the failing part
+//! sooner. Should that exhaust the budget, the answer reads
+//! [`Decision::BudgetExhausted`], which coverage counts as not covered. A
+//! search that exhausted its budget as one may now finish.
 //!
 //! ## Indexing
 //!
@@ -114,8 +108,9 @@
 //! position `p` is already determined (a constant, or a variable bound by
 //! θ), the candidate list shrinks to the bucket entries carrying exactly
 //! that term at `p` — no string is hashed or compared anywhere, and no
-//! linear scan over same-name literals happens. Bindings are undone through
-//! a trail instead of cloning θ at every backtracking point.
+//! linear scan over same-name literals happens. Every binding, the final
+//! phase's included, is recorded on a trail and undone by unwinding it; θ is
+//! never cloned.
 //!
 //! ## Flat substitutions
 //!
@@ -134,7 +129,7 @@
 //! [`witness`] is the witness view: the witnessing substitution translated
 //! back to `C`'s original variables, which the θ-verification oracles check.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -238,39 +233,18 @@ impl CancelToken {
     }
 }
 
-/// Budget and strictness knobs for the subsumption search.
+/// The budget of the subsumption search.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsumptionConfig {
     /// Maximum number of candidate-extension steps before giving up. A
     /// search that runs out reports [`Decision::BudgetExhausted`]; it is
     /// the caller that decides how to count that unknown answer.
     pub max_steps: usize,
-    /// Enforce the second condition of Definition 4.4: every repair literal
-    /// of `D` whose replaced variables are touched by the mapping must be
-    /// matched by a repair literal of `C`. This is the strict reading; it is
-    /// off by default because ground bottom clauses built with `km > 1`
-    /// routinely carry alternative-match repair literals that a learned
-    /// clause has no reason to mention. The strict check couples a clause's
-    /// independent parts, so under it the search takes the clause as one
-    /// part.
-    pub strict_repair_mapping: bool,
-    /// Re-select the most constrained literal (fewest pruned candidates
-    /// under the current θ) at every search node instead of fixing a
-    /// fewest-candidates-first order up front. On by default; within the
-    /// step budget the decision is the same either way — only search
-    /// effort and the identity of the first-found witness differ (a
-    /// budget-bound search can say "no" under the costlier static order
-    /// where the adaptive one still finds a witness).
-    pub adaptive_ordering: bool,
 }
 
 impl Default for SubsumptionConfig {
     fn default() -> Self {
-        SubsumptionConfig {
-            max_steps: 200_000,
-            strict_repair_mapping: false,
-            adaptive_ordering: true,
-        }
+        SubsumptionConfig { max_steps: 200_000 }
     }
 }
 
@@ -304,8 +278,8 @@ pub struct GroundClause {
     similar_pairs: BTreeSet<(Term, Term)>,
     equal_pairs: BTreeSet<(Term, Term)>,
     /// Flattened repair literals: `(origin, replaced variable as a term,
-    /// replacement term, group index)`.
-    repair_facts: Vec<(RepairOrigin, Term, Term, usize)>,
+    /// replacement term)`.
+    repair_facts: Vec<(RepairOrigin, Term, Term)>,
     /// The distinct `(origin, replaced variable, replacement)` triples of
     /// `repair_facts`, sorted: what the forward repair checks look up.
     repair_index: Vec<(RepairOrigin, Term, Term)>,
@@ -347,15 +321,12 @@ impl GroundClause {
             }
         }
         let mut repair_facts = Vec::new();
-        for (gi, g) in clause.repairs.iter().enumerate() {
+        for g in &clause.repairs {
             for (v, t) in &g.replacements {
-                repair_facts.push((g.origin, Term::Var(*v), *t, gi));
+                repair_facts.push((g.origin, Term::Var(*v), *t));
             }
         }
-        let mut repair_index: Vec<_> = repair_facts
-            .iter()
-            .map(|&(origin, x, t, _)| (origin, x, t))
-            .collect();
+        let mut repair_index = repair_facts.clone();
         repair_index.sort_unstable();
         repair_index.dedup();
         GroundClause {
@@ -535,12 +506,11 @@ enum StopCause {
 }
 
 /// Mutable state of the matching search. θ is a flat substitution over the
-/// candidate clause's dense numbering; `used_repair_groups` is a dense mask
-/// over `d`'s repair groups for the same reason.
+/// candidate clause's dense numbering, and the trail records every binding
+/// made since the head match, in order.
 struct SearchState {
     theta: FlatSubstitution,
     trail: Vec<Var>,
-    used_repair_groups: Vec<bool>,
     /// Per forward check, how many of its watched slots are still unbound;
     /// empty until the first literal match.
     unbound: Vec<u32>,
@@ -689,15 +659,8 @@ fn search_subsumption(
     // 4. Order the parts: those without relation literals first (they only
     // run the final phase), then by their most constrained literal, fewest
     // candidates then earliest, so the first pick of the whole-clause search
-    // leads. Under the strict reading of Definition 4.4 the used-group check
-    // couples the parts through D's repair groups, so the clause is one part.
-    let whole;
-    let parts = if config.strict_repair_mapping {
-        whole = Parts::whole(clause);
-        &whole
-    } else {
-        c.parts()
-    };
+    // leads.
+    let parts = c.parts();
     let mut order: Vec<(Option<(usize, u32)>, usize)> = (0..parts.len())
         .map(|p| {
             let [rels, _, _] = parts.lists(p);
@@ -711,12 +674,10 @@ fn search_subsumption(
     order.sort_unstable();
 
     // 5. Search each part in turn over one state, keeping its first mapping:
-    // the first part without one ends the search. The static fallback fixes
-    // a fewest-candidates-first literal order within each part.
+    // the first part without one ends the search.
     let mut state = SearchState {
         theta,
         trail,
-        used_repair_groups: vec![false; d.repairs().len()],
         unbound: Vec::new(),
         steps: 0,
         stop: None,
@@ -729,9 +690,6 @@ fn search_subsumption(
         let [rels, constraints, repairs] = parts.lists(p);
         part_relations.clear();
         part_relations.extend(rels.iter().map(|&r| relations[r as usize]));
-        if !config.adaptive_ordering {
-            part_relations.sort_by_key(|r| r.candidates.len());
-        }
         part_constraints.clear();
         part_constraints.extend(constraints.iter().map(|&i| &clause.body[i as usize]));
         part_repairs.clear();
@@ -771,20 +729,18 @@ fn search_relations(
         return finish_mapping(ctx, state);
     }
 
-    // Select the next literal: under adaptive ordering, the unmatched
-    // literal with the fewest candidates after pruning under the current θ,
-    // failing the node outright when any unmatched literal has none (cheap
-    // fail-fast — that literal could never be matched on this branch).
-    // Under static ordering, position `n_matched` of the presorted order.
-    // Both agree at a part's first node, where θ binds none of the part's
-    // slots yet: the candidates found under the head bindings are current,
-    // and none is empty.
+    // Select the next literal: the unmatched literal with the fewest
+    // candidates after pruning under the current θ, failing the node
+    // outright when any unmatched literal has none (cheap fail-fast — that
+    // literal could never be matched on this branch). At a part's first
+    // node θ binds none of the part's slots yet, so the candidates found
+    // under the head bindings are current, and none is empty.
     let (pick, candidates) = if n_matched == 0 {
         let pick = (0..ctx.relations.len())
             .min_by_key(|&i| ctx.relations[i].candidates.len())
             .expect("n_matched < relations.len() implies an unmatched literal");
         (pick, ctx.relations[pick].candidates)
-    } else if ctx.config.adaptive_ordering {
+    } else {
         let mut best: Option<(usize, &[usize])> = None;
         for (i, rel) in ctx.relations.iter().enumerate() {
             if matched[i] {
@@ -801,12 +757,6 @@ fn search_relations(
             }
         }
         best.expect("n_matched < relations.len() implies an unmatched literal")
-    } else {
-        let rel = &ctx.relations[n_matched];
-        let cands = ctx
-            .d
-            .candidates_pruned(rel.relation, rel.args, &state.theta);
-        (n_matched, cands)
     };
 
     let lit = ctx.relations[pick].lit;
@@ -1072,30 +1022,20 @@ impl Parts {
                 }
             };
         }
-        Parts::grouped(clause, count as usize, |item| part[item])
-    }
 
-    /// The whole of `clause` as one part.
-    pub(crate) fn whole(clause: &Clause) -> Parts {
-        Parts::grouped(clause, 1, |_| 0)
-    }
-
-    /// Lay the items of `clause` out part by part, `part_of` giving the
-    /// part of body literal `i` at `i` and of repair group `g` at
-    /// `body.len() + g`.
-    fn grouped(clause: &Clause, count: usize, part_of: impl Fn(usize) -> u32) -> Parts {
+        // Lay the items out part by part, `part` giving the part of body
+        // literal `i` at `i` and of repair group `g` at `body.len() + g`:
+        // count each list, turn the counts into starts, then place every
+        // item at its list's next slot; the starts become the ends.
         let body = clause.body.len();
         let kind = |item: usize| match clause.body.get(item) {
             Some(l) if l.is_relation() => 0,
             Some(_) => 1,
             None => 2,
         };
-        let items = body + clause.repairs.len();
-        // Count each list, turn the counts into starts, then place every
-        // item at its list's next slot; the starts become the ends.
-        let mut ends = vec![[0u32; 3]; count];
-        for item in 0..items {
-            ends[part_of(item) as usize][kind(item)] += 1;
+        let mut ends = vec![[0u32; 3]; count as usize];
+        for (item, &p) in part.iter().enumerate() {
+            ends[p as usize][kind(item)] += 1;
         }
         let mut next = 0;
         for list in ends.iter_mut().flatten() {
@@ -1103,11 +1043,11 @@ impl Parts {
             *list = next;
             next += len;
         }
-        let mut laid_out = vec![0; items];
+        let mut laid_out = vec![0; part.len()];
         let mut relations = 0;
-        for item in 0..items {
+        for (item, &p) in part.iter().enumerate() {
             let k = kind(item);
-            let slot = &mut ends[part_of(item) as usize][k];
+            let slot = &mut ends[p as usize][k];
             laid_out[*slot as usize] = match k {
                 0 => {
                     relations += 1;
@@ -1165,42 +1105,28 @@ fn link(sets: &mut UnionFind, free: u32, vars: impl Iterator<Item = Var>) -> u32
 }
 
 /// Check the constraint literals and repair groups against a complete
-/// relation mapping. On rejection every side effect is rolled back — the
-/// pair checker binds constraint-only variables without trailing them and
-/// repair matching marks used groups, so θ and the used-group mask are
-/// restored from snapshots taken at entry — leaving the relation search free
-/// to continue with the next mapping.
+/// relation mapping. Every binding this makes goes on the trail. So when it
+/// rejects the mapping, the relation search's unwind after the last literal
+/// match drops these bindings with that match's, and the search goes on with
+/// the next mapping; a part without relation literals has no next mapping,
+/// and its rejection ends the search.
 fn finish_mapping(ctx: &SearchCtx, state: &mut SearchState) -> bool {
-    // Pure-relation clauses (the common coverage-testing shape) have
-    // nothing to check and nothing to roll back: skip the snapshots.
-    if ctx.constraints.is_empty() && ctx.repairs.is_empty() && !ctx.config.strict_repair_mapping {
-        return true;
-    }
-    let mark = state.trail.len();
-    let theta_snapshot = state.theta.clone();
-    let used_snapshot = state.used_repair_groups.clone();
-    let ok = check_constraints(ctx.constraints, &mut state.theta, ctx.d)
+    check_constraints(ctx.constraints, state, ctx.d)
         && match_repairs(ctx.repairs, 0, ctx.d, state, ctx.config, ctx.cancel)
-        && (!ctx.config.strict_repair_mapping || strict_repairs_ok(state, ctx.d));
-    if !ok {
-        state.trail.truncate(mark);
-        state.theta = theta_snapshot;
-        state.used_repair_groups = used_snapshot;
-    }
-    ok
 }
 
 /// Verify (and where necessary bind) the non-relation literals of `C`.
-fn check_constraints(lits: &[&Literal], theta: &mut FlatSubstitution, d: &GroundClause) -> bool {
+fn check_constraints(lits: &[&Literal], state: &mut SearchState, d: &GroundClause) -> bool {
+    let SearchState { theta, trail, .. } = state;
     for lit in lits {
         match lit {
             Literal::Similar(a, b) => {
-                if !check_pair(theta, d, a, b, PairKind::Similar) {
+                if !check_pair(theta, trail, d, a, b, PairKind::Similar) {
                     return false;
                 }
             }
             Literal::Equal(a, b) => {
-                if !check_pair(theta, d, a, b, PairKind::Equal) {
+                if !check_pair(theta, trail, d, a, b, PairKind::Equal) {
                     return false;
                 }
             }
@@ -1221,8 +1147,12 @@ enum PairKind {
     Equal,
 }
 
+/// Test a `≈` (`kind` [`PairKind::Similar`]) or `=` literal between `a` and
+/// `b`, binding each of them that is still an unbound variable. The bindings
+/// go through [`match_term`], so they land on `trail`.
 fn check_pair(
     theta: &mut FlatSubstitution,
+    trail: &mut Vec<Var>,
     d: &GroundClause,
     a: &Term,
     b: &Term,
@@ -1236,35 +1166,19 @@ fn check_pair(
     match (a_bound, b_bound) {
         (true, true) => d.related(kind, ta, tb),
         (true, false) => {
-            // Bind b to any partner of a (BTreeSet iteration: deterministic,
-            // smallest partner first).
-            for (x, y) in pairs.iter() {
-                if *x == ta {
-                    if let Some(vb) = b.as_var() {
-                        if theta.try_bind(vb, *y) {
-                            return true;
-                        }
-                    }
-                }
-            }
-            // Fall back to making them equal.
-            if let Some(vb) = b.as_var() {
-                return theta.try_bind(vb, ta);
-            }
-            false
+            // Bind b to the first partner of a (BTreeSet iteration:
+            // deterministic, smallest partner first), or else make them
+            // equal.
+            let partner = pairs.iter().find(|(x, _)| *x == ta).map_or(ta, |&(_, y)| y);
+            match_term(b, &partner, theta, trail)
         }
-        (false, true) => check_pair(theta, d, b, a, kind),
+        (false, true) => check_pair(theta, trail, d, b, a, kind),
         (false, false) => {
             // Both unbound: bind them to the first pair available, or to each
             // other when the pair set is empty.
-            if let (Some(va), Some(vb)) = (a.as_var(), b.as_var()) {
-                if let Some((x, y)) = pairs.iter().next() {
-                    return theta.try_bind(va, *x) && theta.try_bind(vb, *y);
-                }
-                return theta.try_bind(va, Term::var(u32::MAX))
-                    && theta.try_bind(vb, Term::var(u32::MAX));
-            }
-            false
+            let sentinel = Term::var(u32::MAX);
+            let (x, y) = pairs.first().copied().unwrap_or((sentinel, sentinel));
+            match_term(a, &x, theta, trail) && match_term(b, &y, theta, trail)
         }
     }
 }
@@ -1303,7 +1217,7 @@ fn match_group_replacements(
     }
     let (x, t) = &group.replacements[ri];
     let x_term = Term::Var(*x);
-    for (origin, dx, dt, gi) in &d.repair_facts {
+    for (origin, dx, dt) in &d.repair_facts {
         if !state.charge(config, cancel) {
             return false;
         }
@@ -1313,35 +1227,13 @@ fn match_group_replacements(
         let mark = state.trail.len();
         if match_term(&x_term, dx, &mut state.theta, &mut state.trail)
             && match_term(t, dt, &mut state.theta, &mut state.trail)
+            && match_group_replacements(group, ri + 1, d, state, config, cancel)
         {
-            let newly_used = !state.used_repair_groups[*gi];
-            state.used_repair_groups[*gi] = true;
-            if match_group_replacements(group, ri + 1, d, state, config, cancel) {
-                return true;
-            }
-            // Roll the mark back with the bindings: a group used only on an
-            // abandoned branch must not satisfy the strict repair check.
-            if newly_used {
-                state.used_repair_groups[*gi] = false;
-            }
+            return true;
         }
         unwind(&mut state.theta, &mut state.trail, mark);
     }
     false
-}
-
-/// The strict reading of Definition 4.4: every repair group of `D` whose
-/// replaced variables appear in the image of the mapping must have been used
-/// to match some repair group of `C`.
-fn strict_repairs_ok(state: &SearchState, d: &GroundClause) -> bool {
-    let image: HashSet<Term> = state.theta.range().copied().collect();
-    for (gi, g) in d.repairs().iter().enumerate() {
-        let touched = g.targets().iter().any(|v| image.contains(&Term::Var(*v)));
-        if touched && !state.used_repair_groups[gi] {
-            return false;
-        }
-    }
-    true
 }
 
 /// Bindings of the head of a renumbered candidate clause against the head
@@ -1388,20 +1280,20 @@ pub fn extend_bindings(
             }
             Literal::Similar(a, b) => {
                 let mut candidate = theta.clone();
-                if check_pair(&mut candidate, d, a, b, PairKind::Similar) {
+                trail.clear();
+                if check_pair(&mut candidate, &mut trail, d, a, b, PairKind::Similar) {
                     out.push(candidate);
                 }
             }
             Literal::Equal(a, b) => {
                 let mut candidate = theta.clone();
-                if check_pair(&mut candidate, d, a, b, PairKind::Equal) {
+                trail.clear();
+                if check_pair(&mut candidate, &mut trail, d, a, b, PairKind::Equal) {
                     out.push(candidate);
                 }
             }
             Literal::NotEqual(a, b) => {
-                let ta = theta.apply(a);
-                let tb = theta.apply(b);
-                if ta != tb && !d.equal_pairs.contains(&(ta, tb)) {
+                if d.unequal(theta.apply(a), theta.apply(b)) {
                     out.push(theta.clone());
                 }
             }
@@ -1560,26 +1452,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_repair_mapping_rejects_unacknowledged_repairs() {
-        // C maps the movies literal (touching v2, which D's repair replaces)
-        // but carries no repair literal of its own.
-        let mut c = Clause::new(Literal::relation("highGrossing", vec![Term::var(10)]));
-        c.push_unique(Literal::relation(
-            "movies",
-            vec![Term::var(11), Term::var(12), Term::var(13)],
-        ));
-        let d = ground_clause();
-        let lenient = SubsumptionConfig::default();
-        let strict = SubsumptionConfig {
-            strict_repair_mapping: true,
-            ..lenient
-        };
-        assert!(theta(&c, &d, &lenient).is_some());
-        assert!(theta(&c, &d, &strict).is_none());
-    }
-
-    #[test]
-    fn strict_mode_ignores_repair_groups_used_only_on_abandoned_branches() {
+    fn a_repair_group_backtracks_over_a_partially_matching_fact() {
         // D: t(v0) ← r0(v1) with two same-origin repair groups:
         //   g0 replaces v1 by 'p', g1 replaces v2 by 'q'.
         let mut d = Clause::new(Literal::relation("t", vec![Term::var(0)]));
@@ -1598,11 +1471,10 @@ mod tests {
         ));
         let g = GroundClause::new(&d);
 
-        // C maps r0 onto v1 (so g0 is *touched*) and carries one repair
-        // group that first partially matches g0's fact, backtracks, and
-        // finally succeeds entirely through g1. With correct bookkeeping the
-        // mapping never uses g0, so the strict reading must reject; a stale
-        // used-mark from the abandoned g0 branch would wrongly accept.
+        // C carries one repair group whose first replacement matches g0's
+        // fact, binding v12 = v1 and v13 = 'p', after which its second
+        // replacement finds no fact; the group must drop both bindings and
+        // succeed entirely through g1.
         let mut c = Clause::new(Literal::relation("t", vec![Term::var(10)]));
         c.push_unique(Literal::relation("r0", vec![Term::var(11)]));
         c.push_repair(RepairGroup::new(
@@ -1611,20 +1483,8 @@ mod tests {
             vec![(Var(12), Term::var(13)), (Var(12), Term::constant("q"))],
             vec![],
         ));
-        let lenient = SubsumptionConfig::default();
-        let strict = SubsumptionConfig {
-            strict_repair_mapping: true,
-            ..lenient
-        };
-        assert!(
-            theta(&c, &g, &lenient).is_some(),
-            "lenient mode must accept"
-        );
-        assert!(
-            theta(&c, &g, &strict).is_none(),
-            "strict mode must reject: g0 (touching the mapped v1) was only \
-             used on an abandoned branch"
-        );
+        let theta = theta(&c, &g, &SubsumptionConfig::default()).expect("g1 matches the group");
+        assert_eq!(theta.apply(&Term::var(13)), Term::constant("q"));
     }
 
     #[test]
@@ -1699,6 +1559,8 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_reports_no_subsumption() {
+        // Six movies literals, each a part of its own with one candidate:
+        // one step each.
         let mut c = Clause::new(Literal::relation("highGrossing", vec![Term::var(0)]));
         for i in 0..6 {
             c.push_unique(Literal::relation(
@@ -1706,13 +1568,18 @@ mod tests {
                 vec![Term::var(10 + i), Term::var(20 + i), Term::var(30 + i)],
             ));
         }
-        c.push_unique(Literal::relation("missing", vec![Term::var(50)]));
         let d = ground_clause();
-        let tiny = SubsumptionConfig {
-            max_steps: 1,
-            ..SubsumptionConfig::default()
-        };
+        let numbered = NumberedClause::new(&c);
+        let tiny = SubsumptionConfig { max_steps: 1 };
+        assert_eq!(
+            subsumes(&numbered, &d, &tiny, None),
+            Decision::BudgetExhausted
+        );
         assert!(theta(&c, &d, &tiny).is_none());
+        let unbounded = SubsumptionConfig {
+            max_steps: usize::MAX,
+        };
+        assert_eq!(subsumes(&numbered, &d, &unbounded, None), Decision::Yes);
     }
 
     #[test]
@@ -1736,10 +1603,7 @@ mod tests {
         // positional pruning the matcher would scan ~50 candidates for the
         // p-literal and could exhaust a small budget before reaching the
         // matching one; with pruning it tries exactly one.
-        let tight = SubsumptionConfig {
-            max_steps: 2,
-            ..SubsumptionConfig::default()
-        };
+        let tight = SubsumptionConfig { max_steps: 2 };
         let theta = theta(&c, &g, &tight).expect("pruned search must succeed in 2 steps");
         assert_eq!(theta.apply(&Term::var(11)), Term::var(200));
     }

@@ -11,10 +11,9 @@
 //!   and the brute-force enumeration oracle
 //!   (`dlearn_test_support::OracleGround::enumerate`), on ≥ 500 seeded
 //!   random cases.
-//! * **Ordering invariance** — adaptive and static literal ordering, and
-//!   the renumber-per-call vs prepared-numbering entry points, must all
-//!   decide identically (which witness is found first may differ; each must
-//!   verify).
+//! * **View agreement** — the decision view ([`subsumes`]) and the witness
+//!   view ([`witness`]) of one prepared numbering decide identically, and
+//!   every witness verifies.
 //!
 //! The generated candidates are *oracle-safe* (see
 //! `dlearn_test_support::gen`): every constraint/repair variable occurs in
@@ -29,7 +28,11 @@
 //! checks settle, within a small budget, searches that enumerating every
 //! relation mapping would exhaust, and that searching the independent parts
 //! of a clause one at a time settles, within the same budget, a search that
-//! interleaving the parts would exhaust.
+//! interleaving the parts would exhaust. One more pins that a mapping the
+//! final phase rejects leaves none of that phase's bindings behind. The
+//! generators never emit that shape: their constraint variables all occur
+//! in the head or a relation literal, so the final phase never has to bind
+//! one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,14 +51,6 @@ fn unbounded() -> SubsumptionConfig {
         // The references have no budget; give the production matcher one it
         // cannot hit at these clause sizes.
         max_steps: usize::MAX,
-        ..SubsumptionConfig::default()
-    }
-}
-
-fn static_order() -> SubsumptionConfig {
-    SubsumptionConfig {
-        adaptive_ordering: false,
-        ..unbounded()
     }
 }
 
@@ -136,28 +131,12 @@ fn decisions_agree_on(name: &str, cfg: &GenConfig) {
             assert!(oracle.verify_witness(&c, sigma));
         }
 
-        // Ordering invariance: static ordering and the decision view decide
-        // identically, and their witnesses verify.
+        // View agreement: the decision view decides as the witness view.
         assert_eq!(
             subsumes(&numbered, &ground, &unbounded(), None).is_yes(),
             decision,
             "numbered decision diverged on {name} case {case}:\n  C = {c}\n  D = {d}"
         );
-        if let Some(theta) = witness(&numbered, &ground, &unbounded()) {
-            assert!(
-                oracle.verify_witness(&c, &theta),
-                "unsound numbered witness on {name} case {case}:\n  C = {c}\n  D = {d}"
-            );
-        }
-        let static_witness = witness(&numbered, &ground, &static_order());
-        assert_eq!(
-            static_witness.is_some(),
-            decision,
-            "static-ordering divergence on {name} case {case}:\n  C = {c}\n  D = {d}"
-        );
-        if let Some(theta) = &static_witness {
-            assert!(oracle.verify_witness(&c, theta));
-        }
 
         positives += decision as usize;
     }
@@ -174,14 +153,13 @@ fn decisions_agree_on(name: &str, cfg: &GenConfig) {
 }
 
 /// The adversarial bench workload is a *hard negative*: every matcher must
-/// reject it, however its literals are ordered.
+/// reject it.
 #[test]
 fn backtracking_heavy_pair_is_rejected_by_everyone() {
     let (c, d) = backtracking_heavy_pair();
     let ground = GroundClause::new(&d);
     let numbered = NumberedClause::new(&c);
     assert!(witness(&numbered, &ground, &unbounded()).is_none());
-    assert!(witness(&numbered, &ground, &static_order()).is_none());
     assert!(!string_reference::subsumes(&c, &StringGround::new(&d)));
     assert!(OracleGround::new(&d).enumerate(&c).is_none());
 }
@@ -207,10 +185,7 @@ fn budget_exhaustion_is_a_clean_no_on(cfg: &GenConfig) {
         let numbered = NumberedClause::new(&c);
         let full = witness(&numbered, &ground, &unbounded()).is_some();
         for budget in [0usize, 1, 2, 5, 20] {
-            let tiny = SubsumptionConfig {
-                max_steps: budget,
-                ..SubsumptionConfig::default()
-            };
+            let tiny = SubsumptionConfig { max_steps: budget };
             if let Some(theta) = witness(&numbered, &ground, &tiny) {
                 // A budgeted yes must be a real yes; a budgeted no is allowed.
                 assert!(full, "budget {budget} invented a subsumption");
@@ -274,9 +249,9 @@ fn chain_ground(second_match: bool) -> Clause {
     d
 }
 
-/// Under both orderings, `c` against `d` decides `expected` within
-/// [`SMALL_BUDGET`], as the unbounded search does and with the same
-/// witness; the enumeration oracle agrees and the witness verifies.
+/// `c` against `d` decides `expected` within [`SMALL_BUDGET`], as the
+/// unbounded search does and with the same witness; the enumeration oracle
+/// agrees and the witness verifies.
 fn assert_settled_within_small_budget(c: &Clause, d: &Clause, expected: Decision) {
     let ground = GroundClause::new(d);
     let numbered = NumberedClause::new(c);
@@ -286,26 +261,19 @@ fn assert_settled_within_small_budget(c: &Clause, d: &Clause, expected: Decision
         expected == Decision::Yes,
         "oracle disagrees:\n  C = {c}\n  D = {d}"
     );
-    for adaptive_ordering in [true, false] {
-        let full = SubsumptionConfig {
-            adaptive_ordering,
-            ..unbounded()
-        };
-        let small = SubsumptionConfig {
-            max_steps: SMALL_BUDGET,
-            ..full
-        };
-        assert_eq!(subsumes(&numbered, &ground, &full, None), expected);
-        assert_eq!(
-            subsumes(&numbered, &ground, &small, None),
-            expected,
-            "adaptive {adaptive_ordering}: not settled within {SMALL_BUDGET} steps:\n  C = {c}\n  D = {d}"
-        );
-        let found = witness(&numbered, &ground, &small);
-        assert_eq!(found, witness(&numbered, &ground, &full));
-        if let Some(theta) = &found {
-            assert!(oracle.verify_witness(c, theta));
-        }
+    let small = SubsumptionConfig {
+        max_steps: SMALL_BUDGET,
+    };
+    assert_eq!(subsumes(&numbered, &ground, &unbounded(), None), expected);
+    assert_eq!(
+        subsumes(&numbered, &ground, &small, None),
+        expected,
+        "not settled within {SMALL_BUDGET} steps:\n  C = {c}\n  D = {d}"
+    );
+    let found = witness(&numbered, &ground, &small);
+    assert_eq!(found, witness(&numbered, &ground, &unbounded()));
+    if let Some(theta) = &found {
+        assert!(oracle.verify_witness(c, theta));
     }
 }
 
@@ -406,4 +374,36 @@ fn independent_parts_are_searched_one_at_a_time() {
     let c = parts_candidate();
     assert_settled_within_small_budget(&c, &parts_ground(false), Decision::No);
     assert_settled_within_small_budget(&c, &parts_ground(true), Decision::Yes);
+}
+
+/// `C = t(x) ← a(x, y), y ≈ z, z ≠ x`, where only the final phase binds `z`,
+/// against `D = t(c0) ← a(c0, v1), a(c0, v2), v1 ≈ c0, v2 ≈ v5`. The first
+/// `a` match gives `y = v1`, and `y ≈ z` binds `z` to v1's first partner,
+/// `c0`; `z ≠ x` then rejects the mapping. The second match gives `y = v2`,
+/// whose partner is `v5`, and succeeds only if the rejected mapping left `z`
+/// unbound.
+#[test]
+fn rejected_final_phase_leaves_no_binding_behind() {
+    let (x, y, z) = (Term::var(0), Term::var(1), Term::var(2));
+    let mut c = Clause::new(Literal::relation("t", vec![x]));
+    c.push_unique(Literal::relation("a", vec![x, y]));
+    c.push_unique(Literal::Similar(y, z));
+    c.push_unique(Literal::NotEqual(z, x));
+    let c0 = Term::constant("c0");
+    let mut d = Clause::new(Literal::relation("t", vec![c0]));
+    d.push_unique(Literal::relation("a", vec![c0, Term::var(1)]));
+    d.push_unique(Literal::relation("a", vec![c0, Term::var(2)]));
+    d.push_unique(Literal::Similar(Term::var(1), c0));
+    d.push_unique(Literal::Similar(Term::var(2), Term::var(5)));
+    let numbered = NumberedClause::new(&c);
+    let ground = GroundClause::new(&d);
+    assert_eq!(
+        subsumes(&numbered, &ground, &unbounded(), None),
+        Decision::Yes
+    );
+    let oracle = OracleGround::new(&d);
+    assert!(oracle.enumerate(&c).is_some());
+    let theta = witness(&numbered, &ground, &unbounded()).expect("y = v2 and z = v5 embed C");
+    assert_eq!(theta.apply(&z), Term::var(5));
+    assert!(oracle.verify_witness(&c, &theta));
 }

@@ -230,11 +230,12 @@ pub fn random_candidate(rng: &mut StdRng, cfg: &GenConfig) -> Clause {
 /// to exhaust the search space to say so.
 ///
 /// The chain literals are deliberately listed in a scrambled body order:
-/// a static fewest-candidates-first order (all `edge` literals tie on
-/// bucket size) degenerates to that scrambled order and repeatedly matches
-/// literals none of whose variables are bound yet, while adaptive ordering
-/// follows the bindings through the chain and fail-fasts as soon as the
-/// component-B endpoint makes some remaining literal candidate-free.
+/// a fixed fewest-candidates-first order (all `edge` literals tie on bucket
+/// size) would degenerate to that scrambled order and repeatedly match
+/// literals none of whose variables are bound yet. Picking the most
+/// constrained literal at every node instead follows the bindings through
+/// the chain and fail-fasts as soon as the component-B endpoint makes some
+/// remaining literal candidate-free.
 ///
 /// Returns `(candidate, ground)`.
 pub fn backtracking_heavy_pair() -> (Clause, Clause) {

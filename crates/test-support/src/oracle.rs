@@ -16,8 +16,10 @@
 //! ground check, which changes nothing about exhaustiveness (every pruned
 //! extension would fail the same check at the end).
 //!
-//! Semantics implemented (the lenient reading used by the learner; the
-//! strict Definition 4.4 condition is out of scope here):
+//! Semantics implemented: the first condition of Definition 4.4 (repair
+//! literals are matched like ordinary literals), which is all DLearn
+//! implements; its second condition, that every repair literal of `D`
+//! connected to a mapped literal be mapped too, is checked by no matcher.
 //!
 //! * head: `σ(head_C) = head_D` syntactically;
 //! * relation literal: `σ(l) ∈ body(D)`;

@@ -32,7 +32,6 @@ EXPECTED_BENCHES = [
     "subsumption/subsumes",
     "subsumption/coverage_engine_counts",
     "subsumption/backtracking_heavy",
-    "subsumption/backtracking_heavy_static",
     "subsumption/bottom_clause_build",
     "subsumption/repaired_clauses",
     "subsumption/index_build",
@@ -77,9 +76,8 @@ EXPECTED_TOP_LEVEL = ["workload", "unit", "benches"]
 # `crates/bench/benches/subsumption.rs`) and ride along in the JSON.
 GATE_TOLERANCE = 0.20
 
-# The hot-path benches the gate protects. The adversarial backtracking
-# benches are deliberately not gated: `backtracking_heavy_static` measures
-# an ordering mode nothing ships with, and `backtracking_heavy` is tracked
+# The hot-path benches the gate protects. The adversarial
+# `backtracking_heavy` bench is deliberately not gated: it is tracked
 # through the committed trajectory instead. The scaling curves are also
 # ungated — their small sizes are too noisy for a hard gate; curve shape is
 # reviewed through the committed diff instead. `generalization_round` and

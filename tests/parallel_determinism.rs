@@ -3,12 +3,9 @@
 //! learned definition must be bit-identical at every thread count — and the
 //! parallel coverage masks must equal the serial ones clause for clause.
 //!
-//! The same holds across the subsumption matcher's literal-ordering modes:
-//! adaptive (most-constrained-first) ordering only changes how the search
-//! walks the space, never which coverage decisions come out while searches
-//! stay within the step budget (true on this workload by a wide margin),
-//! so switching it on or off must not move a single literal of the learned
-//! definition at any thread count.
+//! The same holds when coverage and generalization both fan out: at 1, 2 and
+//! 8 threads each, the learned definition must equal the serial one literal
+//! for literal.
 //!
 //! Similarity-index construction carries the same contract: left-value
 //! chunks merge in left order, so the built [`SimilarityIndex`] — and every
@@ -68,18 +65,15 @@ fn parallel_and_serial_generalization_learn_identical_definitions() {
 }
 
 #[test]
-fn adaptive_ordering_learns_bit_identical_definitions_at_any_thread_count() {
+fn learned_definitions_are_bit_identical_at_any_thread_count() {
     let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
     let baseline = learn(&dataset.task, config(7, 1, 1));
     for threads in [1usize, 2, 8] {
-        for adaptive in [true, false] {
-            let cfg = config(7, threads, threads).with_adaptive_ordering(adaptive);
-            let definition = learn(&dataset.task, cfg);
-            assert_eq!(
-                baseline, definition,
-                "adaptive={adaptive}, threads={threads}: learned definition diverged"
-            );
-        }
+        let definition = learn(&dataset.task, config(7, threads, threads));
+        assert_eq!(
+            baseline, definition,
+            "threads={threads}: learned definition diverged"
+        );
     }
 }
 
