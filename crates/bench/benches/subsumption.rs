@@ -41,6 +41,8 @@
 //! parses it for structural integrity and runs a same-machine regression
 //! gate (see `scripts/check_bench_json.py`).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use criterion::Criterion;
@@ -488,9 +490,8 @@ fn bench_delta(c: &mut Criterion) {
 }
 
 /// Hot-swap and coalescing costs: `swap/publish` prices one full epoch
-/// publication (re-bind the learned model, atomically install it in the
-/// service's swap cell) — the pause-free alternative to tearing the service
-/// down; `coalesced/{1,8,32}_callers` measure N concurrent callers pushing
+/// publication (re-bind the learned model, swap it in under the service's
+/// model lock) — the pause-free alternative to tearing the service down; `coalesced/{1,8,32}_callers` measure N concurrent callers pushing
 /// 8 requests each through the queued `Coalescer` front-end (batcher drain,
 /// per-budget grouping, per-caller fan-back included). Gated since
 /// graduation (0.30 / 0.35), completing the path the service curves walked.

@@ -1,1 +1,3 @@
 //! Benchmark support crate; benchmarks live in benches/.
+
+#![forbid(unsafe_code)]

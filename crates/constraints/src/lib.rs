@@ -20,6 +20,7 @@
 //! bottom-clause construction.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cfd;
 pub mod consistency;

@@ -27,7 +27,7 @@
 //! requests that asked for it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,21 +60,22 @@ impl Default for CoalesceConfig {
     }
 }
 
-/// A point-in-time snapshot of a coalescer's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoalesceMetrics {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Drained batches handed to the service (before budget grouping).
-    pub batches: u64,
-    /// Total requests across all drained batches.
-    pub coalesced_tuples: u64,
-    /// Size of the largest single drained batch.
-    pub largest_batch: u64,
-    /// Drains triggered by a full batch (`max_coalesce` reached).
-    pub full_drains: u64,
-    /// Drains triggered by the linger timer (`max_wait` elapsed).
-    pub timer_drains: u64,
+counter_table! {
+    /// A point-in-time snapshot of a coalescer's counters.
+    pub struct CoalesceMetrics counted by Counters {
+        /// Requests accepted into the queue.
+        submitted,
+        /// Drained batches handed to the service (before budget grouping).
+        batches,
+        /// Total requests across all drained batches.
+        coalesced_tuples,
+        /// Size of the largest single drained batch.
+        largest_batch,
+        /// Drains triggered by a full batch (`max_coalesce` reached).
+        full_drains,
+        /// Drains triggered by the linger timer (`max_wait` elapsed).
+        timer_drains,
+    }
 }
 
 /// One queued request: the tuple, the caller's budget (`None` = the
@@ -96,12 +97,7 @@ struct Inner {
     queue: Mutex<Queue>,
     not_empty: Condvar,
     not_full: Condvar,
-    submitted: AtomicU64,
-    batches: AtomicU64,
-    coalesced_tuples: AtomicU64,
-    largest_batch: AtomicU64,
-    full_drains: AtomicU64,
-    timer_drains: AtomicU64,
+    counters: Counters,
 }
 
 impl Inner {
@@ -120,7 +116,7 @@ impl Inner {
         }
         q.items.extend(requests);
         drop(q);
-        self.submitted.fetch_add(n, Ordering::Relaxed);
+        self.counters.submitted.fetch_add(n, Ordering::Relaxed);
         self.not_empty.notify_one();
         Ok(())
     }
@@ -179,14 +175,16 @@ impl Inner {
         drop(q);
         self.not_full.notify_all();
         if full {
-            self.full_drains.fetch_add(1, Ordering::Relaxed);
+            self.counters.full_drains.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.timer_drains.fetch_add(1, Ordering::Relaxed);
+            self.counters.timer_drains.fetch_add(1, Ordering::Relaxed);
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.coalesced_tuples
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .coalesced_tuples
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.largest_batch
+        self.counters
+            .largest_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
         Some(batch)
     }
@@ -252,12 +250,7 @@ impl Coalescer {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            submitted: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            coalesced_tuples: AtomicU64::new(0),
-            largest_batch: AtomicU64::new(0),
-            full_drains: AtomicU64::new(0),
-            timer_drains: AtomicU64::new(0),
+            counters: Counters::default(),
         });
         let worker = inner.clone();
         let batcher = std::thread::Builder::new()
@@ -320,14 +313,7 @@ impl Coalescer {
 
     /// A snapshot of the coalescer's counters.
     pub fn metrics(&self) -> CoalesceMetrics {
-        CoalesceMetrics {
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            batches: self.inner.batches.load(Ordering::Relaxed),
-            coalesced_tuples: self.inner.coalesced_tuples.load(Ordering::Relaxed),
-            largest_batch: self.inner.largest_batch.load(Ordering::Relaxed),
-            full_drains: self.inner.full_drains.load(Ordering::Relaxed),
-            timer_drains: self.inner.timer_drains.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// The service this coalescer batches for.

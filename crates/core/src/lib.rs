@@ -65,6 +65,41 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+
+/// Declare a set of monotone `u64` counters once. From one list of
+/// documented field names it generates the public snapshot struct (one
+/// `u64` per counter, keeping each field's doc comment), its private
+/// `AtomicU64` twin, and the twin's `snapshot()`, which reads every counter
+/// with `Relaxed` loads: the counters are independent tallies, so a snapshot
+/// promises no cross-counter consistency.
+macro_rules! counter_table {
+    (
+        $(#[$snapshot_doc:meta])*
+        pub struct $snapshot:ident counted by $atomic:ident {
+            $( $(#[$field_doc:meta])* $field:ident, )*
+        }
+    ) => {
+        $(#[$snapshot_doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snapshot {
+            $( $(#[$field_doc])* pub $field: u64, )*
+        }
+
+        #[derive(Default)]
+        struct $atomic {
+            $( $field: std::sync::atomic::AtomicU64, )*
+        }
+
+        impl $atomic {
+            fn snapshot(&self) -> $snapshot {
+                $snapshot {
+                    $( $field: self.$field.load(std::sync::atomic::Ordering::Relaxed), )*
+                }
+            }
+        }
+    };
+}
 
 pub mod bottom;
 pub mod coalesce;
@@ -79,7 +114,6 @@ pub(crate) mod learn;
 pub mod learner;
 mod par;
 pub mod service;
-pub mod swap;
 pub mod task;
 
 pub use bottom::{BottomClauseBuilder, ProbeLog};
@@ -97,5 +131,4 @@ pub use learner::{augment_with_target, Strategy};
 pub use service::{
     Budget, PredictorService, ServeResult, ServeVerdict, ServiceConfig, ServiceMetrics,
 };
-pub use swap::SwapCell;
 pub use task::{LearningTask, TargetSpec};

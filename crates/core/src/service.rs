@@ -25,16 +25,17 @@
 //!   longer masquerade as clean "no"s: every verdict carries its
 //!   [`ServeVerdict::exhausted_searches`] count and the service-wide
 //!   [`ServiceMetrics`] aggregate them.
-//! * **Hot model swap** — the service owns its model behind an
-//!   epoch-versioned [`crate::swap::SwapCell`]: every batch loads one
-//!   consistent `(epoch, predictor)` snapshot, and
-//!   [`PredictorService::publish`] /
-//!   [`PredictorService::apply_delta`] atomically install a re-learned
-//!   model while in-flight batches finish on their old epoch. Cache entries
-//!   are epoch-tagged, so groundings from a superseded model are lazily
-//!   dropped instead of served ([`ServiceMetrics::stale_reads_prevented`]).
-//!   Every [`ServeVerdict`] names the epoch that produced it. For queued
-//!   request coalescing in front of the service, see [`crate::coalesce`].
+//! * **Hot model swap** — the service owns its model as an
+//!   `RwLock<Arc<(epoch, predictor)>>`: every batch takes the read lock
+//!   only to clone the `Arc`, so it serves one consistent snapshot, and
+//!   [`PredictorService::publish`] / [`PredictorService::apply_delta`]
+//!   swap in a re-learned model under the write lock while in-flight
+//!   batches finish on their old epoch. A displaced model is freed when its
+//!   last in-flight batch ends. Cache entries are epoch-tagged, so
+//!   groundings from a superseded model are lazily dropped instead of
+//!   served ([`ServiceMetrics::stale_reads_prevented`]). Every
+//!   [`ServeVerdict`] names the epoch that produced it. For queued request
+//!   coalescing in front of the service, see [`crate::coalesce`].
 //!
 //! ```
 //! use dlearn_core::{Engine, LearnerConfig, LearningTask, PredictorService,
@@ -67,8 +68,8 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dlearn_logic::CancelToken;
@@ -78,7 +79,6 @@ use crate::coverage::{CoverageOutcome, GroundExample};
 use crate::engine::Predictor;
 use crate::error::DlearnError;
 use crate::fault;
-use crate::swap::SwapCell;
 
 /// Per-call resource budget for one served example.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,81 +170,43 @@ impl ServeVerdict {
 /// [`DlearnError::WorkerPanicked`], [`DlearnError::PredictArity`]).
 pub type ServeResult = Result<ServeVerdict, DlearnError>;
 
-/// A point-in-time snapshot of a service's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceMetrics {
-    /// Examples served to a successful verdict.
-    pub served: u64,
-    /// Ground-example cache hits.
-    pub cache_hits: u64,
-    /// Ground-example cache misses (fresh groundings).
-    pub cache_misses: u64,
-    /// Cache entries evicted by the clock hand.
-    pub cache_evictions: u64,
-    /// Serves of a quarantined tuple (served fresh, never re-cached).
-    pub quarantine_hits: u64,
-    /// Examples that blew their deadline.
-    pub deadline_exceeded: u64,
-    /// Worker panics caught and isolated.
-    pub worker_panics: u64,
-    /// Total budget-exhausted subsumption searches across all serves.
-    pub budget_exhausted_searches: u64,
-    /// Successful verdicts with at least one exhausted search.
-    pub degraded_verdicts: u64,
-    /// Inputs rejected before serving (wrong arity).
-    pub rejected_inputs: u64,
-    /// Cache entries evicted by [`PredictorService::apply_delta`] because
-    /// their grounding probed a changed value.
-    pub delta_evictions: u64,
-    /// Successful model publications — [`PredictorService::publish`] plus
-    /// committed [`PredictorService::apply_delta`] calls.
-    pub swaps: u64,
-    /// Cache entries from a superseded epoch dropped: lazily at lookup, or
-    /// eagerly during a delta publication's cache walk.
-    pub epoch_evictions: u64,
-    /// Cache lookups that found an entry tagged with a *different* epoch
-    /// than the reader's snapshot and refused to serve it. Without epoch
-    /// tags each of these would have served a grounding from the wrong
-    /// model.
-    pub stale_reads_prevented: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    served: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    quarantine_hits: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    worker_panics: AtomicU64,
-    budget_exhausted_searches: AtomicU64,
-    degraded_verdicts: AtomicU64,
-    rejected_inputs: AtomicU64,
-    delta_evictions: AtomicU64,
-    swaps: AtomicU64,
-    epoch_evictions: AtomicU64,
-    stale_reads_prevented: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> ServiceMetrics {
-        ServiceMetrics {
-            served: self.served.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            quarantine_hits: self.quarantine_hits.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            budget_exhausted_searches: self.budget_exhausted_searches.load(Ordering::Relaxed),
-            degraded_verdicts: self.degraded_verdicts.load(Ordering::Relaxed),
-            rejected_inputs: self.rejected_inputs.load(Ordering::Relaxed),
-            delta_evictions: self.delta_evictions.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            epoch_evictions: self.epoch_evictions.load(Ordering::Relaxed),
-            stale_reads_prevented: self.stale_reads_prevented.load(Ordering::Relaxed),
-        }
+counter_table! {
+    /// A point-in-time snapshot of a service's counters.
+    pub struct ServiceMetrics counted by Counters {
+        /// Examples served to a successful verdict.
+        served,
+        /// Ground-example cache hits.
+        cache_hits,
+        /// Ground-example cache misses (fresh groundings).
+        cache_misses,
+        /// Cache entries evicted by the clock hand.
+        cache_evictions,
+        /// Serves of a quarantined tuple (served fresh, never re-cached).
+        quarantine_hits,
+        /// Examples that blew their deadline.
+        deadline_exceeded,
+        /// Worker panics caught and isolated.
+        worker_panics,
+        /// Total budget-exhausted subsumption searches across all serves.
+        budget_exhausted_searches,
+        /// Successful verdicts with at least one exhausted search.
+        degraded_verdicts,
+        /// Inputs rejected before serving (wrong arity).
+        rejected_inputs,
+        /// Cache entries evicted by [`PredictorService::apply_delta`] because
+        /// their grounding probed a changed value.
+        delta_evictions,
+        /// Successful model publications — [`PredictorService::publish`] plus
+        /// committed [`PredictorService::apply_delta`] calls.
+        swaps,
+        /// Cache entries from a superseded epoch dropped: lazily at lookup, or
+        /// eagerly during a delta publication's cache walk.
+        epoch_evictions,
+        /// Cache lookups that found an entry tagged with a *different* epoch
+        /// than the reader's snapshot and refused to serve it. Without epoch
+        /// tags each of these would have served a grounding from the wrong
+        /// model.
+        stale_reads_prevented,
     }
 }
 
@@ -437,7 +399,7 @@ impl Quarantine {
 }
 
 /// One published model: the epoch number and the predictor state serving it.
-/// Readers clone the whole snapshot out of the service's [`SwapCell`], so a
+/// Readers clone the whole snapshot out of the service's model cell, so a
 /// batch never observes half of one model and half of another.
 struct EpochModel {
     epoch: u64,
@@ -447,9 +409,9 @@ struct EpochModel {
 /// A long-lived, `Send + Sync` serving front-end over a [`Predictor`]: see
 /// the [module docs](crate::service) for the resilience contract.
 pub struct PredictorService {
-    /// The epoch-versioned model handle. Batches load one snapshot;
-    /// publications atomically install a successor.
-    model: SwapCell<EpochModel>,
+    /// The epoch-versioned model. Batches clone one snapshot out under the
+    /// read lock; publications swap in a successor under the write lock.
+    model: RwLock<Arc<EpochModel>>,
     config: ServiceConfig,
     shard_count: usize,
     per_shard_capacity: usize,
@@ -457,9 +419,10 @@ pub struct PredictorService {
     quarantine: Mutex<Quarantine>,
     counters: Counters,
     /// Serializes publications ([`PredictorService::publish`] /
-    /// [`PredictorService::apply_delta`]) and guards epoch numbering.
+    /// [`PredictorService::apply_delta`]), so the epoch a publication
+    /// derives from the installed one is still the installed one when it
+    /// installs its successor.
     publish_lock: Mutex<()>,
-    next_epoch: AtomicU64,
     /// Set by a panic mid-publication: the old epoch keeps serving, but
     /// selective delta publications are refused until a clean full
     /// [`PredictorService::publish`].
@@ -479,7 +442,7 @@ impl PredictorService {
             .map(|_| Mutex::new(Shard::default()))
             .collect();
         PredictorService {
-            model: SwapCell::new(Arc::new(EpochModel {
+            model: RwLock::new(Arc::new(EpochModel {
                 epoch: 1,
                 predictor,
             })),
@@ -490,7 +453,6 @@ impl PredictorService {
             quarantine: Mutex::new(Quarantine::default()),
             counters: Counters::default(),
             publish_lock: Mutex::new(()),
-            next_epoch: AtomicU64::new(2),
             swap_quarantined: AtomicBool::new(false),
         }
     }
@@ -498,13 +460,31 @@ impl PredictorService {
     /// The epoch of the currently installed model (the model a batch
     /// starting *now* would serve with). The first model is epoch 1.
     pub fn epoch(&self) -> u64 {
-        self.model.load().epoch
+        self.current().epoch
     }
 
     /// Delta sequence of the currently installed model (see
     /// [`Predictor::delta_seq`]).
     pub fn delta_seq(&self) -> u64 {
-        self.model.load().predictor.delta_seq()
+        self.current().predictor.delta_seq()
+    }
+
+    /// The installed model: the read lock is held only to clone the `Arc`.
+    fn current(&self) -> Arc<EpochModel> {
+        self.model.read().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Install the model of `epoch` under the write lock. Callers hold
+    /// `publish_lock`. The displaced model is dropped after the write lock
+    /// is released, so no reader waits on its destructor; it is freed there
+    /// unless an in-flight batch still holds it.
+    fn install(&self, epoch: u64, predictor: Predictor) {
+        let next = Arc::new(EpochModel { epoch, predictor });
+        let displaced = {
+            let mut model = self.model.write().unwrap_or_else(|e| e.into_inner());
+            std::mem::replace(&mut *model, next)
+        };
+        drop(displaced);
     }
 
     /// `true` after a panic mid-publication: the previous epoch keeps
@@ -532,7 +512,7 @@ impl PredictorService {
     /// harness) leaves the old epoch serving and quarantines the swap path.
     pub fn publish(&self, predictor: Predictor) -> Result<u64, DlearnError> {
         let _publishing = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch = self.next_epoch.load(Ordering::Relaxed);
+        let epoch = self.epoch() + 1;
         let key = format!("publish@{epoch}");
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = fault::checkpoint(fault::Site::Swap, &key);
@@ -545,8 +525,7 @@ impl PredictorService {
                 message: crate::par::panic_message(&*payload),
             });
         }
-        self.next_epoch.store(epoch + 1, Ordering::Relaxed);
-        self.model.store(Arc::new(EpochModel { epoch, predictor }));
+        self.install(epoch, predictor);
         self.counters.swaps.fetch_add(1, Ordering::Relaxed);
         self.swap_quarantined.store(false, Ordering::Release);
         Ok(epoch)
@@ -578,7 +557,7 @@ impl PredictorService {
         if self.swap_quarantined.load(Ordering::Acquire) {
             return Err(DlearnError::SwapQuarantined);
         }
-        let current = self.model.load();
+        let current = self.current();
         let served = current.predictor.delta_seq();
         if report.sequence != served + 1 || predictor.delta_seq() != report.sequence {
             return Err(DlearnError::DeltaEpochMismatch {
@@ -586,7 +565,7 @@ impl PredictorService {
                 report: report.sequence,
             });
         }
-        let epoch = self.next_epoch.load(Ordering::Relaxed);
+        let epoch = current.epoch + 1;
         let key = format!("delta@{epoch}");
         let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = fault::checkpoint(fault::Site::Swap, &key);
@@ -614,8 +593,7 @@ impl PredictorService {
                         .epoch_evictions
                         .fetch_add(stale_evicted, Ordering::Relaxed);
                 }
-                self.next_epoch.store(epoch + 1, Ordering::Relaxed);
-                self.model.store(Arc::new(EpochModel { epoch, predictor }));
+                self.install(epoch, predictor);
                 self.counters.swaps.fetch_add(1, Ordering::Relaxed);
                 Ok(delta_evicted)
             }
@@ -656,7 +634,7 @@ impl PredictorService {
     pub fn predict_batch_with(&self, examples: &[Tuple], budget: &Budget) -> Vec<ServeResult> {
         // One consistent snapshot per batch; a concurrent publish retires
         // the epoch, not this batch.
-        let model = self.model.load();
+        let model = self.current();
         // Reject malformed inputs per position, keeping the valid ones.
         let mut results: Vec<Option<ServeResult>> = examples
             .iter()
@@ -892,7 +870,7 @@ impl PredictorService {
 
 impl std::fmt::Debug for PredictorService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let model = self.model.load();
+        let model = self.current();
         f.debug_struct("PredictorService")
             .field("epoch", &model.epoch)
             .field("predictor", &model.predictor)
@@ -980,6 +958,45 @@ mod tests {
         assert!(hit(&mut shard, &key(1), 3), "survivor re-tagged to epoch 3");
         assert!(matches!(shard.get(&key(2), 3), Lookup::Miss));
         assert!(matches!(shard.get(&key(3), 3), Lookup::Miss));
+    }
+
+    #[test]
+    fn publish_releases_the_displaced_model() {
+        use crate::learner::test_fixtures::two_source_task;
+        use crate::{Engine, LearnerConfig, Strategy};
+
+        let task = two_source_task();
+        let engine = Engine::prepare(task.clone(), LearnerConfig::fast()).expect("valid task");
+        let learned = engine.learn(Strategy::DLearn).expect("learn");
+        let bind = || engine.predictor(&learned).expect("bind predictor");
+        let service = PredictorService::new(bind(), ServiceConfig::default());
+        assert!(service
+            .predict_batch(&task.positives)
+            .iter()
+            .all(Result::is_ok));
+
+        // A batch in flight holds the snapshot it loaded.
+        let in_flight = service.current();
+        let epoch1 = Arc::downgrade(&in_flight);
+        assert_eq!(service.publish(bind()).expect("publish"), 2);
+        assert!(
+            epoch1.upgrade().is_some(),
+            "epoch 1 was freed under its batch"
+        );
+        drop(in_flight);
+        assert!(
+            epoch1.upgrade().is_none(),
+            "epoch 1 outlived its last batch"
+        );
+
+        // With no batch in flight, a publication frees the model it displaces.
+        let epoch2 = Arc::downgrade(&service.current());
+        assert_eq!(service.publish(bind()).expect("publish"), 3);
+        assert!(
+            epoch2.upgrade().is_none(),
+            "epoch 2 outlived its publication"
+        );
+        assert_eq!(service.epoch(), 3);
     }
 
     #[test]

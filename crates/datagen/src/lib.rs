@@ -19,6 +19,7 @@
 //! * [`violations::inject_cfd_violations`] — violation injection.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod citations;
 pub mod dataset;

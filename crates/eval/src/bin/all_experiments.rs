@@ -1,4 +1,7 @@
 //! Run every experiment (Tables 4-7, Figure 1) at the requested scale.
+
+#![forbid(unsafe_code)]
+
 fn main() {
     let scale = dlearn_eval::scale_from_args();
     println!("Running all experiments at {scale:?} scale\n");

@@ -1,4 +1,7 @@
 //! Regenerate Figure 1 of the paper (all three panels).
+
+#![forbid(unsafe_code)]
+
 fn main() {
     let scale = dlearn_eval::scale_from_args();
     let left = dlearn_eval::experiments::figure1_examples(scale);

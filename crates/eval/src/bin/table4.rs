@@ -1,4 +1,7 @@
 //! Regenerate Table 4 of the paper.
+
+#![forbid(unsafe_code)]
+
 fn main() {
     let scale = dlearn_eval::scale_from_args();
     let rows = dlearn_eval::experiments::table4(scale);

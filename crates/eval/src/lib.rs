@@ -22,6 +22,7 @@
 //! dataset sizes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cv;
 pub mod experiments;

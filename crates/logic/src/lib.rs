@@ -18,6 +18,7 @@
 //!   4.2/4.3): one search with a decision view and a witness view.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod canonical;
 pub mod clause;

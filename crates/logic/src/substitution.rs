@@ -176,19 +176,6 @@ impl FlatSubstitution {
         taken
     }
 
-    /// Try to bind `var` to `term`; fails (returns `false`) when the variable
-    /// is already bound to a different term.
-    pub fn try_bind(&mut self, var: Var, term: Term) -> bool {
-        match &mut self.slots[var.0 as usize] {
-            Some(existing) => *existing == term,
-            slot @ None => {
-                *slot = Some(term);
-                self.bound += 1;
-                true
-            }
-        }
-    }
-
     /// Apply the substitution to a term.
     pub fn apply(&self, term: &Term) -> Term {
         match term {

@@ -283,7 +283,6 @@ pub struct GroundClause {
     /// The distinct `(origin, replaced variable, replacement)` triples of
     /// `repair_facts`, sorted: what the forward repair checks look up.
     repair_index: Vec<(RepairOrigin, Term, Term)>,
-    repairs: Vec<RepairGroup>,
 }
 
 static EMPTY_IDS: [usize; 0] = [];
@@ -337,7 +336,6 @@ impl GroundClause {
             equal_pairs,
             repair_facts,
             repair_index,
-            repairs: clause.repairs.clone(),
         }
     }
 
@@ -349,11 +347,6 @@ impl GroundClause {
     /// The body literals.
     pub fn body(&self) -> &[Literal] {
         &self.body
-    }
-
-    /// The repair groups attached to the underlying clause.
-    pub fn repairs(&self) -> &[RepairGroup] {
-        &self.repairs
     }
 
     /// Number of body literals.
@@ -1112,7 +1105,7 @@ fn link(sets: &mut UnionFind, free: u32, vars: impl Iterator<Item = Var>) -> u32
 /// and its rejection ends the search.
 fn finish_mapping(ctx: &SearchCtx, state: &mut SearchState) -> bool {
     check_constraints(ctx.constraints, state, ctx.d)
-        && match_repairs(ctx.repairs, 0, ctx.d, state, ctx.config, ctx.cancel)
+        && match_repairs(ctx.repairs, 0, 0, ctx.d, state, ctx.config, ctx.cancel)
 }
 
 /// Verify (and where necessary bind) the non-relation literals of `C`.
@@ -1185,49 +1178,39 @@ fn check_pair(
 
 /// Match every repair group of `C` against the repair facts of `D`
 /// (Definition 4.4, first condition: repair literals are treated as ordinary
-/// literals under θ).
+/// literals under θ), from replacement `ri` of group `group` on: each
+/// replacement `(x, t)` of a group needs some repair fact of the group's
+/// origin. The groups and their replacements form one search, so a
+/// replacement that finds no fact backtracks into every earlier choice,
+/// those of earlier groups included: two groups may share a replacement
+/// target that only this phase binds.
 fn match_repairs(
     groups: &[&RepairGroup],
-    depth: usize,
-    d: &GroundClause,
-    state: &mut SearchState,
-    config: &SubsumptionConfig,
-    cancel: Option<&CancelToken>,
-) -> bool {
-    if depth == groups.len() {
-        return true;
-    }
-    let group = groups[depth];
-    // Match each replacement (x, t) of the group against some repair fact of
-    // D with the same origin.
-    match_group_replacements(group, 0, d, state, config, cancel)
-        && match_repairs(groups, depth + 1, d, state, config, cancel)
-}
-
-fn match_group_replacements(
-    group: &RepairGroup,
+    group: usize,
     ri: usize,
     d: &GroundClause,
     state: &mut SearchState,
     config: &SubsumptionConfig,
     cancel: Option<&CancelToken>,
 ) -> bool {
-    if ri == group.replacements.len() {
+    let Some(g) = groups.get(group) else {
         return true;
-    }
-    let (x, t) = &group.replacements[ri];
+    };
+    let Some((x, t)) = g.replacements.get(ri) else {
+        return match_repairs(groups, group + 1, 0, d, state, config, cancel);
+    };
     let x_term = Term::Var(*x);
     for (origin, dx, dt) in &d.repair_facts {
         if !state.charge(config, cancel) {
             return false;
         }
-        if *origin != group.origin {
+        if *origin != g.origin {
             continue;
         }
         let mark = state.trail.len();
         if match_term(&x_term, dx, &mut state.theta, &mut state.trail)
             && match_term(t, dt, &mut state.theta, &mut state.trail)
-            && match_group_replacements(group, ri + 1, d, state, config, cancel)
+            && match_repairs(groups, group, ri + 1, d, state, config, cancel)
         {
             return true;
         }

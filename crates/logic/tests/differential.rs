@@ -29,10 +29,11 @@
 //! relation mapping would exhaust, and that searching the independent parts
 //! of a clause one at a time settles, within the same budget, a search that
 //! interleaving the parts would exhaust. One more pins that a mapping the
-//! final phase rejects leaves none of that phase's bindings behind. The
-//! generators never emit that shape: their constraint variables all occur
-//! in the head or a relation literal, so the final phase never has to bind
-//! one.
+//! final phase rejects leaves none of that phase's bindings behind, and
+//! another that the repair phase backtracks into an earlier repair group
+//! when a later one finds no fact. The generators never emit those shapes:
+//! their constraint and repair variables all occur in the head or a
+//! relation literal, so the final phase never has to bind one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -405,5 +406,48 @@ fn rejected_final_phase_leaves_no_binding_behind() {
     assert!(oracle.enumerate(&c).is_some());
     let theta = witness(&numbered, &ground, &unbounded()).expect("y = v2 and z = v5 embed C");
     assert_eq!(theta.apply(&z), Term::var(5));
+    assert!(oracle.verify_witness(&c, &theta));
+}
+
+/// `C = t(x) ← r(x, y)` with md0 groups `(x → w)` and `(y → w)`, where only
+/// the repair phase binds `w`, against `D = t(v0) ← r(v0, v1)` with md0
+/// facts `(v0 → p)`, `(v0 → q)` and `(v1 → q)`. The first group's first
+/// fact gives `w = p`, for which `v1` has no fact; the search must go back
+/// into the first group and take `w = q`.
+#[test]
+fn repair_groups_backtrack_into_earlier_groups() {
+    let (x, y, w) = (Var(0), Var(1), Term::var(2));
+    let mut c = Clause::new(Literal::relation("t", vec![Term::Var(x)]));
+    c.push_unique(Literal::relation("r", vec![Term::Var(x), Term::Var(y)]));
+    for v in [x, y] {
+        c.push_repair(RepairGroup::new(
+            RepairOrigin::Md(0),
+            vec![],
+            vec![(v, w)],
+            vec![],
+        ));
+    }
+    let (v0, v1) = (Term::var(0), Term::var(1));
+    let (p, q) = (Term::constant("p"), Term::constant("q"));
+    let mut d = Clause::new(Literal::relation("t", vec![v0]));
+    d.push_unique(Literal::relation("r", vec![v0, v1]));
+    for (v, target) in [(Var(0), p), (Var(0), q), (Var(1), q)] {
+        d.push_repair(RepairGroup::new(
+            RepairOrigin::Md(0),
+            vec![],
+            vec![(v, target)],
+            vec![],
+        ));
+    }
+    let numbered = NumberedClause::new(&c);
+    let ground = GroundClause::new(&d);
+    assert_eq!(
+        subsumes(&numbered, &ground, &unbounded(), None),
+        Decision::Yes
+    );
+    let oracle = OracleGround::new(&d);
+    assert!(oracle.enumerate(&c).is_some());
+    let theta = witness(&numbered, &ground, &unbounded()).expect("w = q embeds C");
+    assert_eq!(theta.apply(&w), q);
     assert!(oracle.verify_witness(&c, &theta));
 }

@@ -24,6 +24,7 @@
 //! * [`DatabaseBuilder`] / [`RelationBuilder`] — fluent construction helpers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod database;

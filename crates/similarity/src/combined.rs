@@ -5,9 +5,7 @@
 //! the Length similarity functions."*
 
 use crate::length::{length_similarity, length_similarity_from_counts};
-use crate::sw_gotoh::{
-    swg_similarity_normalized_chars, swg_similarity_with, SwgParams, ABANDON_SLACK,
-};
+use crate::sw_gotoh::{swg_similarity_with, SwgParams, ABANDON_SLACK};
 use crate::sw_kernel::{aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile};
 
 /// A configurable string-similarity operator with a decision threshold.
@@ -46,16 +44,6 @@ impl SimilarityOperator {
     pub fn score(&self, a: &str, b: &str) -> f64 {
         let swg = swg_similarity_with(a, b, &self.swg);
         let len = length_similarity(a, b);
-        (swg + len) / 2.0
-    }
-
-    /// Combined score of two **already-normalized** char slices —
-    /// bit-identical to [`SimilarityOperator::score`] on the raw strings
-    /// they were normalized from. The exhaustive reference that index
-    /// construction's [`Self::score_profiles_at_least`] is checked against.
-    pub fn score_normalized_chars(&self, a: &[char], b: &[char]) -> f64 {
-        let swg = swg_similarity_normalized_chars(a, b, &self.swg);
-        let len = length_similarity_from_counts(a.len(), b.len());
         (swg + len) / 2.0
     }
 
@@ -154,10 +142,9 @@ impl SimilarityOperator {
     /// dynamic program scores it. `None` means the combined score is
     /// strictly below `required`, so hopeless candidates pay for a prefix
     /// of the dynamic program instead of all of it; a `Some` score is
-    /// bit-identical
-    /// to [`Self::score_normalized_chars`] on the same chars (the band and
-    /// the gate only ever drop pairs that provably fall short). Pass
-    /// `f64::NEG_INFINITY` to never abandon.
+    /// bit-identical to [`Self::score`] on the strings the profiles were
+    /// built from (the band and the gate only ever drop pairs that provably
+    /// fall short). Pass `f64::NEG_INFINITY` to never abandon.
     pub fn score_profiles_at_least(
         &self,
         a: &SimProfile,
@@ -434,25 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn char_path_score_matches_string_path() {
-        let op = SimilarityOperator::default();
-        for (a, b) in [
-            ("Superbad", "Superbad (2007)"),
-            ("Star Wars", "The Orphanage"),
-            ("", ""),
-            ("?!|", "x"),
-        ] {
-            let ca: Vec<char> = normalize(a).chars().collect();
-            let cb: Vec<char> = normalize(b).chars().collect();
-            assert_eq!(
-                op.score(a, b),
-                op.score_normalized_chars(&ca, &cb),
-                "({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
     fn common_bound_is_the_matches_bound_at_the_integer_point() {
         let op = SimilarityOperator::default();
         for (ll, rl, common) in [(4usize, 8usize, 3u32), (10, 10, 10), (1, 30, 0), (0, 5, 0)] {
@@ -486,7 +454,7 @@ mod tests {
             let b = s(24);
             let pa = crate::sw_kernel::SimProfile::new(&a);
             let pb = crate::sw_kernel::SimProfile::new(&b);
-            let exact = op.score_normalized_chars(&pa.chars, &pb.chars);
+            let exact = op.score(&a, &b);
             let required = rng.gen_range(0.0..1.2);
             match op.score_profiles_at_least(&pa, &pb, required) {
                 Some(v) => assert_eq!(v, exact, "({a:?}, {b:?}, required {required})"),

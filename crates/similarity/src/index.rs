@@ -32,8 +32,8 @@
 //!   displace anything and the rest of the list is abandoned.
 //! * **Bit-parallel gate + banded kernel** — candidates that survive the
 //!   bounds are scored through
-//!   [`SimilarityOperator::score_profiles_at_least`]: a Myers-style
-//!   bit-parallel pass bounds the achievable matches (order-aware, so much
+//!   [`SimilarityOperator::score_profiles_at_least`]: a bit-parallel LCS
+//!   pass (Allison-Dix) bounds the achievable matches (order-aware, so much
 //!   tighter than the histogram on anagram-ish pairs), then the exact SWG
 //!   dynamic program runs *banded*, skipping cells too far off-diagonal to
 //!   reach the requirement. Both steps are lossless: completed scores are

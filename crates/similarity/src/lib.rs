@@ -14,6 +14,7 @@
 //!   streaming column deltas, always equal to a fresh build.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod combined;
 pub mod delta;

@@ -13,10 +13,10 @@
 //!    pairs form a common subsequence, so `matches ≤ LCS_binned`, and the
 //!    lumped bins only *raise* the LCS — the sound direction. Candidates
 //!    whose resulting score bound cannot reach the running requirement are
-//!    dropped without touching the dynamic program. A Myers-style
+//!    dropped without touching the dynamic program. The tests cross-check
+//!    this bound against an independently derived one, a Myers
 //!    bit-parallel edit-distance pass over the same masks
-//!    (`matches ≤ (|a| + |b| − D) / 2`) stays as the independently-derived
-//!    cross-check the property tests compare against.
+//!    (`matches ≤ (|a| + |b| − D) / 2`).
 //! 2. **Banded exact DP** — a local alignment scoring `S` (raw) through a
 //!    cell on diagonal offset `d = j − i` matches at most
 //!    `Mcap(d) = min(|a|, |b|, |b| − d, |a| + d)` characters (the cell
@@ -46,8 +46,8 @@ use crate::sw_gotoh::{SwgParams, ABANDON_SLACK};
 use crate::tokenize::normalize;
 
 /// Longest normalized value (in chars) that gets a single-word bit-parallel
-/// mask. Longer values skip the Myers prefilter and rely on the histogram
-/// bound plus the banded DP alone.
+/// mask. Longer values skip the bit-parallel prefilter and rely on the
+/// histogram bound plus the banded DP alone.
 pub const MASK_MAX_LEN: usize = 64;
 
 /// A value's cached normalized form, computed once per value: the char
@@ -103,38 +103,6 @@ fn build_masks(chars: &[char]) -> Option<Box<[u64; HIST_BINS]>> {
     Some(masks)
 }
 
-/// Myers (1999) bit-parallel unit-cost edit distance between the masked
-/// pattern and `text`, over the lumped bin alphabet. `pattern_len` must be
-/// in `1..=64` (enforced by [`build_masks`]).
-fn myers_distance(masks: &[u64; HIST_BINS], pattern_len: usize, text: &[char]) -> u32 {
-    debug_assert!((1..=64).contains(&pattern_len));
-    let mut pv: u64 = if pattern_len == 64 {
-        u64::MAX
-    } else {
-        (1u64 << pattern_len) - 1
-    };
-    let mut mv: u64 = 0;
-    let mut dist = pattern_len as u32;
-    let high = 1u64 << (pattern_len - 1);
-    for &c in text {
-        let eq = masks[char_bin(c)];
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
-        if ph & high != 0 {
-            dist += 1;
-        } else if mh & high != 0 {
-            dist -= 1;
-        }
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-    }
-    dist
-}
-
 /// Allison-Dix (1986) bit-parallel LCS length between the masked pattern
 /// and `text`, over the lumped bin alphabet. Bit `j` of `v` records a
 /// column where row `i` of the LCS table increments, so `popcount(v)` after
@@ -161,25 +129,12 @@ fn lcs_length(masks: &[u64; HIST_BINS], text: &[char]) -> u32 {
 /// bin-level equality, so the matched pairs form a common subsequence of
 /// the binned strings — `matches ≤ LCS_binned`. Lumping bins can only grow
 /// the LCS, i.e. only loosen the bound. This is always at least as tight
-/// as the Myers edit-distance bound `(|a| + |b| − D) / 2` (pinned by a test
-/// below), which is why the gate runs the LCS recurrence; `myers_distance`
-/// stays as the independently-derived cross-check.
+/// as the Myers edit-distance bound `(|a| + |b| − D) / 2`, which the tests
+/// below derive independently and compare against.
 pub fn aligned_match_upper_bound(a: &SimProfile, b: &SimProfile) -> Option<f64> {
     let (pattern, text) = if a.masks.is_some() { (a, b) } else { (b, a) };
     let masks = pattern.masks.as_deref()?;
     Some(lcs_length(masks, &text.chars) as f64)
-}
-
-/// The Myers edit-distance form of the match bound,
-/// `(|a| + |b| − D) / 2` — never tighter than
-/// [`aligned_match_upper_bound`] but derived through an independent
-/// recurrence, which is exactly what makes it a useful cross-check (the
-/// property tests assert `LCS bound ≤ Myers bound` on random inputs).
-pub fn myers_match_upper_bound(a: &SimProfile, b: &SimProfile) -> Option<f64> {
-    let (pattern, text) = if a.masks.is_some() { (a, b) } else { (b, a) };
-    let masks = pattern.masks.as_deref()?;
-    let d = myers_distance(masks, pattern.len(), &text.chars);
-    Some(((pattern.len() + text.len()) as f64 - d as f64) / 2.0)
 }
 
 /// Raw best local score over the banded dynamic program, abandoning when it
@@ -443,6 +398,49 @@ mod tests {
         (0..len)
             .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
             .collect()
+    }
+
+    /// Myers (1999) bit-parallel unit-cost edit distance between the masked
+    /// pattern and `text`, over the lumped bin alphabet. `pattern_len` must be
+    /// in `1..=64` (enforced by `build_masks`).
+    fn myers_distance(masks: &[u64; HIST_BINS], pattern_len: usize, text: &[char]) -> u32 {
+        debug_assert!((1..=64).contains(&pattern_len));
+        let mut pv: u64 = if pattern_len == 64 {
+            u64::MAX
+        } else {
+            (1u64 << pattern_len) - 1
+        };
+        let mut mv: u64 = 0;
+        let mut dist = pattern_len as u32;
+        let high = 1u64 << (pattern_len - 1);
+        for &c in text {
+            let eq = masks[char_bin(c)];
+            let xv = eq | mv;
+            let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
+            let ph = mv | !(xh | pv);
+            let mh = pv & xh;
+            if ph & high != 0 {
+                dist += 1;
+            } else if mh & high != 0 {
+                dist -= 1;
+            }
+            let ph = (ph << 1) | 1;
+            let mh = mh << 1;
+            pv = mh | !(xv | ph);
+            mv = ph & xv;
+        }
+        dist
+    }
+
+    /// The Myers edit-distance form of the match bound,
+    /// `(|a| + |b| − D) / 2` — never tighter than
+    /// [`aligned_match_upper_bound`] but derived through an independent
+    /// recurrence, which is exactly what makes it a useful cross-check.
+    fn myers_match_upper_bound(a: &SimProfile, b: &SimProfile) -> Option<f64> {
+        let (pattern, text) = if a.masks.is_some() { (a, b) } else { (b, a) };
+        let masks = pattern.masks.as_deref()?;
+        let d = myers_distance(masks, pattern.len(), &text.chars);
+        Some(((pattern.len() + text.len()) as f64 - d as f64) / 2.0)
     }
 
     #[test]

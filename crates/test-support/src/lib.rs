@@ -37,6 +37,7 @@
 //! frees the production matcher to re-order literals adaptively.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod delta;
 pub mod expand_reference;

@@ -12,6 +12,13 @@
 //! it can stand next to the enumeration oracle ([`crate::OracleGround`]) as
 //! a structurally different second reference — the exact-search-order
 //! parity the old decision-parity tests pinned is retired.
+//!
+//! Its repair phase stays greedy across groups: each group keeps the first
+//! facts that match it, and a later group that finds none does not send the
+//! search back into an earlier one. The production matcher does go back.
+//! The two differ only when groups share a replacement target that no
+//! relation literal binds, and the generators never emit such a target, so
+//! on their cases the decisions agree.
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -53,6 +53,8 @@
 //! # Ok::<(), dlearn::core::DlearnError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dlearn_constraints as constraints;
 pub use dlearn_core as core;
 pub use dlearn_datagen as datagen;

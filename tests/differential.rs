@@ -15,11 +15,11 @@
 use rand::SeedableRng;
 
 use dlearn::core::{
-    BottomClauseBuilder, CoverageEngine, CoverageOutcome, Engine, GroundExample, LearnerConfig,
-    PreparedClause, Semantics, Strategy,
+    BottomClauseBuilder, CoverageOutcome, Engine, GroundExample, LearnerConfig, PreparedClause,
+    Semantics, Strategy,
 };
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
-use dlearn::logic::{witness, Clause, GroundClause, SubsumptionConfig};
+use dlearn::logic::{repaired_clauses, witness, Clause, SubsumptionConfig};
 use dlearn_constraints::MdCatalog;
 use dlearn_similarity::{IndexConfig, SimilarityOperator};
 use dlearn_test_support::{string_reference, OracleGround, StringGround};
@@ -101,7 +101,6 @@ fn movie_task_coverage_decisions_match_string_reference() {
         &index_config,
     );
     let builder = BottomClauseBuilder::new(task, &catalog, &config);
-    let engine = CoverageEngine::build(task, &builder, &config);
 
     let mut candidates: Vec<PreparedClause> = model
         .clauses()
@@ -115,22 +114,23 @@ fn movie_task_coverage_decisions_match_string_reference() {
     }
     assert!(!candidates.is_empty(), "no candidate clauses to compare");
 
-    // Ground sides: rebuild the raw clauses the engine indexed, so the
-    // reference sees the identical inputs.
+    // Ground sides: build each example's bottom clause once, index it for
+    // the engine and hand the raw clause and its repaired clauses to the
+    // reference, so both see the identical inputs.
     let sub = SubsumptionConfig {
         max_steps: usize::MAX,
     };
     let mut compared = 0usize;
     let mut covered = 0usize;
     let mut verified_witnesses = 0usize;
-    for (examples, positive_semantics) in [(engine.positives(), true), (engine.negatives(), false)]
-    {
-        for ge in examples {
-            let ground_clause = clause_of(&ge.ground);
-            let repaired_clauses: Vec<Clause> = ge.repaired.iter().map(clause_of).collect();
+    for (examples, positive_semantics) in [(&task.positives, true), (&task.negatives, false)] {
+        for example in examples {
+            let ground_clause = builder.build(example, &mut rng);
+            let ge = GroundExample::from_clause(example.clone(), &ground_clause, &config);
+            let repaired_clauses = repaired_clauses(&ground_clause, config.expand_limits());
             let oracle = OracleGround::new(&ground_clause);
             for prepared in &candidates {
-                let new_decision = interned_covers(prepared, ge, positive_semantics, &sub);
+                let new_decision = interned_covers(prepared, &ge, positive_semantics, &sub);
                 let old_decision = reference_covers(
                     prepared,
                     &ground_clause,
@@ -169,14 +169,4 @@ fn movie_task_coverage_decisions_match_string_reference() {
         verified_witnesses > 0,
         "θ-verification is vacuous: no direct witness was ever produced"
     );
-}
-
-/// Reconstruct the plain clause a `GroundClause` indexed (its public
-/// accessors expose head, body and repair groups).
-fn clause_of(g: &GroundClause) -> Clause {
-    let mut c = Clause::with_body(g.head().clone(), g.body().to_vec());
-    for r in g.repairs() {
-        c.push_repair(r.clone());
-    }
-    c
 }
