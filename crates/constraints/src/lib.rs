@@ -15,9 +15,9 @@
 //! ([`consistency::find_inconsistencies`]), violation detection, the
 //! *minimal repair* of a database ([`repair::minimal_cfd_repair`], used by
 //! the DLearn-Repaired baseline), the best-match value unification used by
-//! the Castor-Clean baseline ([`repair::enforce_md_best_match`]), and the
-//! per-MD precomputed similarity catalogs ([`MdCatalog`]) consumed by
-//! bottom-clause construction.
+//! the Castor-Clean baseline ([`repair::enforce_md_best_match_with_index`]),
+//! and the per-MD precomputed similarity catalogs ([`MdCatalog`]) consumed
+//! by bottom-clause construction.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,8 +33,7 @@ pub use consistency::{find_inconsistencies, is_consistent, Inconsistency};
 pub use md::{MatchingDependency, SimilarityPair};
 pub use md_index::{sym_column, MdCatalog, MdIndex};
 pub use repair::{
-    all_cfds_satisfied, enforce_md_best_match, enforce_md_best_match_with_index,
-    minimal_cfd_repair, RepairStats,
+    all_cfds_satisfied, enforce_md_best_match_with_index, minimal_cfd_repair, RepairStats,
 };
 
 #[cfg(test)]

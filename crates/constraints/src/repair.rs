@@ -9,19 +9,17 @@
 //!   most frequent value in the group), iterated to a fixpoint across CFDs.
 //!   This commits to one repair and therefore loses the alternative repairs
 //!   that DLearn itself keeps.
-//! * [`enforce_md_best_match`] — the value unification performed by the
-//!   Castor-Clean baseline: every value of the right-hand identified
-//!   attribute of an MD is replaced by its single most similar left-hand
-//!   value, producing a database where the heterogeneity has been resolved
-//!   by a hard (and possibly wrong) choice.
+//! * [`enforce_md_best_match_with_index`] — the value unification performed
+//!   by the Castor-Clean baseline: every value of the right-hand identified
+//!   attribute of an MD is replaced by its most similar left-hand value in
+//!   the MD's prebuilt index, producing a database where the heterogeneity
+//!   has been resolved by a hard (and possibly wrong) choice.
 
 use std::collections::HashMap;
 
 use dlearn_relstore::{Database, RelId, Sym, Value};
-use dlearn_similarity::{IndexConfig, SimilarityIndex};
 
 use crate::cfd::{Cfd, PatternValue};
-use crate::md::MatchingDependency;
 
 /// Statistics about a repair pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -192,83 +190,19 @@ pub fn all_cfds_satisfied(database: &Database, cfds: &[Cfd]) -> bool {
     })
 }
 
-/// Replace every value of the MD's right-hand identified attribute by its
-/// most similar value from the left-hand side (Castor-Clean's preprocessing).
+/// Castor-Clean's preprocessing over a prebuilt MD index: every value of
+/// the MD's right-hand identified attribute is replaced by its best match
+/// recorded in the index (the first entry of its right-to-left match list).
+/// Prepared sessions build the index once at `Engine::prepare` time, so the
+/// rewrite runs no alignment of its own.
+///
+/// The match is the best *stored* pair: the index's right-to-left lists are
+/// derived from the pairs that survived each *left* value's top-k
+/// truncation, so a right value whose true best left match was truncated
+/// out unifies with its best stored partner (or stays unchanged when no pair
+/// survived).
 ///
 /// Returns the rewritten database and the number of replaced values.
-pub fn enforce_md_best_match(
-    database: &Database,
-    md: &MatchingDependency,
-    index_config: &IndexConfig,
-) -> (Database, usize) {
-    let mut db = database.clone();
-    let Some(left_rel) = database.relation(md.left_relation) else {
-        return (db, 0);
-    };
-    let Some(right_rel) = database.relation(md.right_relation) else {
-        return (db, 0);
-    };
-    let Some(left_idx) = left_rel.schema().attribute_pos(md.identify_left) else {
-        return (db, 0);
-    };
-    let Some(right_idx) = right_rel.schema().attribute_pos(md.identify_right) else {
-        return (db, 0);
-    };
-
-    let left_values: Vec<Sym> = left_rel
-        .distinct_values(left_idx)
-        .into_iter()
-        .filter_map(Value::as_sym)
-        .collect();
-    let right_values: Vec<Sym> = right_rel
-        .distinct_values(right_idx)
-        .into_iter()
-        .filter_map(Value::as_sym)
-        .collect();
-
-    // Best (single) match per right value against the left column.
-    let index = SimilarityIndex::build(&right_values, &left_values, index_config);
-
-    let mut replacements = 0usize;
-    let updates: Vec<(usize, Value)> = {
-        let right_rel = db.relation(md.right_relation).expect("relation exists");
-        right_rel
-            .iter()
-            .filter_map(|(id, tuple)| {
-                let current = tuple.value(right_idx)?.as_sym()?;
-                let best = index.best_match_left(current)?;
-                if best.value != current {
-                    Some((id, Value::Str(best.value)))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    };
-    let right_mut = db.relation_mut(md.right_relation).expect("relation exists");
-    for (id, value) in updates {
-        right_mut
-            .update_value(id, right_idx, value)
-            .expect("validated update");
-        replacements += 1;
-    }
-    (db, replacements)
-}
-
-/// [`enforce_md_best_match`] driven by a *prebuilt* MD index instead of a
-/// fresh per-call similarity build: every value of the MD's right-hand
-/// identified attribute is replaced by its best match recorded in the index
-/// (the first entry of its right-to-left match list). Prepared sessions use
-/// this so Castor-Clean preprocessing reuses the index built once at
-/// `Engine::prepare` time.
-///
-/// Not pair-for-pair identical to [`enforce_md_best_match`]: the prebuilt
-/// index's right-to-left lists are derived from the pairs that survived
-/// each *left* value's top-k truncation, so a right value whose true best
-/// left match was truncated out unifies with its best *stored* partner
-/// (or stays unchanged when no pair survived). The dedicated build in
-/// [`enforce_md_best_match`] probes from the right side and always finds
-/// the true best left match.
 pub fn enforce_md_best_match_with_index(
     database: &Database,
     md_index: &crate::md_index::MdIndex,
@@ -306,7 +240,10 @@ pub fn enforce_md_best_match_with_index(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::md::MatchingDependency;
+    use crate::md_index::MdIndex;
     use dlearn_relstore::{DatabaseBuilder, RelationBuilder};
+    use dlearn_similarity::IndexConfig;
 
     fn dirty_locale_db() -> Database {
         DatabaseBuilder::new()
@@ -428,7 +365,8 @@ mod tests {
             top_k: 1,
             ..IndexConfig::default()
         };
-        let (clean, replaced) = enforce_md_best_match(&db, &md, &config);
+        let index = MdIndex::build(0, &md, &db, &config);
+        let (clean, replaced) = enforce_md_best_match_with_index(&db, &index);
         assert_eq!(replaced, 2);
         let rel = clean.relation("highBudgetMovies").unwrap();
         assert_eq!(

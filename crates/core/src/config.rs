@@ -43,10 +43,11 @@ pub struct LearnerConfig {
     pub use_cfd_repairs: bool,
     /// Number of worker threads for coverage testing (0 = available cores).
     pub coverage_threads: usize,
-    /// Number of worker threads for scoring generalization candidates in the
-    /// covering loop (0 = available cores). The parallel reduction is
-    /// deterministic — best score, ties broken by sample order — so any
-    /// thread count learns the identical definition.
+    /// Number of worker threads for scoring a learner's candidates: DLearn's
+    /// generalizations, FOIL's literals and TILDE's tests (0 = available
+    /// cores). The parallel reduction is deterministic — best score, ties
+    /// broken by candidate order — so any thread count learns the identical
+    /// definition.
     pub generalization_threads: usize,
     /// Number of worker threads for similarity-index construction, passed
     /// through verbatim to `IndexConfig::threads`, which owns the
@@ -144,12 +145,12 @@ impl LearnerConfig {
 
     /// Number of coverage worker threads to actually use.
     pub fn effective_threads(&self) -> usize {
-        Self::resolve_threads(self.coverage_threads)
+        dlearn_similarity::resolve_threads(self.coverage_threads)
     }
 
     /// Number of generalization-scoring worker threads to actually use.
     pub fn effective_generalization_threads(&self) -> usize {
-        Self::resolve_threads(self.generalization_threads)
+        dlearn_similarity::resolve_threads(self.generalization_threads)
     }
 
     /// Set the similarity-index construction thread count (builder style).
@@ -169,13 +170,14 @@ impl LearnerConfig {
     /// and out-of-range thresholds are rejected up front.
     pub fn validate(&self) -> Result<(), crate::error::DlearnError> {
         use crate::error::DlearnError;
-        let nonzero: [(&'static str, usize); 6] = [
+        let nonzero: [(&'static str, usize); 7] = [
             ("iterations", self.iterations),
             ("sample_size", self.sample_size),
             ("max_clauses", self.max_clauses),
             ("max_repaired_clauses", self.max_repaired_clauses),
             ("binding_cap", self.binding_cap),
             ("sample_positives", self.sample_positives),
+            ("subsumption.max_steps", self.subsumption.max_steps),
         ];
         for (field, value) in nonzero {
             if value == 0 {
@@ -216,20 +218,6 @@ impl LearnerConfig {
             });
         }
         Ok(())
-    }
-
-    fn resolve_threads(requested: usize) -> usize {
-        if requested > 0 {
-            requested
-        } else {
-            // The auto-detect cap is owned by the similarity crate and
-            // shared with `IndexConfig::effective_threads`, so "0 threads"
-            // means the same thing on every knob of the stack.
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(dlearn_similarity::MAX_AUTO_THREADS)
-        }
     }
 }
 

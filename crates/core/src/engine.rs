@@ -211,7 +211,7 @@ impl Engine {
     /// prepared artifacts. Strategy preprocessing runs at most once per
     /// strategy per engine; the similarity index is shared or derived
     /// (never re-aligned) wherever the strategy's semantics allow. The
-    /// refinement search itself — any of the `learn` subsystem's refiners —
+    /// refinement search itself — any of the `learn` subsystem's learners —
     /// is a quarantined site: a worker panic inside it surfaces as
     /// [`DlearnError::WorkerPanicked`], not a process abort.
     pub fn learn(&self, strategy: Strategy) -> Result<Learned, DlearnError> {

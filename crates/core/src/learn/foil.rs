@@ -1,8 +1,8 @@
 //! FOIL-style top-down refinement over the shared prepared state
 //! ([`crate::Strategy::Foil`]).
 //!
-//! Where the covering loop searches bottom-up (start maximally specific,
-//! *drop* literals), FOIL searches top-down: start from the bare head —
+//! Where DLearn searches bottom-up (start maximally specific, *drop*
+//! literals), FOIL searches top-down: start from the bare head —
 //! which covers everything — and repeatedly *add* the body literal of the
 //! seed's bottom clause with the highest information gain
 //!
@@ -19,23 +19,21 @@
 //! clause, which bounds the search to literals that can actually reach the
 //! example (the classic FOIL-over-bottom-clause restriction).
 //!
+//! FOIL keeps the classic outer covering loop, the one the paper's
+//! strategies share ([`super::cover`]); only the clause search differs.
+//!
 //! Determinism: candidates are scored through the order-preserving
-//! [`crate::par::chunked_map`] fan-out (masks computed serially inside the
-//! fan-out so thread counts do not multiply), gain is a pure function of
-//! coverage counts, and ties break on the earliest bottom-clause body
-//! position — bit-identical definitions at any thread count.
+//! [`super::score_each`] fan-out, gain is a pure function of coverage
+//! counts, and ties break on the earliest bottom-clause body position —
+//! bit-identical definitions at any thread count.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dlearn_logic::Clause;
 
-use dlearn_logic::{Clause, Definition};
-
-use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
 use crate::coverage::{CoverageEngine, PreparedClause};
-use crate::engine::{ClauseStats, StrategyPlan};
+use crate::engine::StrategyPlan;
 
-use super::{accept_clause, mask_threads, subclause, Refined, Refiner};
+use super::{cover, score_each, subclause, Refined};
 
 /// Minimum gain a literal must contribute to be added: guards against
 /// floating-point noise keeping the loop alive on literals that change
@@ -47,83 +45,27 @@ const GAIN_EPSILON: f64 = 1e-9;
 /// bottom clauses from building very long (and very slow to test) clauses.
 const MAX_LITERALS: usize = 12;
 
-/// Top-down gain-driven clause search (outer loop: classic covering).
-pub(crate) struct FoilRefiner;
-
-impl Refiner for FoilRefiner {
-    fn refine(&self, plan: &StrategyPlan) -> Refined {
-        let task = &plan.task;
-        let config = &plan.config;
-        let engine = &plan.coverage;
-        let builder = BottomClauseBuilder::new(task, &plan.catalog, config);
-        let mut bottom_clauses_built = task.positives.len() + task.negatives.len();
-
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut uncovered: Vec<usize> = (0..task.positives.len()).collect();
-        let mut definition = Definition::new();
-        let mut stats: Vec<ClauseStats> = Vec::new();
-
-        while !uncovered.is_empty() && definition.len() < config.max_clauses {
-            let seed_example = uncovered[0];
-            let bottom = builder.build(&task.positives[seed_example], &mut rng);
-            bottom_clauses_built += 1;
-            if bottom.body.is_empty() {
-                uncovered.remove(0);
-                continue;
-            }
-
-            let grown = specialize(&bottom, engine, config, &uncovered);
-            if accept_clause(
-                &grown.clause,
-                grown.positives_covered,
-                grown.negatives_covered,
-                config.min_positive_coverage,
-                uncovered.len(),
-            ) {
-                uncovered.retain(|&i| !grown.positive_mask[i]);
-                if uncovered.first() == Some(&seed_example) {
-                    // Defensive: never loop forever on an uncoverable seed.
-                    uncovered.remove(0);
-                }
-                definition.push(grown.clause);
-                stats.push(ClauseStats {
-                    positives_covered: grown.positives_covered,
-                    negatives_covered: grown.negatives_covered,
-                });
-            } else {
-                uncovered.remove(0);
-            }
-        }
-
-        Refined {
-            definition,
-            stats,
-            bottom_clauses_built,
-        }
-    }
+/// Top-down gain-driven clause search inside the covering loop.
+pub(crate) fn learn(plan: &StrategyPlan) -> Refined {
+    cover(plan, |bottom, uncovered, _rng| {
+        specialize(&bottom, &plan.coverage, &plan.config, uncovered)
+    })
 }
 
 /// One scored extension candidate: `(gain, bottom-body index, clause,
 /// positive mask, negative mask)`.
 type Scored = (f64, usize, Clause, Vec<bool>, Vec<bool>);
 
-/// A specialized clause with its final training coverage.
-struct Specialized {
-    clause: Clause,
-    positive_mask: Vec<bool>,
-    positives_covered: usize,
-    negatives_covered: usize,
-}
-
 /// Grow one clause: start from the bare head and add the highest-gain
 /// bottom-clause literal until the clause is consistent (covers no
 /// negatives), no literal has positive gain, or the length cap binds.
+/// Returns the clause with its positive and negative coverage masks.
 fn specialize(
     bottom: &Clause,
     engine: &CoverageEngine,
     config: &LearnerConfig,
     uncovered: &[usize],
-) -> Specialized {
+) -> (Clause, Vec<bool>, Vec<bool>) {
     let body_len = bottom.body.len();
     let mut selected = vec![false; body_len];
     let mut current = subclause(bottom, &selected);
@@ -142,12 +84,8 @@ fn specialize(
             break;
         }
 
-        // Score every candidate literal: the same parallel fan-out (and the
-        // same serial-inside-fan-out masking) as generalization scoring.
-        let threads = config.effective_generalization_threads();
-        let inner = mask_threads(config, threads, candidates.len());
         let current_len = current.body.len();
-        let scored = crate::par::chunked_map(&candidates, threads, 2, |_, &index| {
+        let scored = score_each(config, &candidates, |&index, mask_threads| {
             let mut keep = selected.clone();
             keep[index] = true;
             let candidate = subclause(bottom, &keep);
@@ -157,7 +95,7 @@ fn specialize(
                 return None;
             }
             let prepared = PreparedClause::prepare(candidate.clone(), config);
-            let (pos, neg) = engine.masks(&prepared, inner);
+            let (pos, neg) = engine.masks(&prepared, mask_threads);
             let p1 = uncovered.iter().filter(|&&i| pos[i]).count();
             if p1 == 0 {
                 return None;
@@ -185,12 +123,7 @@ fn specialize(
         }
     }
 
-    Specialized {
-        clause: current,
-        positives_covered: positive_mask.iter().filter(|&&b| b).count(),
-        negatives_covered: negative_mask.iter().filter(|&&b| b).count(),
-        positive_mask,
-    }
+    (current, positive_mask, negative_mask)
 }
 
 /// `log2(p / (p + n))` — the information carried by a positive verdict at a

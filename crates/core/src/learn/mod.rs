@@ -1,28 +1,32 @@
-//! The learner subsystem: strategy *refiners* over prepared
+//! The learner subsystem: hypothesis searches over prepared
 //! [`StrategyPlan`] state.
 //!
 //! [`crate::Engine::prepare`] front-loads everything expensive — the MD
 //! similarity catalog and the ground bottom clauses of the training
-//! examples — into a [`StrategyPlan`]. A [`Refiner`] is a hypothesis-search
-//! procedure over that shared state: it consumes the plan's
+//! examples — into a [`StrategyPlan`]. Each learner searches over that
+//! shared state: it scores candidates against the plan's
 //! [`crate::CoverageEngine`] (the single coverage semantics of Definitions
 //! 3.4/3.6, repairs included) and produces a Horn [`Definition`] plus
-//! per-clause statistics. Three refiners ship:
+//! per-clause statistics. [`refine`] runs the one a strategy selects:
 //!
-//! * [`covering::CoveringRefiner`] — the paper's bottom-up covering loop
-//!   (Algorithm 1): build a seed bottom clause, generalize it toward sampled
-//!   positives, accept, repeat. Runs for the five paper strategies.
-//! * [`foil::FoilRefiner`] — top-down FOIL-style search
+//! * [`covering::learn`] — the paper's bottom-up search: generalize the seed
+//!   bottom clause toward sampled positives. Runs for the five paper
+//!   strategies.
+//! * [`foil::learn`] — top-down FOIL-style search
 //!   ([`crate::Strategy::Foil`]): specialize from the head by *adding*
 //!   bottom-clause literals chosen by information gain over coverage counts.
-//! * [`tilde::TildeRefiner`] — a TILDE-style first-order decision tree
+//! * [`tilde::learn`] — a TILDE-style first-order decision tree
 //!   ([`crate::Strategy::Tilde`]): internal nodes are conjunctive tests
 //!   drawn from the bottom clauses, split by gain ratio; positive leaves
 //!   become the clauses of the learned definition.
 //!
-//! Every refiner is deterministic at any thread count: parallel fan-outs go
-//! through the order-preserving [`crate::par::chunked_map`], scores are pure
-//! functions of coverage counts, and ties break on the earliest candidate in
+//! The two clausal learners share one covering loop, [`cover`] (Algorithm
+//! 1), and differ only in how they turn a seed's bottom clause into a clause.
+//! All three score their candidates through one fan-out, [`score_each`].
+//!
+//! Every learner is deterministic at any thread count: the fan-out is the
+//! order-preserving [`crate::par::chunked_map`], scores are pure functions
+//! of coverage counts, and ties break on the earliest candidate in
 //! construction order.
 
 pub(crate) mod covering;
@@ -31,68 +35,124 @@ pub(crate) mod tilde;
 
 use std::collections::{BTreeSet, VecDeque};
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use dlearn_logic::{Clause, Definition, Term, Var};
 
+use crate::bottom::BottomClauseBuilder;
 use crate::config::LearnerConfig;
+use crate::coverage::CoverageCounts;
 use crate::engine::{ClauseStats, StrategyPlan};
 use crate::learner::Strategy;
 
-/// The outcome of one refinement run over a strategy plan.
+/// The outcome of one learner run over a strategy plan.
 pub(crate) struct Refined {
     /// The learned Horn definition.
     pub(crate) definition: Definition,
     /// Per-clause training coverage, index-aligned with the definition.
     pub(crate) stats: Vec<ClauseStats>,
     /// Bottom clauses grounded for the run (counting the plan's prepared
-    /// ground examples, which every refiner reuses).
+    /// ground examples, which every learner reuses).
     pub(crate) bottom_clauses_built: usize,
 }
 
-/// A hypothesis-search procedure over a prepared strategy plan.
-pub(crate) trait Refiner {
-    /// Search the plan's hypothesis space and return a definition.
-    fn refine(&self, plan: &StrategyPlan) -> Refined;
-}
-
-/// Run the refiner a strategy selects against its plan. The fault checkpoint
-/// makes the whole search a quarantinable site: an injected (or real) panic
-/// inside any refiner surfaces from [`crate::Engine::learn`] as a typed
-/// [`crate::DlearnError::WorkerPanicked`], never a process abort.
+/// Run the learner a strategy selects against its plan. The fault
+/// checkpoint makes the whole search a quarantinable site: an injected (or
+/// real) panic inside any learner surfaces from [`crate::Engine::learn`] as
+/// a typed [`crate::DlearnError::WorkerPanicked`], never a process abort.
 pub(crate) fn refine(strategy: Strategy, plan: &StrategyPlan) -> Refined {
     let _ = crate::fault::checkpoint(crate::fault::Site::Learn, strategy.name());
     match strategy {
-        Strategy::Foil => foil::FoilRefiner.refine(plan),
-        Strategy::Tilde => tilde::TildeRefiner.refine(plan),
-        _ => covering::CoveringRefiner.refine(plan),
+        Strategy::Foil => foil::learn(plan),
+        Strategy::Tilde => tilde::learn(plan),
+        _ => covering::learn(plan),
     }
 }
 
-/// Coverage threads for the masks scored inside a fan-out of `items`
-/// candidates over `threads` workers: one when the fan-out runs in parallel,
-/// so the per-mask threads do not multiply underneath it (cores², with both
-/// knobs defaulting to available cores), else the session's coverage
-/// threads. Masks are identical at any thread count.
-pub(crate) fn mask_threads(config: &LearnerConfig, threads: usize, items: usize) -> usize {
-    if threads > 1 && items >= 2 {
+/// The covering loop (Algorithm 1) of the clausal learners. While positives
+/// stay uncovered and the clause budget lasts: take the first uncovered
+/// positive as the seed, build its bottom clause on the loop's RNG, and let
+/// `learn_clause(bottom, uncovered, rng)` turn it into a candidate clause
+/// with its coverage masks over the training positives and negatives
+/// (`uncovered[0]` is the seed). The clause is kept when it has a body,
+/// covers at least `min_positive_coverage` positives (capped by the
+/// uncovered count) and covers more positives than negatives; the positives
+/// it covers are then done. A seed whose bottom clause is empty, whose
+/// clause is rejected, or whose accepted clause misses it is dropped, so the
+/// loop always ends.
+pub(crate) fn cover<F>(plan: &StrategyPlan, mut learn_clause: F) -> Refined
+where
+    F: FnMut(Clause, &[usize], &mut StdRng) -> (Clause, Vec<bool>, Vec<bool>),
+{
+    let task = &plan.task;
+    let config = &plan.config;
+    let builder = BottomClauseBuilder::new(task, &plan.catalog, config);
+    let mut bottom_clauses_built = task.positives.len() + task.negatives.len();
+
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut uncovered: Vec<usize> = (0..task.positives.len()).collect();
+    let mut definition = Definition::new();
+    let mut stats: Vec<ClauseStats> = Vec::new();
+
+    while !uncovered.is_empty() && definition.len() < config.max_clauses {
+        let seed = uncovered[0];
+        let bottom = builder.build(&task.positives[seed], &mut rng);
+        bottom_clauses_built += 1;
+        if bottom.body.is_empty() {
+            uncovered.remove(0);
+            continue;
+        }
+        let (clause, positive_mask, negative_mask) = learn_clause(bottom, &uncovered, &mut rng);
+        let counts = CoverageCounts::of(&positive_mask, &negative_mask);
+        if clause.body.is_empty()
+            || counts.positives < config.min_positive_coverage.min(uncovered.len())
+            || counts.positives <= counts.negatives
+        {
+            uncovered.remove(0);
+            continue;
+        }
+        uncovered.retain(|&i| !positive_mask[i]);
+        if uncovered.first() == Some(&seed) {
+            // Defensive: never loop forever on a seed its own clause misses.
+            uncovered.remove(0);
+        }
+        definition.push(clause);
+        stats.push(ClauseStats {
+            positives_covered: counts.positives,
+            negatives_covered: counts.negatives,
+        });
+    }
+
+    Refined {
+        definition,
+        stats,
+        bottom_clauses_built,
+    }
+}
+
+/// Score `candidates` in order on the generalization threads. `score`
+/// receives each candidate and the coverage threads its masks may use: one
+/// when the fan-out runs in parallel, so thread counts do not multiply
+/// underneath it (cores², with both knobs defaulting to available cores),
+/// else the session's coverage threads. The result is index-aligned with
+/// `candidates` and, since masks are identical at any thread count, the same
+/// at any thread count.
+pub(crate) fn score_each<T, R, F>(config: &LearnerConfig, candidates: &[T], score: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T, usize) -> R + Sync,
+{
+    let threads = config.effective_generalization_threads();
+    let mask_threads = if threads > 1 && candidates.len() >= 2 {
         1
     } else {
         config.effective_threads()
-    }
-}
-
-/// The covering-style acceptance criterion shared by the clausal refiners: a
-/// clause is kept when it has a non-trivial body, covers enough of the still
-/// uncovered positives, and covers more positives than negatives.
-pub(crate) fn accept_clause(
-    clause: &Clause,
-    positives_covered: usize,
-    negatives_covered: usize,
-    min_positive_coverage: usize,
-    uncovered: usize,
-) -> bool {
-    !clause.body.is_empty()
-        && positives_covered >= min_positive_coverage.min(uncovered)
-        && positives_covered > negatives_covered
+    };
+    crate::par::chunked_map(candidates, threads, 2, |_, candidate| {
+        score(candidate, mask_threads)
+    })
 }
 
 /// Restrict a bottom clause to the selected body literals (by body index),
@@ -233,6 +293,7 @@ pub(crate) fn entropy(p: usize, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learner::test_fixtures::two_source_task;
     use dlearn_logic::Literal;
 
     fn bottom() -> Clause {
@@ -301,6 +362,31 @@ mod tests {
         // only if literally identical after renaming — they are not).
         assert_eq!(joined.head, t.head);
         assert_eq!(joined.body.len(), 4, "{joined}");
+    }
+
+    #[test]
+    fn cover_drops_a_seed_its_accepted_clause_does_not_cover() {
+        // The stub's clause covers positives 1 and 2 but not its seed 0. It
+        // is kept, and the seed is dropped rather than seeding it again.
+        let engine =
+            crate::Engine::prepare(two_source_task(), LearnerConfig::fast()).expect("valid task");
+        let plan = engine.plan(Strategy::DLearn).expect("base plan");
+        let negatives = plan.task.negatives.len();
+        let mut calls = 0;
+        let refined = cover(&plan, |bottom, uncovered, _rng| {
+            calls += 1;
+            assert_eq!(uncovered, [0, 1, 2]);
+            (bottom, vec![false, true, true], vec![false; negatives])
+        });
+        assert_eq!(calls, 1);
+        assert_eq!(refined.definition.len(), 1);
+        assert_eq!(
+            refined.stats,
+            [ClauseStats {
+                positives_covered: 2,
+                negatives_covered: 0,
+            }]
+        );
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! only while it separates training positives from negatives — the same
 //! guard the covering loop applies.
 //!
-//! Tree building itself evaluates tests through per-test coverage masks
-//! computed once up front (fanned out through the order-preserving
-//! [`crate::par::chunked_map`], masks serial inside the fan-out); node
+//! TILDE has no covering loop: one tree covers every positive. Tree
+//! building evaluates tests through per-test coverage masks computed once up
+//! front (through the order-preserving [`super::score_each`] fan-out); node
 //! splits are then pure bit-mask counting. Ties break on the earliest test
 //! in extraction order, so trees — and the definitions read off them — are
 //! bit-identical at any thread count.
@@ -37,7 +37,7 @@ use crate::bottom::BottomClauseBuilder;
 use crate::coverage::PreparedClause;
 use crate::engine::{ClauseStats, StrategyPlan};
 
-use super::{conjoin_tests, connected_test, entropy, mask_threads, Refined, Refiner};
+use super::{conjoin_tests, connected_test, entropy, score_each, Refined};
 
 /// Maximum tree depth (longest path of tests). Depth counts *both* branch
 /// directions, and only satisfied tests end up in a leaf's clause, so a
@@ -58,9 +58,6 @@ const MAX_TESTS: usize = 128;
 /// becomes a leaf.
 const MIN_GAIN: f64 = 1e-6;
 
-/// First-order decision-tree learner.
-pub(crate) struct TildeRefiner;
-
 /// A candidate test with its precomputed coverage masks over the training
 /// positives and negatives.
 struct Test {
@@ -69,166 +66,162 @@ struct Test {
     neg: Vec<bool>,
 }
 
-impl Refiner for TildeRefiner {
-    fn refine(&self, plan: &StrategyPlan) -> Refined {
-        let task = &plan.task;
-        let config = &plan.config;
-        let engine = &plan.coverage;
-        let builder = BottomClauseBuilder::new(task, &plan.catalog, config);
-        let mut bottom_clauses_built = task.positives.len() + task.negatives.len();
+/// First-order decision-tree learner.
+pub(crate) fn learn(plan: &StrategyPlan) -> Refined {
+    let task = &plan.task;
+    let config = &plan.config;
+    let engine = &plan.coverage;
+    let builder = BottomClauseBuilder::new(task, &plan.catalog, config);
+    let mut bottom_clauses_built = task.positives.len() + task.negatives.len();
 
-        // 1. Candidate tests: every head-connected sub-clause rooted at a
-        // body literal of some positive's bottom clause, deduplicated by
-        // canonical form, in first-seen order.
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut candidates: Vec<Clause> = Vec::new();
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
-        let mut head: Option<dlearn_logic::Literal> = None;
-        'examples: for example in &task.positives {
-            let bottom = builder.build(example, &mut rng);
-            bottom_clauses_built += 1;
-            if bottom.body.is_empty() {
-                continue;
-            }
-            let expected_head = head.get_or_insert_with(|| bottom.head.clone());
-            if bottom.head != *expected_head {
-                // Heads must agree for tests to conjoin; bottom clauses of a
-                // shared target only diverge on degenerate duplicate-value
-                // examples, which are skipped.
-                continue;
-            }
-            for at in 0..bottom.body.len() {
-                if let Some(test) = connected_test(&bottom, at) {
-                    if seen.insert(test.canonical_key()) {
-                        candidates.push(test);
-                    }
+    // 1. Candidate tests: every head-connected sub-clause rooted at a
+    // body literal of some positive's bottom clause, deduplicated by
+    // canonical form, in first-seen order.
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut candidates: Vec<Clause> = Vec::new();
+    let mut seen: HashSet<CanonicalKey> = HashSet::new();
+    let mut head: Option<dlearn_logic::Literal> = None;
+    'examples: for example in &task.positives {
+        let bottom = builder.build(example, &mut rng);
+        bottom_clauses_built += 1;
+        if bottom.body.is_empty() {
+            continue;
+        }
+        let expected_head = head.get_or_insert_with(|| bottom.head.clone());
+        if bottom.head != *expected_head {
+            // Heads must agree for tests to conjoin; bottom clauses of a
+            // shared target only diverge on degenerate duplicate-value
+            // examples, which are skipped.
+            continue;
+        }
+        for at in 0..bottom.body.len() {
+            if let Some(test) = connected_test(&bottom, at) {
+                if seen.insert(test.canonical_key()) {
+                    candidates.push(test);
                 }
-                if candidates.len() >= MAX_TESTS {
-                    break 'examples;
-                }
+            }
+            if candidates.len() >= MAX_TESTS {
+                break 'examples;
             }
         }
+    }
 
-        // 2. Coverage masks per test, computed once: node splits below are
-        // pure bit-mask counting. Same fan-out shape as generalization
-        // scoring (masks serial inside the fan-out).
-        let threads = config.effective_generalization_threads();
-        let inner = mask_threads(config, threads, candidates.len());
-        let tests: Vec<Test> = crate::par::chunked_map(&candidates, threads, 2, |_, test| {
-            let prepared = PreparedClause::prepare(test.clone(), config);
-            let (pos, neg) = engine.masks(&prepared, inner);
-            Test {
-                clause: test.clone(),
-                pos,
-                neg,
-            }
-        });
+    // 2. Coverage masks per test, computed once: node splits below are
+    // pure bit-mask counting.
+    let tests: Vec<Test> = score_each(config, &candidates, |test, mask_threads| {
+        let prepared = PreparedClause::prepare(test.clone(), config);
+        let (pos, neg) = engine.masks(&prepared, mask_threads);
+        Test {
+            clause: test.clone(),
+            pos,
+            neg,
+        }
+    });
 
-        // 3. Grow the tree and collect positive-leaf paths (as test indices).
-        let all_pos: Vec<usize> = (0..task.positives.len()).collect();
-        let all_neg: Vec<usize> = (0..task.negatives.len()).collect();
-        let mut paths: Vec<Vec<usize>> = Vec::new();
-        grow(&tests, &all_pos, &all_neg, &Vec::new(), 0, &mut paths);
+    // 3. Grow the tree and collect positive-leaf paths (as test indices).
+    let all_pos: Vec<usize> = (0..task.positives.len()).collect();
+    let all_neg: Vec<usize> = (0..task.negatives.len()).collect();
+    let mut paths: Vec<Vec<usize>> = Vec::new();
+    grow(&tests, &all_pos, &all_neg, &Vec::new(), 0, &mut paths);
 
-        // 4. Read the leaf paths back as clauses against the real
-        // (conjoined-clause) coverage, deduplicate, and keep only clauses
-        // that separate. Two corrections are needed because a clause keeps
-        // only the path's *satisfied* tests — the failed no-branch tests
-        // that also routed examples are not expressible in a definite
-        // clause body, so the clause covers a superset of the leaf's
-        // examples:
-        //
-        // * **Refine**: a leaf that was pure over its local examples can
-        //   measure dirty (negatives that diverged at an earlier yes-branch
-        //   still satisfy the path tests). Greedily conjoin the test that
-        //   most reduces real negative coverage until the clause separates
-        //   or no addition helps.
-        // * **Simplify**: a path also records splits that routed *other*
-        //   examples — e.g. a `gold ∧ web ∧ east` path whose purity only
-        //   needs `web ∧ east`. Each accidental conjunct cuts held-out
-        //   recall, so tests whose removal does not admit a single extra
-        //   training negative are dropped (coverage is monotone under
-        //   conjunct removal: positives can only grow).
-        let mut definition = Definition::new();
-        let mut stats: Vec<ClauseStats> = Vec::new();
-        let mut emitted: HashSet<CanonicalKey> = HashSet::new();
-        for path in &paths {
-            let mut kept: Vec<usize> = path.clone();
-            let mut measured = match measure(&kept, &tests, engine, config) {
-                Some(m) => m,
-                None => continue,
-            };
-            // Refine: drive real negative coverage down by conjoining more
-            // tests (first strict minimum of (negatives, -positives) in
-            // test order), as long as enough positives survive.
-            while measured.negatives_covered > 0 {
-                let mut best: Option<(usize, Measured)> = None;
-                for index in 0..tests.len() {
-                    if kept.contains(&index) {
-                        continue;
-                    }
-                    let mut with = kept.clone();
-                    with.push(index);
-                    if let Some(m) = measure(&with, &tests, engine, config) {
-                        if m.positives_covered >= MIN_LEAF_POSITIVES
-                            && m.negatives_covered < measured.negatives_covered
-                            && best
-                                .as_ref()
-                                .map(|(_, b)| {
-                                    (m.negatives_covered, usize::MAX - m.positives_covered)
-                                        < (b.negatives_covered, usize::MAX - b.positives_covered)
-                                })
-                                .unwrap_or(true)
-                        {
-                            best = Some((index, m));
-                        }
+    // 4. Read the leaf paths back as clauses against the real
+    // (conjoined-clause) coverage, deduplicate, and keep only clauses
+    // that separate. Two corrections are needed because a clause keeps
+    // only the path's *satisfied* tests — the failed no-branch tests
+    // that also routed examples are not expressible in a definite
+    // clause body, so the clause covers a superset of the leaf's
+    // examples:
+    //
+    // * **Refine**: a leaf that was pure over its local examples can
+    //   measure dirty (negatives that diverged at an earlier yes-branch
+    //   still satisfy the path tests). Greedily conjoin the test that
+    //   most reduces real negative coverage until the clause separates
+    //   or no addition helps.
+    // * **Simplify**: a path also records splits that routed *other*
+    //   examples — e.g. a `gold ∧ web ∧ east` path whose purity only
+    //   needs `web ∧ east`. Each accidental conjunct cuts held-out
+    //   recall, so tests whose removal does not admit a single extra
+    //   training negative are dropped (coverage is monotone under
+    //   conjunct removal: positives can only grow).
+    let mut definition = Definition::new();
+    let mut stats: Vec<ClauseStats> = Vec::new();
+    let mut emitted: HashSet<CanonicalKey> = HashSet::new();
+    for path in &paths {
+        let mut kept: Vec<usize> = path.clone();
+        let mut measured = match measure(&kept, &tests, engine, config) {
+            Some(m) => m,
+            None => continue,
+        };
+        // Refine: drive real negative coverage down by conjoining more
+        // tests (first strict minimum of (negatives, -positives) in
+        // test order), as long as enough positives survive.
+        while measured.negatives_covered > 0 {
+            let mut best: Option<(usize, Measured)> = None;
+            for index in 0..tests.len() {
+                if kept.contains(&index) {
+                    continue;
+                }
+                let mut with = kept.clone();
+                with.push(index);
+                if let Some(m) = measure(&with, &tests, engine, config) {
+                    if m.positives_covered >= MIN_LEAF_POSITIVES
+                        && m.negatives_covered < measured.negatives_covered
+                        && best
+                            .as_ref()
+                            .map(|(_, b)| {
+                                (m.negatives_covered, usize::MAX - m.positives_covered)
+                                    < (b.negatives_covered, usize::MAX - b.positives_covered)
+                            })
+                            .unwrap_or(true)
+                    {
+                        best = Some((index, m));
                     }
                 }
-                match best {
-                    Some((index, m)) => {
-                        kept.push(index);
-                        measured = m;
-                    }
-                    None => break,
+            }
+            match best {
+                Some((index, m)) => {
+                    kept.push(index);
+                    measured = m;
                 }
-            }
-            // Simplify: drop conjuncts whose removal admits no extra
-            // training negative.
-            let mut at = 0;
-            while kept.len() > 1 && at < kept.len() {
-                let mut without = kept.clone();
-                without.remove(at);
-                match measure(&without, &tests, engine, config) {
-                    Some(m) if m.negatives_covered <= measured.negatives_covered => {
-                        kept = without;
-                        measured = m;
-                    }
-                    _ => at += 1,
-                }
-            }
-            if !emitted.insert(measured.clause.canonical_key()) {
-                continue;
-            }
-            // Same decisiveness bar as the leaf rule, but on the clause's
-            // *real* coverage: the path clause covers a superset of the
-            // leaf's examples (failed no-branch tests are not in its body),
-            // so a leaf that looked pure can measure dirty.
-            if measured.positives_covered >= MIN_LEAF_POSITIVES
-                && measured.positives_covered > 2 * measured.negatives_covered
-            {
-                definition.push(measured.clause);
-                stats.push(ClauseStats {
-                    positives_covered: measured.positives_covered,
-                    negatives_covered: measured.negatives_covered,
-                });
+                None => break,
             }
         }
-
-        Refined {
-            definition,
-            stats,
-            bottom_clauses_built,
+        // Simplify: drop conjuncts whose removal admits no extra
+        // training negative.
+        let mut at = 0;
+        while kept.len() > 1 && at < kept.len() {
+            let mut without = kept.clone();
+            without.remove(at);
+            match measure(&without, &tests, engine, config) {
+                Some(m) if m.negatives_covered <= measured.negatives_covered => {
+                    kept = without;
+                    measured = m;
+                }
+                _ => at += 1,
+            }
         }
+        if !emitted.insert(measured.clause.canonical_key()) {
+            continue;
+        }
+        // Same decisiveness bar as the leaf rule, but on the clause's
+        // *real* coverage: the path clause covers a superset of the
+        // leaf's examples (failed no-branch tests are not in its body),
+        // so a leaf that looked pure can measure dirty.
+        if measured.positives_covered >= MIN_LEAF_POSITIVES
+            && measured.positives_covered > 2 * measured.negatives_covered
+        {
+            definition.push(measured.clause);
+            stats.push(ClauseStats {
+                positives_covered: measured.positives_covered,
+                negatives_covered: measured.negatives_covered,
+            });
+        }
+    }
+
+    Refined {
+        definition,
+        stats,
+        bottom_clauses_built,
     }
 }
 

@@ -1,6 +1,6 @@
 //! Order-preserving chunked parallel map, shared by the coverage engine and
-//! the covering loop's generalization fan-out, and the first-occurrence
-//! dedup the serving batches fan out over.
+//! the learners' candidate fan-out (`learn::score_each`), and the
+//! first-occurrence dedup the serving batches fan out over.
 //!
 //! Determinism lives here: items are split into contiguous chunks, each
 //! chunk is mapped on one `std::thread::scope` worker, and the per-chunk

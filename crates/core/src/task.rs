@@ -93,11 +93,6 @@ impl LearningTask {
         self.sources.insert(relation.into(), source.into());
     }
 
-    /// The source of a relation, when sources are declared.
-    pub fn source_of(&self, relation: &str) -> Option<&str> {
-        self.sources.get(relation).map(|s| s.as_str())
-    }
-
     /// Mark an attribute as constant-valued for clause construction.
     pub fn add_constant_attribute(
         &mut self,

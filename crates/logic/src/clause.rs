@@ -37,13 +37,6 @@ impl Clause {
         }
     }
 
-    /// Create a clause with the given body.
-    pub fn with_body(head: Literal, body: Vec<Literal>) -> Self {
-        let mut c = Clause::new(head);
-        c.body = body;
-        c
-    }
-
     /// `true` when the clause has no repair groups (a *repaired clause* in
     /// the paper's terminology).
     pub fn is_repaired(&self) -> bool {
@@ -201,14 +194,6 @@ impl Clause {
         self.body.remove(index);
         self.retain_head_connected();
     }
-
-    /// Relation literals of the body (in order) with their body positions.
-    pub fn relation_literals(&self) -> impl Iterator<Item = (usize, &Literal)> {
-        self.body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.is_relation())
-    }
 }
 
 /// Dense ids for a clause's variables with a union–find over them.
@@ -307,11 +292,6 @@ impl Definition {
     /// Empty definition.
     pub fn new() -> Self {
         Definition::default()
-    }
-
-    /// Build a definition from clauses.
-    pub fn from_clauses(clauses: Vec<Clause>) -> Self {
-        Definition { clauses }
     }
 
     /// Add a clause.

@@ -32,11 +32,6 @@ pub enum RepairOrigin {
 }
 
 impl RepairOrigin {
-    /// `true` for MD-originated repairs.
-    pub fn is_md(&self) -> bool {
-        matches!(self, RepairOrigin::Md(_))
-    }
-
     /// `true` for CFD-originated repairs.
     pub fn is_cfd(&self) -> bool {
         matches!(self, RepairOrigin::Cfd(_))

@@ -171,12 +171,6 @@ impl Decision {
     pub fn is_yes(self) -> bool {
         matches!(self, Decision::Yes)
     }
-
-    /// `true` when the search actually finished ([`Decision::Yes`] or
-    /// [`Decision::No`]); `false` for the two inconclusive outcomes.
-    pub fn is_conclusive(self) -> bool {
-        matches!(self, Decision::Yes | Decision::No)
-    }
 }
 
 /// Cooperative cancellation handle for long-running subsumption searches.

@@ -70,18 +70,6 @@ impl Database {
         rel.insert(tuple)
     }
 
-    /// Insert many tuples into the named relation.
-    pub fn insert_all<I>(&mut self, relation: impl Into<RelId>, tuples: I) -> Result<(), StoreError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        let id = relation.into();
-        for t in tuples {
-            self.insert(id, t)?;
-        }
-        Ok(())
-    }
-
     /// Iterate over all relation instances in deterministic (name) order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         // RelId's Ord is lexicographic on the name, so this matches the old

@@ -142,13 +142,6 @@ impl ChangeSet {
             .is_some_and(|t| t.contains(&(attribute, *value)))
     }
 
-    /// Relations with at least one touched column value, in name order.
-    pub fn touched_relations(&self) -> Vec<RelId> {
-        let mut ids: Vec<RelId> = self.touched.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
     /// The `(attribute, value)` pairs touched in `relation` (unordered).
     pub fn touched_values(&self, relation: RelId) -> impl Iterator<Item = (usize, Value)> + '_ {
         self.touched

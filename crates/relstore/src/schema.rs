@@ -81,11 +81,6 @@ impl RelationSchema {
         self.attributes.get(index)
     }
 
-    /// Attribute by name.
-    pub fn attribute_by_name(&self, name: &str) -> Option<&Attribute> {
-        self.attributes.iter().find(|a| a.name == *name)
-    }
-
     /// Resolve an attribute name, returning a [`StoreError`] when unknown.
     pub fn require_attribute_index(&self, name: &str) -> Result<usize, StoreError> {
         self.attribute_index(name)

@@ -34,22 +34,12 @@ impl Tuple {
         &self.values
     }
 
-    /// Mutable access to a value (used by repair operations).
-    pub fn value_mut(&mut self, index: usize) -> Option<&mut Value> {
-        self.values.get_mut(index)
-    }
-
     /// Replace the value at `index`, returning the previous value.
     ///
     /// # Panics
     /// Panics if `index` is out of bounds.
     pub fn set_value(&mut self, index: usize, value: Value) -> Value {
         std::mem::replace(&mut self.values[index], value)
-    }
-
-    /// Consume the tuple, yielding its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
     }
 
     /// Iterate over the values.

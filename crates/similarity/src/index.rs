@@ -72,6 +72,21 @@ use crate::tokenize::{blocking_keys_into, normalize};
 /// memory bus for no win. An *explicit* `threads = n` is always honored.
 pub const MAX_AUTO_THREADS: usize = 16;
 
+/// The worker-thread count a thread knob asks for: a positive `requested`
+/// as is, else (0 = auto) the available cores capped at
+/// [`MAX_AUTO_THREADS`]. Every thread knob of the stack resolves through
+/// this, so "0 threads" means the same thing on each.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(MAX_AUTO_THREADS)
+    }
+}
+
 /// Process-wide count of alignment-based index constructions (calls to
 /// [`SimilarityIndex::build`]). The derived constructors
 /// ([`SimilarityIndex::filter_min_score`],
@@ -147,14 +162,7 @@ impl IndexConfig {
 
     /// Number of construction worker threads to actually use.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(MAX_AUTO_THREADS)
-        }
+        resolve_threads(self.threads)
     }
 
     /// Posting-list length above which a blocking key counts as hot.

@@ -26,7 +26,7 @@ pub mod tokenize;
 
 pub use combined::{combined_similarity, SimilarityOperator};
 pub use delta::{ColumnDelta, DeltaOutcome, MaintainedIndex};
-pub use index::{IndexConfig, Match, QuerySym, SimilarityIndex, MAX_AUTO_THREADS};
+pub use index::{resolve_threads, IndexConfig, Match, QuerySym, SimilarityIndex, MAX_AUTO_THREADS};
 pub use length::{
     char_histogram, common_char_count, length_similarity, length_similarity_from_counts, HIST_BINS,
 };

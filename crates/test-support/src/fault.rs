@@ -45,7 +45,7 @@ pub enum Site {
     /// `PredictorService::publish` / `PredictorService::apply_delta` (key:
     /// `"publish@<epoch>"` / `"delta@<epoch>"`).
     Swap,
-    /// Refinement search in `Engine::learn` — any strategy's refiner over
+    /// Refinement search in `Engine::learn` — any strategy's learner over
     /// the prepared plan (key: the strategy's display name).
     Learn,
 }

@@ -5,6 +5,7 @@
 
 use dlearn::core::{DlearnError, Engine, LearnerConfig, PredictorService, ServiceConfig, Strategy};
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
+use dlearn::logic::SubsumptionConfig;
 use dlearn::relstore::{tuple, Value};
 use dlearn_constraints::MatchingDependency;
 
@@ -100,6 +101,13 @@ fn prepare_invalid_config_covers_every_validated_field() {
             "sample_positives",
             LearnerConfig {
                 sample_positives: 0,
+                ..fast()
+            },
+        ),
+        (
+            "subsumption.max_steps",
+            LearnerConfig {
+                subsumption: SubsumptionConfig { max_steps: 0 },
                 ..fast()
             },
         ),
