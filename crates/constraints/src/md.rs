@@ -77,12 +77,6 @@ impl MatchingDependency {
         right.require_attribute_index(self.identify_right.as_str())?;
         Ok(())
     }
-
-    /// `true` when the MD's premise involves the given relation.
-    pub fn involves(&self, relation: impl Into<RelId>) -> bool {
-        let id = relation.into();
-        self.left_relation == id || self.right_relation == id
-    }
 }
 
 impl fmt::Display for MatchingDependency {
@@ -135,9 +129,6 @@ mod tests {
         let md =
             MatchingDependency::simple("titles", "movies", "title", "highBudgetMovies", "title");
         assert!(md.validate(&schema()).is_ok());
-        assert!(md.involves("movies"));
-        assert!(md.involves("highBudgetMovies"));
-        assert!(!md.involves("mov2genres"));
     }
 
     #[test]

@@ -147,12 +147,6 @@ impl MdCatalog {
         &self.indexes
     }
 
-    /// Indexes whose MD involves the given relation.
-    pub fn involving(&self, relation: impl Into<RelId>) -> impl Iterator<Item = &MdIndex> {
-        let id = relation.into();
-        self.indexes.iter().filter(move |idx| idx.md.involves(id))
-    }
-
     /// Number of MDs in the catalog.
     pub fn len(&self) -> usize {
         self.indexes.len()
@@ -247,8 +241,6 @@ mod tests {
         let catalog = MdCatalog::build(&[titles_md()], &db, &IndexConfig::top_k(5));
         assert_eq!(catalog.len(), 1);
         assert!(!catalog.is_empty());
-        assert_eq!(catalog.involving("movies").count(), 1);
-        assert_eq!(catalog.involving("unrelated").count(), 0);
     }
 
     #[test]

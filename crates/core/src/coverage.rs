@@ -13,6 +13,14 @@
 //! [`PreparedClause::covers`] is the one place this question is answered:
 //! training masks, [`crate::Predictor`] and [`crate::PredictorService`] all
 //! call it, choosing the definition through [`Semantics`].
+//!
+//! The training set's ground examples are built in one place too: one
+//! fan-out on the coverage threads grounds each example with its own seed.
+//! [`CoverageEngine::build`] runs it with nothing stored; a delta runs it
+//! with the pre-delta engine, which shares every example the delta cannot
+//! have changed.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,9 +35,14 @@ use crate::bottom::{BottomClauseBuilder, ProbeLog};
 use crate::config::LearnerConfig;
 use crate::task::LearningTask;
 
+/// Seed salts of the training examples: example `idx` of a side is grounded
+/// with the seed `config.seed ^ salt ^ idx`.
+const POSITIVE_SALT: u64 = 0x9e37;
+const NEGATIVE_SALT: u64 = 0x7f4a;
+
 /// A training example together with its ground bottom clause and the ground
 /// clause's repaired versions (built once, reused for every coverage test).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GroundExample {
     /// The example tuple.
     pub example: Tuple,
@@ -260,116 +273,100 @@ impl CoverageCounts {
     }
 }
 
-/// How many ground examples a delta rebuild re-grounded versus reused.
+/// How many ground examples a delta re-grounded versus shared with the
+/// pre-delta engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroundPatchStats {
     /// Positive examples whose grounding was rebuilt.
     pub positives_reground: usize,
-    /// Positive examples whose stored grounding was reused unchanged.
+    /// Positive examples whose stored grounding was shared unchanged.
     pub positives_reused: usize,
     /// Negative examples whose grounding was rebuilt.
     pub negatives_reground: usize,
-    /// Negative examples whose stored grounding was reused unchanged.
+    /// Negative examples whose stored grounding was shared unchanged.
     pub negatives_reused: usize,
 }
 
 /// The coverage engine: precomputed ground examples for the whole training
 /// set plus the subsumption-based coverage tests.
 pub struct CoverageEngine {
-    positives: Vec<GroundExample>,
-    negatives: Vec<GroundExample>,
+    positives: Vec<Arc<GroundExample>>,
+    negatives: Vec<Arc<GroundExample>>,
     config: LearnerConfig,
 }
 
 impl CoverageEngine {
-    /// Build ground bottom clauses for every training example of the task.
+    /// Build ground bottom clauses for every training example of the task:
+    /// the one grounding fan-out, with nothing stored to share.
     pub fn build(
         task: &LearningTask,
         builder: &BottomClauseBuilder<'_>,
         config: &LearnerConfig,
     ) -> Self {
-        let positives = Self::build_examples(&task.positives, builder, config, 0x9e37);
-        let negatives = Self::build_examples(&task.negatives, builder, config, 0x7f4a);
-        CoverageEngine {
+        let nothing = CoverageEngine {
+            positives: Vec::new(),
+            negatives: Vec::new(),
+            config: config.clone(),
+        };
+        nothing.rebuilt_where(task, builder, |_| true).0
+    }
+
+    /// Ground the training examples of `task` on the coverage threads.
+    /// Example `idx` of a side shares this engine's ground example at `idx`
+    /// unless `affected` selects it; every other example is grounded with
+    /// the seed `config.seed ^ salt ^ idx` a from-scratch build uses, so the
+    /// result is bit-identical to [`CoverageEngine::build`] over `task`. The
+    /// builder must be bound to `task` and its catalog.
+    pub(crate) fn rebuilt_where<F>(
+        &self,
+        task: &LearningTask,
+        builder: &BottomClauseBuilder<'_>,
+        affected: F,
+    ) -> (CoverageEngine, GroundPatchStats)
+    where
+        F: Fn(&GroundExample) -> bool + Sync,
+    {
+        let config = &self.config;
+        let side = |examples: &[Tuple], stored: &[Arc<GroundExample>], salt: u64| {
+            let grounded: Vec<Arc<GroundExample>> =
+                crate::par::chunked_map(examples, config.effective_threads(), 8, |idx, e| {
+                    match stored.get(idx) {
+                        Some(g) if !affected(g) => Arc::clone(g),
+                        _ => Arc::new(GroundExample::build(
+                            builder,
+                            e,
+                            config,
+                            config.seed ^ salt ^ idx as u64,
+                        )),
+                    }
+                });
+            let pairs = grounded.iter().zip(stored);
+            let reused = pairs.filter(|(g, s)| Arc::ptr_eq(g, s)).count();
+            (grounded, reused)
+        };
+        let (positives, positives_reused) = side(&task.positives, &self.positives, POSITIVE_SALT);
+        let (negatives, negatives_reused) = side(&task.negatives, &self.negatives, NEGATIVE_SALT);
+        let stats = GroundPatchStats {
+            positives_reground: positives.len() - positives_reused,
+            positives_reused,
+            negatives_reground: negatives.len() - negatives_reused,
+            negatives_reused,
+        };
+        let engine = CoverageEngine {
             positives,
             negatives,
             config: config.clone(),
-        }
-    }
-
-    fn build_examples(
-        examples: &[Tuple],
-        builder: &BottomClauseBuilder<'_>,
-        config: &LearnerConfig,
-        salt: u64,
-    ) -> Vec<GroundExample> {
-        crate::par::chunked_map(examples, config.effective_threads(), 8, |idx, e| {
-            GroundExample::build(builder, e, config, config.seed ^ salt ^ idx as u64)
-        })
-    }
-
-    /// Rebuild the engine against a mutated database: re-ground exactly the
-    /// examples `affected` selects — with the same per-example seed a
-    /// from-scratch build would use, so patched clauses are bit-identical to
-    /// fresh ones — and reuse every other ground example unchanged. The
-    /// builder must already be bound to the mutated task and catalog.
-    pub(crate) fn rebuilt_where<F>(
-        &self,
-        builder: &BottomClauseBuilder<'_>,
-        config: &LearnerConfig,
-        mut affected: F,
-    ) -> (CoverageEngine, GroundPatchStats)
-    where
-        F: FnMut(&GroundExample) -> bool,
-    {
-        let patch = |examples: &[GroundExample], salt: u64, affected: &mut F| {
-            let mut reground = 0usize;
-            let out: Vec<GroundExample> = examples
-                .iter()
-                .enumerate()
-                .map(|(idx, g)| {
-                    if affected(g) {
-                        reground += 1;
-                        GroundExample::build(
-                            builder,
-                            &g.example,
-                            config,
-                            config.seed ^ salt ^ idx as u64,
-                        )
-                    } else {
-                        g.clone()
-                    }
-                })
-                .collect();
-            let reused = examples.len() - reground;
-            (out, reground, reused)
         };
-        let (positives, positives_reground, positives_reused) =
-            patch(&self.positives, 0x9e37, &mut affected);
-        let (negatives, negatives_reground, negatives_reused) =
-            patch(&self.negatives, 0x7f4a, &mut affected);
-        (
-            CoverageEngine {
-                positives,
-                negatives,
-                config: config.clone(),
-            },
-            GroundPatchStats {
-                positives_reground,
-                positives_reused,
-                negatives_reground,
-                negatives_reused,
-            },
-        )
+        (engine, stats)
     }
 
     /// Ground examples of the positive training set.
-    pub fn positives(&self) -> &[GroundExample] {
+    pub fn positives(&self) -> &[Arc<GroundExample>] {
         &self.positives
     }
 
     /// Ground examples of the negative training set.
-    pub fn negatives(&self) -> &[GroundExample] {
+    pub fn negatives(&self) -> &[Arc<GroundExample>] {
         &self.negatives
     }
 
@@ -384,7 +381,7 @@ impl CoverageEngine {
     /// fan-out pass 1, so thread counts do not multiply underneath it; the
     /// masks are identical at any thread count.
     pub fn masks(&self, prepared: &PreparedClause, threads: usize) -> (Vec<bool>, Vec<bool>) {
-        let mask = |examples: &[GroundExample], semantics: Semantics| {
+        let mask = |examples: &[Arc<GroundExample>], semantics: Semantics| {
             crate::par::chunked_map(examples, threads, 8, |_, e| {
                 matches!(
                     prepared.covers(e, semantics, &self.config.subsumption, None),
@@ -418,15 +415,15 @@ mod tests {
         }
     }
 
-    fn ground_from(clause: &Clause) -> GroundExample {
-        GroundExample::from_clause(
+    fn ground_from(clause: &Clause) -> Arc<GroundExample> {
+        Arc::new(GroundExample::from_clause(
             dlearn_relstore::tuple(vec![dlearn_relstore::Value::str("e")]),
             clause,
             &config(),
-        )
+        ))
     }
 
-    fn ge_comedy() -> GroundExample {
+    fn ge_comedy() -> Arc<GroundExample> {
         let mut d = Clause::new(Literal::relation("t", vec![Term::var(0)]));
         d.push_unique(Literal::relation(
             "movies",
@@ -439,7 +436,7 @@ mod tests {
         ground_from(&d)
     }
 
-    fn ge_drama() -> GroundExample {
+    fn ge_drama() -> Arc<GroundExample> {
         let mut d = Clause::new(Literal::relation("t", vec![Term::var(0)]));
         d.push_unique(Literal::relation(
             "movies",

@@ -13,10 +13,11 @@
 //!   [`SimilarityIndex::build`] over the mutated columns;
 //! * each ground bottom clause records the exact probes its construction
 //!   executed (see [`ProbeLog`]); after a delta, only clauses whose probe
-//!   log intersects the change set are re-grounded — with the same
-//!   per-example seed a from-scratch build would use, so the patched
-//!   coverage engine is bit-identical to `Engine::prepare` on the mutated
-//!   database.
+//!   log intersects the change set are re-grounded — through prepare's own
+//!   grounding fan-out, with the same per-example seed a from-scratch build
+//!   would use, so the patched coverage engine is bit-identical to
+//!   `Engine::prepare` on the mutated database. Every other ground example
+//!   is shared with the pre-delta engine: a reference count, not a copy.
 //!
 //! Deltas are transactional at the session level: on any error the engine is
 //! untouched, and a panic mid-maintenance (e.g. injected via the
@@ -258,7 +259,7 @@ fn compute_delta(
     let (coverage, grounding) = {
         let builder = BottomClauseBuilder::new(&task, &catalog, config);
         old.coverage
-            .rebuilt_where(&builder, config, |g| report.affects(&g.probes))
+            .rebuilt_where(&task, &builder, |g| report.affects(&g.probes))
     };
     report.grounding = grounding;
     let plan = Arc::new(StrategyPlan {

@@ -23,7 +23,8 @@ pub(crate) fn learn(plan: &StrategyPlan) -> Refined {
         // uncovered positives other than the seed, hill-climbing on the
         // clause score.
         let mut current = PreparedClause::prepare(bottom, config);
-        let mut current_score = engine.counts(&current).score();
+        let (mut positives, mut negatives) = engine.masks(&current, config.effective_threads());
+        let mut current_score = CoverageCounts::of(&positives, &negatives).score();
         for _round in 0..config.max_generalization_rounds {
             let mut sample = uncovered[1..].to_vec();
             sample.shuffle(rng);
@@ -32,19 +33,24 @@ pub(crate) fn learn(plan: &StrategyPlan) -> Refined {
                 break;
             }
             match best_generalization(engine, &current, &sample, config) {
-                Some((score, prepared)) if score > current_score => {
+                Some((score, prepared, pos, neg)) if score > current_score => {
                     current = prepared;
+                    (positives, negatives) = (pos, neg);
                     current_score = score;
                 }
                 _ => break,
             }
         }
-        let (positives, negatives) = engine.masks(&current, config.effective_threads());
         (current.clause, positives, negatives)
     })
 }
 
-/// Score every sampled generalization candidate and return the best one.
+/// One scored generalization candidate: `(score, clause, positive mask,
+/// negative mask)`.
+type Scored = (i64, PreparedClause, Vec<bool>, Vec<bool>);
+
+/// Score every sampled generalization candidate and return the best one,
+/// with the masks it was scored on.
 ///
 /// The per-candidate work — generalize `current` toward the sampled
 /// positive's ground bottom clause, expand/renumber the result, score it
@@ -58,7 +64,7 @@ fn best_generalization(
     current: &PreparedClause,
     sample: &[usize],
     config: &LearnerConfig,
-) -> Option<(i64, PreparedClause)> {
+) -> Option<Scored> {
     let scored = score_each(config, sample, |&ei, mask_threads| {
         let target_ground = &engine.positive(ei).ground;
         let candidate = generalize_prepared(
@@ -72,13 +78,14 @@ fn best_generalization(
         }
         let prepared = PreparedClause::prepare(candidate, config);
         let (positives, negatives) = engine.masks(&prepared, mask_threads);
-        Some((CoverageCounts::of(&positives, &negatives).score(), prepared))
+        let score = CoverageCounts::of(&positives, &negatives).score();
+        Some((score, prepared, positives, negatives))
     });
 
     // First strict maximum in sample order — identical to the serial loop.
-    let mut best: Option<(i64, PreparedClause)> = None;
+    let mut best: Option<Scored> = None;
     for entry in scored.into_iter().flatten() {
-        if best.as_ref().map(|(s, _)| entry.0 > *s).unwrap_or(true) {
+        if best.as_ref().map(|b| entry.0 > b.0).unwrap_or(true) {
             best = Some(entry);
         }
     }

@@ -129,17 +129,6 @@ impl Literal {
     pub fn mentions(&self, var: Var) -> bool {
         self.args().into_iter().any(|t| t.as_var() == Some(var))
     }
-
-    /// A sort key used to keep clause bodies in a deterministic order:
-    /// relation literals sort before constraint literals, then by name/args.
-    pub fn ordering_key(&self) -> (u8, String) {
-        match self {
-            Literal::Relation { relation, args } => (0, format!("{relation}/{}", args.len())),
-            Literal::Similar(_, _) => (1, "~".to_string()),
-            Literal::Equal(_, _) => (2, "=".to_string()),
-            Literal::NotEqual(_, _) => (3, "!=".to_string()),
-        }
-    }
 }
 
 impl fmt::Display for Literal {
@@ -236,12 +225,5 @@ mod tests {
             Literal::Similar(Term::var(0), Term::var(2)).to_string(),
             "v0 ≈ v2"
         );
-    }
-
-    #[test]
-    fn ordering_key_puts_relations_first() {
-        let r = Literal::relation("r", vec![]);
-        let s = Literal::Similar(Term::var(0), Term::var(1));
-        assert!(r.ordering_key() < s.ordering_key());
     }
 }

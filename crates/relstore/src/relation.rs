@@ -130,14 +130,6 @@ impl Relation {
             .unwrap_or_default()
     }
 
-    /// All (value, count) pairs of an attribute column.
-    pub fn value_counts(&self, attribute: usize) -> Vec<(&Value, usize)> {
-        self.indexes
-            .get(attribute)
-            .map(|idx| idx.iter().map(|(v, ids)| (v, ids.len())).collect())
-            .unwrap_or_default()
-    }
-
     /// Replace the value of `attribute` in the tuple `id`, keeping indexes
     /// consistent. Used by CFD repair of a database instance.
     pub fn update_value(
@@ -348,10 +340,8 @@ mod tests {
             Value::int(2001),
         ]))
         .unwrap();
-        let mut counts = r.value_counts(1);
-        counts.sort_by_key(|(_, c)| *c);
-        assert_eq!(counts.len(), 1);
-        assert_eq!(counts[0].1, 2);
+        assert_eq!(r.distinct_values(1).len(), 1);
+        assert_eq!(r.select_eq(1, &Value::str("a")).len(), 2);
         assert_eq!(r.distinct_values(2).len(), 2);
     }
 }

@@ -145,16 +145,6 @@ impl Schema {
         self.relations.values()
     }
 
-    /// Relation names in deterministic (sorted) order.
-    pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(|r| r.as_str()).collect()
-    }
-
-    /// Relation ids in deterministic (name-sorted) order.
-    pub fn relation_ids(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.relations.keys().copied()
-    }
-
     /// Number of relations.
     pub fn len(&self) -> usize {
         self.relations.len()
@@ -228,12 +218,11 @@ mod tests {
         schema
             .add_relation(RelationSchema::new("a_rel", vec![Attribute::int("y")]))
             .unwrap();
-        assert_eq!(schema.relation_names(), vec!["a_rel", "b_rel"]);
+        let ids: Vec<RelId> = schema.relations().map(|r| r.name).collect();
+        assert_eq!(ids, vec![RelId::intern("a_rel"), RelId::intern("b_rel")]);
         assert!(schema.contains("a_rel"));
         assert!(schema.require_relation("missing").is_err());
         assert_eq!(schema.len(), 2);
-        let ids: Vec<RelId> = schema.relation_ids().collect();
-        assert_eq!(ids, vec![RelId::intern("a_rel"), RelId::intern("b_rel")]);
     }
 
     #[test]

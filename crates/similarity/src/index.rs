@@ -328,13 +328,6 @@ impl SimilarityIndex {
             .unwrap_or(&[])
     }
 
-    /// The single best match of a left-column value, if any. Used by the
-    /// Castor-Clean baseline, which unifies each value with its most similar
-    /// counterpart before learning.
-    pub fn best_match_left(&self, value: impl QuerySym) -> Option<&Match> {
-        self.matches_left(value).first()
-    }
-
     /// Whether a specific pair of values was matched (in either direction).
     pub fn are_matched(&self, left: impl QuerySym, right: impl QuerySym) -> bool {
         let (Some(left), Some(right)) = (left.query_sym(), right.query_sym()) else {
@@ -856,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn best_match_left_returns_highest_scoring() {
+    fn first_left_match_is_the_highest_scoring() {
         let idx = SimilarityIndex::build(
             &movies_left(),
             &movies_right(),
@@ -866,7 +859,7 @@ mod tests {
                 ..IndexConfig::default()
             },
         );
-        let best = idx.best_match_left("Zoolander").unwrap();
+        let best = idx.matches_left("Zoolander").first().unwrap();
         assert_eq!(best.value, "Zoolander (2001)");
     }
 
@@ -1080,7 +1073,6 @@ mod tests {
         assert!(Sym::lookup(probe).is_none());
         assert!(idx.matches_left(probe).is_empty());
         assert!(idx.matches_right(probe).is_empty());
-        assert!(idx.best_match_left(probe).is_none());
         assert!(!idx.are_matched(probe, "Superbad (2007)"));
         assert!(!idx.are_matched("Superbad", probe));
         // The probe path is `Sym::lookup`-only: nothing was interned.

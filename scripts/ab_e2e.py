@@ -14,6 +14,16 @@ distance between the base's quartiles. For every side it prints the failed
 share of operations (failed / attempted over all runs), whether every run
 reported ``correct: true``, and the digests the runs printed.
 
+For every end-to-end metric of BENCHMARK.json it then prints a
+no-regression verdict against that metric's ``bound``, a fraction of the
+base median:
+
+    worse       the head median is worse than the base median by more than
+                the bound;
+    unresolved  the base's spread (quartile distance over median) exceeds
+                the bound, and not every head run beats every base run;
+    ok          otherwise.
+
     python3 scripts/ab_e2e.py --base HEAD~1 --pairs 10 --workloads movies-learn
     python3 scripts/ab_e2e.py --base main --head HEAD --seconds 15 --trace
 
@@ -87,7 +97,27 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def report(workload, runs, directions):
+def spread(values):
+    """Distance between the quartiles as a fraction of the median."""
+    q1, med, q3 = quartiles(values)
+    if q3 == q1:
+        return 0.0
+    return (q3 - q1) / abs(med) if med else float("inf")
+
+
+def verdict(base, head, better, bound):
+    """The no-regression verdict of one end-to-end metric (see the module doc)."""
+    bmed, hmed = statistics.median(base), statistics.median(head)
+    worsening = hmed - bmed if better == "lower" else bmed - hmed
+    if worsening > bound * abs(bmed):
+        return "worse"
+    beats_all = max(head) < min(base) if better == "lower" else min(head) > max(base)
+    if spread(base) > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def report(workload, runs, directions, bounds):
     print(f"\n== {workload}: {len(runs['base'])} pairs")
     for side in ("base", "head"):
         attempted = sum(r["attempted"] for r in runs[side])
@@ -112,6 +142,14 @@ def report(workload, runs, directions):
         print(f"  {name:<28} {bmed:>12.6g} [{bq1:>9.4g}, {bq3:>9.4g}] "
               f"{hmed:>12.6g} [{hq1:>9.4g}, {hq3:>9.4g}] {change:>+7.1f}% "
               f"{wins:>3}/{len(base):<2} {'yes' if beyond else 'no':>10}")
+    print(f"  {'end-to-end metric':<28} {'bound':>6} {'base spread':>11}  verdict")
+    for name, bound in bounds.items():
+        if name not in names:
+            continue
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        head = [r["metrics"][name]["value"] for r in runs["head"]]
+        print(f"  {name:<28} {bound:>6.2f} {spread(base):>11.3f}  "
+              f"{verdict(base, head, directions[name], bound)}")
 
 
 def main():
@@ -129,6 +167,7 @@ def main():
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     work = Path(args.work_dir) if args.work_dir else Path(tempfile.mkdtemp(prefix="ab_e2e_"))
 
@@ -148,7 +187,7 @@ def main():
                 binary, src = sides[side]
                 runs[side].append(run_once(binary, src, workload, args.seed, args.seconds, args.trace))
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        report(workload, runs, directions)
+        report(workload, runs, directions, bounds)
         results[workload] = runs
     if args.json:
         Path(args.json).write_text(json.dumps(results, indent=1))

@@ -1,14 +1,18 @@
 //! The fallible session API: typed errors on malformed tasks and
 //! configurations (instead of panics deep inside bottom-clause
-//! construction), parity between single and batched prediction, and
-//! determinism across independently prepared sessions.
+//! construction), parity between single and batched prediction,
+//! determinism across independently prepared sessions, and deltas that
+//! share the ground examples they do not re-ground.
+
+use std::sync::Arc;
 
 use dlearn::core::{DlearnError, Engine, LearnerConfig, Strategy, TargetSpec};
 use dlearn::datagen::citations::{generate_citation_dataset, CitationConfig};
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
 use dlearn::datagen::products::{generate_product_dataset, ProductConfig};
-use dlearn::relstore::{tuple, StoreError, Value};
+use dlearn::relstore::{tuple, RelId, StoreError, Value};
 use dlearn_constraints::{Cfd, MatchingDependency};
+use dlearn_test_support::delta::{tx_script, TxScriptConfig};
 
 fn fast() -> LearnerConfig {
     LearnerConfig {
@@ -201,4 +205,60 @@ fn every_strategy_is_deterministic_across_engines() {
             strategy.name()
         );
     }
+}
+
+#[test]
+fn a_delta_shares_the_ground_examples_it_does_not_reground() {
+    // Every example a delta leaves alone is the pre-delta engine's own
+    // allocation (a reference count, not a copy); every re-ground one is new.
+    let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
+    let config = LearnerConfig {
+        coverage_threads: 2,
+        ..fast()
+    };
+    let mut engine = Engine::prepare(dataset.task.clone(), config).expect("valid task");
+    let relations = ["imdb_movies", "omdb_movies", "imdb_mov2genres"].map(RelId::intern);
+    let script = tx_script(
+        &dataset.task.database,
+        &relations,
+        &TxScriptConfig::default(),
+        7,
+    );
+    let (mut shared, mut reground) = ([0usize; 2], [0usize; 2]);
+    for (step, tx) in script.iter().enumerate() {
+        let before = [
+            engine.coverage().positives().to_vec(),
+            engine.coverage().negatives().to_vec(),
+        ];
+        let g = engine.apply_delta(tx).expect("apply_delta").grounding;
+        let after = [engine.coverage().positives(), engine.coverage().negatives()];
+        let reused = [g.positives_reused, g.negatives_reused];
+        for side in 0..2 {
+            let (old, new) = (&before[side], after[side]);
+            assert_eq!(old.len(), new.len());
+            let same: Vec<bool> = old
+                .iter()
+                .zip(new)
+                .map(|(o, n)| Arc::ptr_eq(o, n))
+                .collect();
+            let count = same.iter().filter(|&&s| s).count();
+            assert_eq!(
+                count, reused[side],
+                "step {step} side {side}: shared != reused"
+            );
+            for (i, n) in new.iter().enumerate().filter(|(i, _)| !same[*i]) {
+                assert!(
+                    old.iter().all(|o| !Arc::ptr_eq(o, n)),
+                    "step {step} side {side}: re-ground example {i} is not a new allocation"
+                );
+            }
+            shared[side] += count;
+            reground[side] += new.len() - count;
+        }
+    }
+    // Vacuity guard: the script both shared and re-ground on each side.
+    assert!(
+        shared.iter().chain(&reground).all(|&n| n > 0),
+        "shared {shared:?}, re-ground {reground:?}"
+    );
 }
