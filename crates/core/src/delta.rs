@@ -123,17 +123,20 @@ impl Engine {
         if self.quarantined {
             return Err(DlearnError::DeltaQuarantined);
         }
+        // The database is copied, not mutated: predictors bound to the
+        // pre-delta plan still read it.
         let mut db = self.base.task.database.clone();
         let changes = db.apply_delta(tx).map_err(delta_store_error)?;
-        // All maintenance below works on clones; `self` is only mutated on
-        // success, so a panic leaves the committed state fully intact.
+        // The maintained indexes are updated in place. A panic can leave
+        // them half-updated, but it quarantines the session, and a
+        // quarantined session never reads them again; the committed plan
+        // keeps serving reads.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             compute_delta(self, db, changes)
         }));
         match outcome {
-            Ok((base, maintenance, report)) => {
+            Ok((base, report)) => {
                 self.base = base;
-                self.maintenance = Some(maintenance);
                 self.plans = Default::default();
                 Ok(report)
             }
@@ -148,14 +151,14 @@ impl Engine {
     }
 }
 
-/// The maintenance pass proper: returns the new base plan, the maintained
-/// indexes to carry forward, and the report. Pure with respect to `engine` —
-/// commit happens in the caller.
+/// The maintenance pass proper: updates `engine`'s maintained indexes in
+/// place and returns the new base plan and the report. The caller commits
+/// the plan.
 fn compute_delta(
-    engine: &Engine,
+    engine: &mut Engine,
     db: Database,
     changes: ChangeSet,
-) -> (Arc<StrategyPlan>, Vec<MaintainedIndex>, DeltaReport) {
+) -> (Arc<StrategyPlan>, DeltaReport) {
     let old = &engine.base;
     let config = &old.config;
     // Injected panics here model a crash mid-maintenance; budget exhaustion
@@ -167,11 +170,10 @@ fn compute_delta(
 
     // Adopt the prepared catalog into maintained form on the first delta
     // (no alignment runs — adoption only rebuilds postings and back-refs).
-    let mut maintenance: Vec<MaintainedIndex> = if !use_indexes {
-        Vec::new()
-    } else if let Some(m) = &engine.maintenance {
-        m.clone()
-    } else {
+    let maintenance: &mut Vec<MaintainedIndex> = engine.maintenance.get_or_insert_with(|| {
+        if !use_indexes {
+            return Vec::new();
+        }
         let augmented = augment_with_target(&old.task);
         old.catalog
             .indexes()
@@ -185,7 +187,7 @@ fn compute_delta(
                 )
             })
             .collect()
-    };
+    });
 
     let mut changed_syms: Vec<(usize, HashSet<Sym>)> = Vec::new();
     let mut rescored_lefts = 0usize;
@@ -269,7 +271,7 @@ fn compute_delta(
         coverage,
         delta_seq: old.delta_seq + 1,
     });
-    (plan, maintenance, report)
+    (plan, report)
 }
 
 /// Distinct-value presence transitions of one indexed column under a change

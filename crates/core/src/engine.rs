@@ -126,8 +126,8 @@ pub struct Engine {
     /// Lazily derived plans for the four baseline strategies.
     pub(crate) plans: [OnceLock<Arc<StrategyPlan>>; 4],
     /// Incrementally maintained similarity indexes, adopted from the base
-    /// catalog on the first [`Engine::apply_delta`] call (index-aligned with
-    /// the catalog's MD indexes).
+    /// catalog on the first [`Engine::apply_delta`] call and updated in
+    /// place by every delta (index-aligned with the catalog's MD indexes).
     pub(crate) maintenance: Option<Vec<dlearn_similarity::MaintainedIndex>>,
     /// Set when a delta application panicked mid-flight: the incremental
     /// state can no longer be trusted and every further delta is refused

@@ -3,7 +3,9 @@
 //! With the `fault-injection` feature on, the checkpoints re-export the
 //! deterministic harness in `dlearn-test-support` (see its `fault` module);
 //! off, they compile to no-op shims the optimizer erases, so production
-//! builds carry no injection machinery.
+//! builds carry no injection machinery. A checkpoint key is any `Display`
+//! value, formatted only by the harness, so a production build never
+//! formats one.
 
 #[cfg(feature = "fault-injection")]
 pub(crate) use dlearn_test_support::fault::{checkpoint, Action, Site};
@@ -31,7 +33,7 @@ mod noop {
     }
 
     #[inline(always)]
-    pub(crate) fn checkpoint(_site: Site, _key: &str) -> Action {
+    pub(crate) fn checkpoint(_site: Site, _key: impl std::fmt::Display) -> Action {
         Action::Proceed
     }
 }

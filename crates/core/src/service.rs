@@ -26,14 +26,15 @@
 //!   [`ServeVerdict::exhausted_searches`] count and the service-wide
 //!   [`ServiceMetrics`] aggregate them.
 //! * **Hot model swap** — the service owns its model as an
-//!   `RwLock<Arc<(epoch, predictor)>>`: every batch takes the read lock
-//!   only to clone the `Arc`, so it serves one consistent snapshot, and
-//!   [`PredictorService::publish`] / [`PredictorService::apply_delta`]
-//!   swap in a re-learned model under the write lock while in-flight
-//!   batches finish on their old epoch. A displaced model is freed when its
-//!   last in-flight batch ends. Cache entries are epoch-tagged, so
-//!   groundings from a superseded model are lazily dropped instead of
-//!   served ([`ServiceMetrics::stale_reads_prevented`]). Every
+//!   `RwLock<Arc<(epoch, predictor, cache)>>`: every batch takes the read
+//!   lock only to clone the `Arc`, so it serves one consistent snapshot and
+//!   reads and fills only the cache of that snapshot. A publication
+//!   ([`PredictorService::publish`] / [`PredictorService::apply_delta`])
+//!   swaps in a successor under the write lock while in-flight batches
+//!   finish on their old epoch. A full publish starts its successor with an
+//!   empty cache; a delta publication moves the cache into the successor,
+//!   minus the groundings the delta affected. A displaced model, cache
+//!   included, is freed when its last in-flight batch ends. Every
 //!   [`ServeVerdict`] names the epoch that produced it. For queued request
 //!   coalescing in front of the service, see [`crate::coalesce`].
 //!
@@ -69,7 +70,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use dlearn_logic::CancelToken;
@@ -199,38 +200,18 @@ counter_table! {
         /// Successful model publications — [`PredictorService::publish`] plus
         /// committed [`PredictorService::apply_delta`] calls.
         swaps,
-        /// Cache entries from a superseded epoch dropped: lazily at lookup, or
-        /// eagerly during a delta publication's cache walk.
+        /// Cache entries a full [`PredictorService::publish`] dropped: its
+        /// successor starts with an empty cache, so every grounding the
+        /// displaced epoch held at the publication goes with it.
         epoch_evictions,
-        /// Cache lookups that found an entry tagged with a *different* epoch
-        /// than the reader's snapshot and refused to serve it. Without epoch
-        /// tags each of these would have served a grounding from the wrong
-        /// model.
-        stale_reads_prevented,
     }
 }
 
-/// One clock-cache entry: a grounding plus the epoch of the model it was
-/// grounded under.
+/// One clock-cache entry.
 struct CacheEntry {
     key: Tuple,
     value: Arc<GroundExample>,
-    epoch: u64,
     referenced: bool,
-}
-
-/// What an epoch-aware shard lookup found.
-enum Lookup {
-    /// A current-epoch grounding.
-    Hit(Arc<GroundExample>),
-    /// An entry from a *superseded* epoch: dropped on the spot.
-    Stale,
-    /// An entry from a *newer* epoch than the reader's snapshot (the reader
-    /// is an in-flight batch on a pre-swap model): left in place, not
-    /// served.
-    Behind,
-    /// Nothing cached for the tuple.
-    Miss,
 }
 
 /// A fixed-capacity clock (second-chance) cache shard. The hand sweeps the
@@ -244,45 +225,19 @@ struct Shard {
 }
 
 impl Shard {
-    /// Epoch-aware lookup: only an entry tagged with the reader's exact
-    /// epoch is a hit. Older entries are stale groundings of a superseded
-    /// model and are dropped; newer entries belong to a model the reader
-    /// has not swapped to yet and are left alone.
-    fn get(&mut self, key: &Tuple, epoch: u64) -> Lookup {
-        let Some(&i) = self.index.get(key) else {
-            return Lookup::Miss;
-        };
-        let entry_epoch = self.entries[i].epoch;
-        if entry_epoch == epoch {
-            self.entries[i].referenced = true;
-            Lookup::Hit(self.entries[i].value.clone())
-        } else if entry_epoch < epoch {
-            self.remove_at(i);
-            Lookup::Stale
-        } else {
-            Lookup::Behind
-        }
+    fn get(&mut self, key: &Tuple) -> Option<Arc<GroundExample>> {
+        let &i = self.index.get(key)?;
+        self.entries[i].referenced = true;
+        Some(self.entries[i].value.clone())
     }
 
-    /// Insert, returning the number of clock evictions (0 or 1). An
-    /// existing entry from a newer epoch is never clobbered by a lagging
-    /// reader's insert.
-    fn insert(
-        &mut self,
-        key: Tuple,
-        value: Arc<GroundExample>,
-        epoch: u64,
-        capacity: usize,
-    ) -> u64 {
+    /// Insert, returning the number of clock evictions (0 or 1).
+    fn insert(&mut self, key: Tuple, value: Arc<GroundExample>, capacity: usize) -> u64 {
         if capacity == 0 {
             return 0;
         }
         if let Some(&i) = self.index.get(&key) {
-            if self.entries[i].epoch > epoch {
-                return 0;
-            }
             self.entries[i].value = value;
-            self.entries[i].epoch = epoch;
             self.entries[i].referenced = true;
             return 0;
         }
@@ -291,7 +246,6 @@ impl Shard {
             self.entries.push(CacheEntry {
                 key,
                 value,
-                epoch,
                 referenced: false,
             });
             return 0;
@@ -307,7 +261,6 @@ impl Shard {
                 self.entries[i] = CacheEntry {
                     key,
                     value,
-                    epoch,
                     referenced: false,
                 };
                 return 1;
@@ -315,58 +268,23 @@ impl Shard {
         }
     }
 
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.index.clear();
-        self.hand = 0;
-    }
-
-    /// Remove one entry by ring position, keeping the index consistent.
-    fn remove_at(&mut self, i: usize) {
-        let entry = self.entries.swap_remove(i);
-        self.index.remove(&entry.key);
-        if i < self.entries.len() {
-            self.index.insert(self.entries[i].key.clone(), i);
-        }
-        if self.hand >= self.entries.len() {
-            self.hand = 0;
-        }
-    }
-
-    /// The cache walk of a delta publication, migrating this shard from
-    /// `current` to `new`: entries whose grounding the delta `affected` are
-    /// evicted; unaffected current-epoch survivors are re-tagged to the new
-    /// epoch (provably bit-identical to a fresh grounding over the mutated
-    /// database); leftovers from even older epochs are dropped as stale.
-    /// Returns `(delta_evicted, stale_evicted)`.
-    fn retag_or_evict(
-        &mut self,
-        current: u64,
-        new: u64,
-        mut affected: impl FnMut(&GroundExample) -> bool,
-    ) -> (u64, u64) {
+    /// The cache walk of a publication: evict the entries whose grounding
+    /// is `affected` (every entry for a full publish; for a delta, those
+    /// that probed a changed value, so each survivor is provably
+    /// bit-identical to a fresh grounding over the mutated database). The
+    /// survivors keep their ring order. Returns the number evicted.
+    fn evict(&mut self, mut affected: impl FnMut(&GroundExample) -> bool) -> u64 {
         let before = self.entries.len();
-        let mut delta_evicted = 0u64;
-        self.entries.retain_mut(|entry| {
-            if entry.epoch != current {
-                return false;
-            }
-            if affected(&entry.value) {
-                delta_evicted += 1;
-                return false;
-            }
-            entry.epoch = new;
-            true
-        });
-        let removed = (before - self.entries.len()) as u64;
-        if removed > 0 {
+        self.entries.retain(|entry| !affected(&entry.value));
+        let evicted = before - self.entries.len();
+        if evicted > 0 {
             self.index.clear();
             for (i, entry) in self.entries.iter().enumerate() {
                 self.index.insert(entry.key.clone(), i);
             }
             self.hand = 0;
         }
-        (delta_evicted, removed - delta_evicted)
+        evicted as u64
     }
 }
 
@@ -398,24 +316,37 @@ impl Quarantine {
     }
 }
 
-/// One published model: the epoch number and the predictor state serving it.
-/// Readers clone the whole snapshot out of the service's model cell, so a
-/// batch never observes half of one model and half of another.
+/// One published model: the epoch number, the predictor state serving it and
+/// the ground-example cache filled under it. Readers clone the whole
+/// snapshot out of the service's model cell, so a batch never observes half
+/// of one model and half of another, nor a grounding cached under another.
 struct EpochModel {
     epoch: u64,
     predictor: Predictor,
+    /// Clock shards, a power of two of them.
+    cache: Vec<Mutex<Shard>>,
+}
+
+impl EpochModel {
+    /// The locked cache shard `tuple` hashes to.
+    fn shard(&self, tuple: &Tuple) -> MutexGuard<'_, Shard> {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        tuple.hash(&mut h);
+        self.cache[(h.finish() as usize) & (self.cache.len() - 1)]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A long-lived, `Send + Sync` serving front-end over a [`Predictor`]: see
 /// the [module docs](crate::service) for the resilience contract.
 pub struct PredictorService {
-    /// The epoch-versioned model. Batches clone one snapshot out under the
-    /// read lock; publications swap in a successor under the write lock.
+    /// The epoch-versioned model and its cache. Batches clone one snapshot
+    /// out under the read lock; publications swap in a successor under the
+    /// write lock.
     model: RwLock<Arc<EpochModel>>,
     config: ServiceConfig,
-    shard_count: usize,
     per_shard_capacity: usize,
-    shards: Vec<Mutex<Shard>>,
     quarantine: Mutex<Quarantine>,
     counters: Counters,
     /// Serializes publications ([`PredictorService::publish`] /
@@ -438,18 +369,14 @@ impl PredictorService {
         } else {
             config.cache_capacity.div_ceil(shard_count).max(1)
         };
-        let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect();
         PredictorService {
             model: RwLock::new(Arc::new(EpochModel {
                 epoch: 1,
                 predictor,
+                cache: (0..shard_count).map(|_| Mutex::default()).collect(),
             })),
             config,
-            shard_count,
             per_shard_capacity,
-            shards,
             quarantine: Mutex::new(Quarantine::default()),
             counters: Counters::default(),
             publish_lock: Mutex::new(()),
@@ -474,17 +401,84 @@ impl PredictorService {
         self.model.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Install the model of `epoch` under the write lock. Callers hold
-    /// `publish_lock`. The displaced model is dropped after the write lock
-    /// is released, so no reader waits on its destructor; it is freed there
-    /// unless an in-flight batch still holds it.
-    fn install(&self, epoch: u64, predictor: Predictor) {
-        let next = Arc::new(EpochModel { epoch, predictor });
-        let displaced = {
-            let mut model = self.model.write().unwrap_or_else(|e| e.into_inner());
-            std::mem::replace(&mut *model, next)
+    /// The one publication path: build the successor of the installed model
+    /// (epoch + 1), move each cache shard into it minus the entries it may
+    /// not inherit, and install it under the write lock. A full publish
+    /// (`delta` is `None`) inherits no entry
+    /// ([`ServiceMetrics::epoch_evictions`]). A delta publication refuses a
+    /// quarantined swap path or a report that does not chain from the
+    /// served model, then evicts the entries whose recorded probes the
+    /// delta touched ([`ServiceMetrics::delta_evictions`]). Returns the new
+    /// epoch and the number of entries evicted.
+    ///
+    /// A panic while building the successor (only reachable via the
+    /// fault-injection harness) drops it half-built, leaves the installed
+    /// epoch serving and quarantines the swap path.
+    fn install(
+        &self,
+        predictor: Predictor,
+        delta: Option<&crate::DeltaReport>,
+    ) -> Result<(u64, u64), DlearnError> {
+        let _publishing = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let current = self.current();
+        if let Some(report) = delta {
+            if self.swap_quarantined.load(Ordering::Acquire) {
+                return Err(DlearnError::SwapQuarantined);
+            }
+            let served = current.predictor.delta_seq();
+            if report.sequence != served + 1 || predictor.delta_seq() != report.sequence {
+                return Err(DlearnError::DeltaEpochMismatch {
+                    served,
+                    report: report.sequence,
+                });
+            }
+        }
+        let epoch = current.epoch + 1;
+        let successor = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let kind = if delta.is_some() { "delta" } else { "publish" };
+            let _ = fault::checkpoint(fault::Site::Swap, format_args!("{kind}@{epoch}"));
+            let mut evicted = 0;
+            let cache = current
+                .cache
+                .iter()
+                .map(|shard| {
+                    let mut moved =
+                        std::mem::take(&mut *shard.lock().unwrap_or_else(|e| e.into_inner()));
+                    evicted +=
+                        moved.evict(|g| delta.is_none_or(|report| report.affects(&g.probes)));
+                    Mutex::new(moved)
+                })
+                .collect();
+            (cache, evicted)
+        }));
+        let (cache, evicted) = match successor {
+            Ok(successor) => successor,
+            Err(payload) => {
+                self.swap_quarantined.store(true, Ordering::Release);
+                self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                return Err(DlearnError::WorkerPanicked {
+                    site: "swap",
+                    message: crate::par::panic_message(&*payload),
+                });
+            }
         };
-        drop(displaced);
+        // `current` still holds the displaced model, so replacing it under
+        // the write lock only drops a reference: the model is freed when
+        // `current` goes out of scope (no reader waits on its destructor),
+        // or by its last in-flight batch.
+        *self.model.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(EpochModel {
+            epoch,
+            predictor,
+            cache,
+        });
+        let evictions = match delta {
+            Some(_) => &self.counters.delta_evictions,
+            None => &self.counters.epoch_evictions,
+        };
+        evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.counters.swaps.fetch_add(1, Ordering::Relaxed);
+        self.swap_quarantined.store(false, Ordering::Release);
+        Ok((epoch, evicted))
     }
 
     /// `true` after a panic mid-publication: the previous epoch keeps
@@ -499,45 +493,26 @@ impl PredictorService {
         self.counters.snapshot()
     }
 
-    /// Atomically publish a (re-)learned model as a fresh epoch, returning
-    /// the new epoch number. In-flight batches finish on the epoch they
-    /// loaded; batches starting after the publish serve the new model. Old
-    /// cache entries are *not* walked — they are tagged with their dead
-    /// epoch and lazily dropped on first lookup
-    /// ([`ServiceMetrics::epoch_evictions`]).
+    /// Atomically publish a (re-)learned model as a fresh epoch with an
+    /// empty cache, returning the new epoch number. In-flight batches finish
+    /// on the epoch (and cache) they loaded; batches starting after the
+    /// publish serve the new model.
     ///
     /// This is also the recovery path after a swap quarantine: a clean
     /// publish installs a fresh epoch and lifts the quarantine. A panic
     /// inside the publication (only reachable via the fault-injection
     /// harness) leaves the old epoch serving and quarantines the swap path.
     pub fn publish(&self, predictor: Predictor) -> Result<u64, DlearnError> {
-        let _publishing = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch = self.epoch() + 1;
-        let key = format!("publish@{epoch}");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = fault::checkpoint(fault::Site::Swap, &key);
-        }));
-        if let Err(payload) = outcome {
-            self.swap_quarantined.store(true, Ordering::Release);
-            self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-            return Err(DlearnError::WorkerPanicked {
-                site: "swap",
-                message: crate::par::panic_message(&*payload),
-            });
-        }
-        self.install(epoch, predictor);
-        self.counters.swaps.fetch_add(1, Ordering::Relaxed);
-        self.swap_quarantined.store(false, Ordering::Release);
-        Ok(epoch)
+        self.install(predictor, None).map(|(epoch, _)| epoch)
     }
 
-    /// Publish a post-delta predictor and migrate the cache across the
-    /// epoch boundary: entries whose recorded probes intersect the delta's
-    /// change set (see [`crate::DeltaReport::affects`]) are evicted, every
+    /// Publish a post-delta predictor, handing it the cache of the served
+    /// epoch: entries whose recorded probes intersect the delta's change set
+    /// (see [`crate::DeltaReport::affects`]) are evicted, and every
     /// surviving entry — provably bit-identical to a fresh grounding over
-    /// the mutated database — is re-tagged to the new epoch, so cache-on
-    /// and cache-off serving stay in parity across deltas. Returns the
-    /// number of delta-evicted entries.
+    /// the mutated database — moves to the new epoch, so cache-on and
+    /// cache-off serving stay in parity across deltas. Returns the number of
+    /// delta-evicted entries.
     ///
     /// The report must chain directly from the served model: its
     /// [`crate::DeltaReport::sequence`] has to be the served
@@ -553,71 +528,15 @@ impl PredictorService {
         predictor: Predictor,
         report: &crate::DeltaReport,
     ) -> Result<u64, DlearnError> {
-        let _publishing = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if self.swap_quarantined.load(Ordering::Acquire) {
-            return Err(DlearnError::SwapQuarantined);
-        }
-        let current = self.current();
-        let served = current.predictor.delta_seq();
-        if report.sequence != served + 1 || predictor.delta_seq() != report.sequence {
-            return Err(DlearnError::DeltaEpochMismatch {
-                served,
-                report: report.sequence,
-            });
-        }
-        let epoch = current.epoch + 1;
-        let key = format!("delta@{epoch}");
-        let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = fault::checkpoint(fault::Site::Swap, &key);
-            let mut delta_evicted = 0u64;
-            let mut stale_evicted = 0u64;
-            for shard in &self.shards {
-                let (delta, stale) = shard
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .retag_or_evict(current.epoch, epoch, |g| report.affects(&g.probes));
-                delta_evicted += delta;
-                stale_evicted += stale;
-            }
-            (delta_evicted, stale_evicted)
-        }));
-        match walk {
-            Ok((delta_evicted, stale_evicted)) => {
-                if delta_evicted > 0 {
-                    self.counters
-                        .delta_evictions
-                        .fetch_add(delta_evicted, Ordering::Relaxed);
-                }
-                if stale_evicted > 0 {
-                    self.counters
-                        .epoch_evictions
-                        .fetch_add(stale_evicted, Ordering::Relaxed);
-                }
-                self.install(epoch, predictor);
-                self.counters.swaps.fetch_add(1, Ordering::Relaxed);
-                Ok(delta_evicted)
-            }
-            Err(payload) => {
-                // The walk may have re-tagged some entries to an epoch that
-                // was never installed; dropping everything is always sound
-                // and keeps the old epoch serving correct verdicts.
-                self.clear_cache();
-                self.swap_quarantined.store(true, Ordering::Release);
-                self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                Err(DlearnError::WorkerPanicked {
-                    site: "swap",
-                    message: crate::par::panic_message(&*payload),
-                })
-            }
-        }
+        self.install(predictor, Some(report))
+            .map(|(_, evicted)| evicted)
     }
 
-    /// Drop every cached ground example (counters are kept). Used by the
-    /// cold-cache benchmarks and by callers that know the cache has gone
-    /// stale.
+    /// Drop every ground example cached under the installed model (counters
+    /// are kept). Used by the cold-cache benchmarks.
     pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        for shard in &self.current().cache {
+            *shard.lock().unwrap_or_else(|e| e.into_inner()) = Shard::default();
         }
     }
 
@@ -700,8 +619,8 @@ impl PredictorService {
     }
 
     /// Serve one (pre-validated) example end to end against one model
-    /// snapshot: deadline setup, epoch-checked cache lookup or grounding,
-    /// coverage under the effective step budget.
+    /// snapshot: the deadline, the snapshot's cache or a fresh grounding,
+    /// and coverage under the effective step budget.
     fn serve_one(
         &self,
         model: &EpochModel,
@@ -711,60 +630,82 @@ impl PredictorService {
     ) -> ServeResult {
         // Parity with `Predictor::predict`: an empty definition covers
         // nothing and never grounds.
-        if model.predictor.definition().is_empty() {
-            self.counters.served.fetch_add(1, Ordering::Relaxed);
-            return Ok(ServeVerdict {
-                covered: false,
-                exhausted_searches: 0,
-                epoch: model.epoch,
-            });
-        }
-        let budget_ms = budget.deadline.map(|d| d.as_millis() as u64).unwrap_or(0);
-        let cancel = budget
-            .deadline
-            .map(|d| CancelToken::with_deadline(Instant::now() + d));
-        let deadline_blown =
-            |c: &Option<CancelToken>| c.as_ref().map(|c| c.is_cancelled()).unwrap_or(false);
-        if deadline_blown(&cancel) {
+        let decided = if model.predictor.definition().is_empty() {
+            Some((false, 0))
+        } else {
+            let cancel = budget
+                .deadline
+                .map(|d| CancelToken::with_deadline(Instant::now() + d));
+            self.cover(model, builder, example, budget, cancel.as_ref())
+        };
+        let Some((covered, exhausted)) = decided else {
             self.counters
                 .deadline_exceeded
                 .fetch_add(1, Ordering::Relaxed);
-            return Err(DlearnError::DeadlineExceeded { budget_ms });
+            return Err(DlearnError::DeadlineExceeded {
+                budget_ms: budget.deadline.map_or(0, |d| d.as_millis() as u64),
+            });
+        };
+        self.counters.served.fetch_add(1, Ordering::Relaxed);
+        if exhausted > 0 {
+            self.counters
+                .budget_exhausted_searches
+                .fetch_add(exhausted as u64, Ordering::Relaxed);
+            self.counters
+                .degraded_verdicts
+                .fetch_add(1, Ordering::Relaxed);
         }
-        let key = example.to_string();
+        Ok(ServeVerdict {
+            covered,
+            exhausted_searches: exhausted,
+            epoch: model.epoch,
+        })
+    }
 
-        let cached = self.cache_get(example, model.epoch);
-        let (ground, fresh) = match cached {
+    /// Decide `(covered, exhausted searches)` for `example`, grounding it
+    /// unless the snapshot's cache holds it; `None` once `cancel`'s deadline
+    /// has passed.
+    fn cover(
+        &self,
+        model: &EpochModel,
+        builder: &crate::bottom::BottomClauseBuilder<'_>,
+        example: &Tuple,
+        budget: &Budget,
+        cancel: Option<&CancelToken>,
+    ) -> Option<(bool, u32)> {
+        let expired = || cancel.is_some_and(CancelToken::is_cancelled);
+        if expired() {
+            return None;
+        }
+        let cached = match self.per_shard_capacity {
+            0 => None,
+            _ => model.shard(example).get(example),
+        };
+        let fresh = cached.is_none();
+        let ground = match cached {
             Some(g) => {
                 self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                (g, false)
+                g
             }
             None => {
                 self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                 // Budget exhaustion is a coverage-site fault; at grounding
                 // only panics and delays apply, both executed inside.
-                let _ = fault::checkpoint(fault::Site::Grounding, &key);
-                let g = Arc::new(model.predictor.ground(builder, example));
-                (g, true)
+                let _ = fault::checkpoint(fault::Site::Grounding, example);
+                Arc::new(model.predictor.ground(builder, example))
             }
         };
-        if deadline_blown(&cancel) {
-            self.counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(DlearnError::DeadlineExceeded { budget_ms });
+        if expired() {
+            return None;
         }
 
-        let coverage_action = fault::checkpoint(fault::Site::Coverage, &key);
+        let coverage_action = fault::checkpoint(fault::Site::Coverage, example);
         // A stall before the search (the checkpoint above can sleep) may
         // burn the whole deadline in one place; the in-search poll only
         // fires every `CANCEL_CHECK_INTERVAL` steps, so a short search
         // would otherwise return a late verdict instead of timing out.
-        if deadline_blown(&cancel) {
-            self.counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(DlearnError::DeadlineExceeded { budget_ms });
+        if expired() {
+            return None;
         }
         let mut sub = model.predictor.config().subsumption;
         if let Some(cap) = budget.max_subsumption_steps {
@@ -774,13 +715,8 @@ impl PredictorService {
             sub.max_steps = 0;
         }
 
-        let (covered, exhausted) = match model.predictor.decide(&ground, &sub, cancel.as_ref()) {
-            CoverageOutcome::Cancelled => {
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(DlearnError::DeadlineExceeded { budget_ms });
-            }
+        let decided = match model.predictor.decide(&ground, &sub, cancel) {
+            CoverageOutcome::Cancelled => return None,
             CoverageOutcome::Covered { exhausted_searches } => (true, exhausted_searches),
             CoverageOutcome::NotCovered { exhausted_searches } => (false, exhausted_searches),
         };
@@ -798,73 +734,16 @@ impl PredictorService {
                     .quarantine_hits
                     .fetch_add(1, Ordering::Relaxed);
             } else {
-                self.cache_insert(example.clone(), ground, model.epoch);
+                let evictions =
+                    model
+                        .shard(example)
+                        .insert(example.clone(), ground, self.per_shard_capacity);
+                self.counters
+                    .cache_evictions
+                    .fetch_add(evictions, Ordering::Relaxed);
             }
         }
-
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        if exhausted > 0 {
-            self.counters
-                .budget_exhausted_searches
-                .fetch_add(exhausted as u64, Ordering::Relaxed);
-            self.counters
-                .degraded_verdicts
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(ServeVerdict {
-            covered,
-            exhausted_searches: exhausted,
-            epoch: model.epoch,
-        })
-    }
-
-    fn shard_for(&self, tuple: &Tuple) -> &Mutex<Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        tuple.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (self.shard_count - 1)]
-    }
-
-    fn cache_get(&self, tuple: &Tuple, epoch: u64) -> Option<Arc<GroundExample>> {
-        if self.per_shard_capacity == 0 {
-            return None;
-        }
-        let lookup = self
-            .shard_for(tuple)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(tuple, epoch);
-        match lookup {
-            Lookup::Hit(g) => Some(g),
-            Lookup::Stale => {
-                self.counters
-                    .epoch_evictions
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .stale_reads_prevented
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Lookup::Behind => {
-                self.counters
-                    .stale_reads_prevented
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Lookup::Miss => None,
-        }
-    }
-
-    fn cache_insert(&self, tuple: Tuple, ground: Arc<GroundExample>, epoch: u64) {
-        let evictions = self
-            .shard_for(&tuple)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(tuple, ground, epoch, self.per_shard_capacity);
-        if evictions > 0 {
-            self.counters
-                .cache_evictions
-                .fetch_add(evictions, Ordering::Relaxed);
-        }
+        Some(decided)
     }
 }
 
@@ -875,7 +754,7 @@ impl std::fmt::Debug for PredictorService {
             .field("epoch", &model.epoch)
             .field("predictor", &model.predictor)
             .field("cache_capacity", &self.config.cache_capacity)
-            .field("cache_shards", &self.shard_count)
+            .field("cache_shards", &model.cache.len())
             .finish()
     }
 }
@@ -898,66 +777,41 @@ mod tests {
         dlearn_relstore::tuple(vec![dlearn_relstore::Value::int(tag)])
     }
 
-    fn hit(shard: &mut Shard, key: &Tuple, epoch: u64) -> bool {
-        matches!(shard.get(key, epoch), Lookup::Hit(_))
+    fn hit(shard: &mut Shard, key: &Tuple) -> bool {
+        shard.get(key).is_some()
     }
 
     #[test]
     fn clock_shard_evicts_unreferenced_entries_first() {
         let mut shard = Shard::default();
-        assert_eq!(shard.insert(key(1), ground_stub(1), 1, 2), 0);
-        assert_eq!(shard.insert(key(2), ground_stub(2), 1, 2), 0);
+        assert_eq!(shard.insert(key(1), ground_stub(1), 2), 0);
+        assert_eq!(shard.insert(key(2), ground_stub(2), 2), 0);
         // Touch key 1 so its reference bit protects it for one sweep.
-        assert!(hit(&mut shard, &key(1), 1));
-        assert_eq!(shard.insert(key(3), ground_stub(3), 1, 2), 1);
-        assert!(hit(&mut shard, &key(1), 1), "referenced entry survived");
-        assert!(!hit(&mut shard, &key(2), 1), "unreferenced entry evicted");
-        assert!(hit(&mut shard, &key(3), 1));
+        assert!(hit(&mut shard, &key(1)));
+        assert_eq!(shard.insert(key(3), ground_stub(3), 2), 1);
+        assert!(hit(&mut shard, &key(1)), "referenced entry survived");
+        assert!(!hit(&mut shard, &key(2)), "unreferenced entry evicted");
+        assert!(hit(&mut shard, &key(3)));
     }
 
     #[test]
     fn zero_capacity_disables_the_shard() {
         let mut shard = Shard::default();
-        assert_eq!(shard.insert(key(1), ground_stub(1), 1, 0), 0);
-        assert!(!hit(&mut shard, &key(1), 1));
+        assert_eq!(shard.insert(key(1), ground_stub(1), 0), 0);
+        assert!(!hit(&mut shard, &key(1)));
     }
 
     #[test]
-    fn stale_epoch_entries_are_dropped_on_lookup_and_never_served() {
+    fn delta_walk_evicts_affected_entries_and_keeps_the_rest() {
         let mut shard = Shard::default();
-        assert_eq!(shard.insert(key(1), ground_stub(1), 1, 4), 0);
-        // A reader on epoch 2 must not see the epoch-1 grounding...
-        assert!(matches!(shard.get(&key(1), 2), Lookup::Stale));
-        // ...and the stale entry is gone afterwards.
-        assert!(matches!(shard.get(&key(1), 2), Lookup::Miss));
-        assert!(shard.index.is_empty() && shard.entries.is_empty());
-    }
-
-    #[test]
-    fn lagging_readers_neither_see_nor_clobber_newer_epochs() {
-        let mut shard = Shard::default();
-        assert_eq!(shard.insert(key(1), ground_stub(1), 3, 4), 0);
-        // An in-flight batch still on epoch 2 gets a miss, not the newer
-        // grounding — and the newer entry survives.
-        assert!(matches!(shard.get(&key(1), 2), Lookup::Behind));
-        assert!(matches!(shard.get(&key(1), 3), Lookup::Hit(_)));
-        // Its lagging insert is refused.
-        assert_eq!(shard.insert(key(1), ground_stub(9), 2, 4), 0);
-        assert!(matches!(shard.get(&key(1), 3), Lookup::Hit(_)));
-    }
-
-    #[test]
-    fn retag_or_evict_migrates_survivors_and_drops_the_rest() {
-        let mut shard = Shard::default();
-        shard.insert(key(1), ground_stub(1), 2, 8); // survivor
-        shard.insert(key(2), ground_stub(2), 2, 8); // delta-affected
-        shard.insert(key(3), ground_stub(3), 1, 8); // stale leftover
+        for tag in 1..=3 {
+            shard.insert(key(tag), ground_stub(tag), 8);
+        }
         let affected = key(2);
-        let (delta, stale) = shard.retag_or_evict(2, 3, |g| g.example == affected);
-        assert_eq!((delta, stale), (1, 1));
-        assert!(hit(&mut shard, &key(1), 3), "survivor re-tagged to epoch 3");
-        assert!(matches!(shard.get(&key(2), 3), Lookup::Miss));
-        assert!(matches!(shard.get(&key(3), 3), Lookup::Miss));
+        assert_eq!(shard.evict(|g| g.example == affected), 1);
+        assert!(hit(&mut shard, &key(1)));
+        assert!(!hit(&mut shard, &key(2)));
+        assert!(hit(&mut shard, &key(3)), "the index follows the survivors");
     }
 
     #[test]
@@ -997,6 +851,33 @@ mod tests {
             "epoch 2 outlived its publication"
         );
         assert_eq!(service.epoch(), 3);
+    }
+
+    #[test]
+    fn a_full_publish_frees_the_groundings_the_displaced_epoch_cached() {
+        use crate::learner::test_fixtures::two_source_task;
+        use crate::{Engine, LearnerConfig, Strategy};
+
+        let task = two_source_task();
+        let engine = Engine::prepare(task.clone(), LearnerConfig::fast()).expect("valid task");
+        let learned = engine.learn(Strategy::DLearn).expect("learn");
+        let bind = || engine.predictor(&learned).expect("bind predictor");
+        let service = PredictorService::new(bind(), ServiceConfig::default());
+        let example = &task.positives[0];
+        assert!(service.predict_batch(std::slice::from_ref(example))[0].is_ok());
+        let cached = {
+            let model = service.current();
+            let ground = model.shard(example).get(example).expect("cached");
+            Arc::downgrade(&ground)
+        };
+        assert!(cached.upgrade().is_some());
+
+        assert_eq!(service.publish(bind()).expect("publish"), 2);
+        assert!(
+            cached.upgrade().is_none(),
+            "a grounding of epoch 1 outlived its publication"
+        );
+        assert_eq!(service.metrics().epoch_evictions, 1);
     }
 
     #[test]

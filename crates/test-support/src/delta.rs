@@ -250,11 +250,13 @@ const DECOR: &[&str] = &[
 
 /// Derive a seeded sequence of valid [`DeltaTx`]s against `db`.
 ///
-/// Transactions are generated against an evolving clone, so deletes always
-/// name tuples present *at that point of the script* (including tuples
-/// inserted by earlier transactions). Inserted string values recombine a
-/// live value of the same column with a decoration tag; inserted ints are
-/// drawn near the column's existing range. Only `relations` are touched.
+/// Every op is drawn against an evolving clone and applied to it before the
+/// next op is drawn, so a delete always names a tuple present *at that
+/// point of the script* — including one inserted earlier in the same
+/// transaction — and never the same tuple twice. Inserted string values
+/// recombine a live value of the same column with a decoration tag;
+/// inserted ints are drawn near the column's existing range. Only
+/// `relations` are touched.
 pub fn tx_script(
     db: &Database,
     relations: &[RelId],
@@ -273,20 +275,20 @@ pub fn tx_script(
                 .relation(rel_id)
                 .unwrap_or_else(|| panic!("tx_script: unknown relation '{rel_id}'"));
             let delete = !rel.is_empty() && !rng.gen_bool(config.p_insert);
-            if delete {
+            let step = if delete {
                 let victim = rel
                     .tuple(rng.gen_range(0..rel.len()))
                     .expect("in range")
                     .clone();
-                tx = tx.delete(rel_id, victim);
+                DeltaTx::new().delete(rel_id, victim)
             } else {
-                let fresh = synthesize_tuple(rel, &mut rng);
-                tx = tx.insert(rel_id, fresh);
-            }
+                DeltaTx::new().insert(rel_id, synthesize_tuple(rel, &mut rng))
+            };
+            working
+                .apply_delta(&step)
+                .expect("generated ops are valid by construction");
+            tx.push(step.ops()[0].clone());
         }
-        working
-            .apply_delta(&tx)
-            .expect("generated transactions are valid by construction");
         script.push(tx);
     }
     script
@@ -396,5 +398,23 @@ mod tests {
             .filter(|s| DECOR.iter().any(|d| s.ends_with(d)))
             .count();
         assert!(decorated > 0 || script.iter().all(|tx| !tx.ops().is_empty()));
+
+        // Long transactions over three tuples: each op is drawn against the
+        // ops before it, so none deletes a tuple an earlier op removed.
+        let dense = TxScriptConfig {
+            txs: 8,
+            max_ops_per_tx: 6,
+            p_insert: 0.3,
+        };
+        for seed in 0..16 {
+            let script = tx_script(&db, &rels, &dense, seed);
+            assert!(script.iter().any(|tx| tx.len() > 1));
+            let mut replay = db.clone();
+            for tx in &script {
+                replay
+                    .apply_delta(tx)
+                    .expect("multi-op transaction stays valid");
+            }
+        }
     }
 }

@@ -266,14 +266,16 @@ pub fn injected(site: Site) -> u64 {
 }
 
 /// Production checkpoint: consult the installed plan (if any) for `(site,
-/// key)`. Panics and delays execute here — after the plan lock is released,
-/// so a panicking checkpoint never poisons the registry; budget exhaustion
-/// is returned for the caller to honor.
-pub fn checkpoint(site: Site, key: &str) -> Action {
+/// key)`. The key is formatted here, not by the caller, so builds without
+/// the harness never format one. Panics and delays execute here — after the
+/// plan lock is released, so a panicking checkpoint never poisons the
+/// registry; budget exhaustion is returned for the caller to honor.
+pub fn checkpoint(site: Site, key: impl std::fmt::Display) -> Action {
+    let key = key.to_string();
     let reg = registry();
     let fault = {
         let plan = reg.plan.read().unwrap_or_else(|e| e.into_inner());
-        match plan.as_ref().and_then(|p| p.decide(site, key)) {
+        match plan.as_ref().and_then(|p| p.decide(site, &key)) {
             Some(f) => f.clone(),
             None => return Action::Proceed,
         }

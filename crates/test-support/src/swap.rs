@@ -66,15 +66,7 @@ impl Default for SwapScriptConfig {
             steps: 24,
             p_delta: 0.25,
             p_publish: 0.2,
-            // One op per transaction: `tx_script` draws all ops of a tx
-            // against the pre-tx snapshot, so multi-op txs can collide
-            // (e.g. delete the same victim twice) on small relations. A
-            // swap script generates far more txs than the delta suites, so
-            // stay in the always-valid regime by default.
-            tx: TxScriptConfig {
-                max_ops_per_tx: 1,
-                ..TxScriptConfig::default()
-            },
+            tx: TxScriptConfig::default(),
         }
     }
 }

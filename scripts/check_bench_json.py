@@ -5,8 +5,9 @@ Two modes:
 
 ``check_bench_json.py [path]``
     Structural smoke over a committed ``BENCH_subsumption.json``: fail when
-    the file is malformed, an expected bench entry is missing, or a
-    median/sample count is not a positive number — the situations where the
+    the file is malformed, an expected bench entry is missing, a
+    median/sample count is not a positive number, a tolerance is not in
+    (0, 1) or ``gated`` is not a boolean — the situations where the
     baseline silently stops meaning anything. Timing values themselves are
     not compared (they are machine-dependent).
 
@@ -16,11 +17,14 @@ Two modes:
     one runner, or twice at HEAD when no base is resolvable). Prints a
     per-entry old->new table for every bench present in both runs, then
     fails when the median of a gated bench regresses by more than its
-    per-entry tolerance (written next to each median by the bench binary;
-    current file wins over baseline, with ``GATE_TOLERANCE`` as the final
-    fallback for pre-tolerance baselines). Benches present in only one of
-    the two runs are skipped (a new bench has no baseline yet), but at
-    least one gated bench must be comparable.
+    per-entry tolerance. The bench binary writes ``tolerance`` and
+    ``gated`` next to each median from one table (``GATE`` in
+    ``crates/bench/benches/subsumption.rs``). ``gated`` is read from the
+    current run only, because a baseline built at an older merge-base may
+    lack it; the tolerance is read from the current file, then the
+    baseline, with ``GATE_TOLERANCE`` as the final fallback. Benches
+    present in only one of the two runs are skipped (a new bench has no
+    baseline yet), but at least one gated bench must be comparable.
 """
 
 import json
@@ -71,52 +75,8 @@ EXPECTED_TOP_LEVEL = ["workload", "unit", "benches"]
 
 # Fallback regression tolerance of the same-machine gate, used only when
 # neither the current nor the baseline JSON carries a per-entry
-# ``tolerance`` field (i.e. a pre-tolerance baseline). The committed
-# per-entry values live in the bench binary (`gate_tolerance` in
-# `crates/bench/benches/subsumption.rs`) and ride along in the JSON.
+# ``tolerance`` field (i.e. a pre-tolerance baseline).
 GATE_TOLERANCE = 0.20
-
-# The hot-path benches the gate protects. The adversarial
-# `backtracking_heavy` bench is deliberately not gated: it is tracked
-# through the committed trajectory instead. The scaling curves are also
-# ungated — their small sizes are too noisy for a hard gate; curve shape is
-# reviewed through the committed diff instead. `generalization_round` and
-# the serving pair `predict_loop`/`predict_batch` are gated at widened
-# per-entry tolerances (0.30 / 0.25) reflecting their observed variance.
-# The `service/{cold,warm}/N` served-throughput curves graduated to the
-# gate once their variance was characterised over the committed trajectory;
-# they run at the widest per-entry tolerance in the table (0.35) because
-# they thread-scale and cache-prime. The `delta_apply/*`, `swap/publish`
-# and `coalesced/{1,8,32}_callers` entries followed the same path: they
-# landed EXPECTED-but-ungated with their future tolerances already in-JSON
-# (0.30 / 0.30 / 0.35), their variance held over the committed trajectory,
-# and they are now gated at those tolerances. The newer entries —
-# `learn/{foil_round,tilde_build}`, the extension-learner refinement
-# searches, and `subsumption/repaired_clauses`, repaired-clause expansion
-# of the three-MD movie bottom clauses — start the same way: committed
-# EXPECTED but ungated, tolerance (0.30) riding along in the JSON for when
-# they graduate.
-GATED_BENCHES = [
-    "subsumption/subsumes",
-    "subsumption/coverage_engine_counts",
-    "subsumption/index_build",
-    "subsumption/generalization_round",
-    "subsumption/predict_loop",
-    "subsumption/predict_batch",
-    "service/cold/1",
-    "service/cold/2",
-    "service/cold/8",
-    "service/warm/1",
-    "service/warm/2",
-    "service/warm/8",
-    "delta_apply/small",
-    "delta_apply/medium",
-    "delta_apply/rebuild",
-    "swap/publish",
-    "coalesced/1_callers",
-    "coalesced/8_callers",
-    "coalesced/32_callers",
-]
 
 
 def fail(message: str) -> None:
@@ -169,6 +129,11 @@ def entry_tolerance(name: str, current: dict, baseline: dict) -> float:
     return GATE_TOLERANCE
 
 
+def gated(benches: dict, name: str) -> bool:
+    entry = benches.get(name)
+    return isinstance(entry, dict) and entry.get("gated") is True
+
+
 def structural_check(path: str) -> None:
     data = load(path)
     for key in EXPECTED_TOP_LEVEL:
@@ -192,6 +157,8 @@ def structural_check(path: str) -> None:
                 f"bench entry {name!r}: tolerance must be a number in (0, 1), "
                 f"got {tolerance!r}"
             )
+        if not isinstance(benches[name].get("gated"), bool):
+            fail(f"bench entry {name!r}: gated must be a boolean, got {benches[name].get('gated')!r}")
 
     unexpected = sorted(set(benches) - set(EXPECTED_BENCHES))
     if unexpected:
@@ -217,19 +184,19 @@ def regression_gate(baseline_path: str, current_path: str) -> None:
         head = well_formed_median(current_path, current, name)
         ratio = head / base
         tolerance = entry_tolerance(name, current, baseline)
-        if name not in GATED_BENCHES:
+        if not gated(current, name):
             verdict = "(ungated)"
         elif ratio > 1.0 + tolerance:
             verdict = f"REGRESSED (tol {tolerance:.0%})"
         else:
             verdict = f"ok (tol {tolerance:.0%})"
         print(f"gate: {name:<{width}} {base:>13.0f} ns -> {head:>13.0f} ns (x{ratio:.2f}) {verdict}")
-        if name in GATED_BENCHES:
+        if gated(current, name):
             compared += 1
             if ratio > 1.0 + tolerance:
                 regressed.append((name, base, head, ratio, tolerance))
-    for name in GATED_BENCHES:
-        if name not in common:
+    for name in current:
+        if gated(current, name) and name not in common:
             print(f"gate: skipping {name} (not present in both runs)")
     if compared == 0:
         fail("regression gate compared no benches; baseline and current runs share no gated entry")
