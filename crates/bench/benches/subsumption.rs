@@ -492,17 +492,23 @@ fn bench_delta(c: &mut Criterion) {
 
 /// Hot-swap and coalescing costs: `swap/publish` prices one full epoch
 /// publication (re-bind the learned model, swap it in under the service's
-/// model lock) — the pause-free alternative to tearing the service down; `coalesced/{1,8,32}_callers` measure N concurrent callers pushing
-/// 8 requests each through the queued `Coalescer` front-end (batcher drain,
+/// model lock) — the pause-free alternative to tearing the service down;
+/// `swap/apply_delta` (ungated) one delta publication over a warm cache
+/// (the cache hand-over and freeing the displaced model);
+/// `coalesced/{1,8,32}_callers` measure N concurrent callers pushing 8
+/// requests each through the queued `Coalescer` front-end (batcher drain,
 /// per-budget grouping, per-caller fan-back included). Gated since
 /// graduation (0.30 / 0.35), completing the path the service curves walked.
 fn bench_swap(c: &mut Criterion) {
     use std::sync::Arc;
 
+    use criterion::BatchSize;
+    use dlearn_relstore::{tuple, DeltaTx, RelId, Value};
+
     let dataset = generate_movie_dataset(&MovieConfig::tiny().with_violation_rate(0.1), 42);
     let task = dataset.task;
     let config = LearnerConfig::fast().with_iterations(4);
-    let engine = dlearn_core::Engine::prepare(task, config).expect("valid task");
+    let engine = dlearn_core::Engine::prepare(task.clone(), config.clone()).expect("valid task");
     let learned = engine.learn(dlearn_core::Strategy::DLearn).expect("learn");
     let pool: Vec<dlearn_relstore::Tuple> = engine
         .task()
@@ -531,6 +537,42 @@ fn bench_swap(c: &mut Criterion) {
                     .expect("publish"),
             )
         })
+    });
+    // A session of its own keeps the other entries' inputs. Each setup
+    // commits the next engine delta (inserting or deleting one movie),
+    // rebinds the model and warms the cache; only the service's delta
+    // publication is timed.
+    let mut delta_engine = dlearn_core::Engine::prepare(task, config).expect("valid task");
+    let delta_service = dlearn_core::PredictorService::new(
+        delta_engine.predictor(&learned).expect("bind predictor"),
+        dlearn_core::ServiceConfig::default(),
+    );
+    let imdb = RelId::intern("imdb_movies");
+    let row = tuple(vec![
+        Value::int(996_000),
+        Value::str("Swap Bench"),
+        Value::int(2000),
+    ]);
+    let txs = [
+        DeltaTx::new().insert(imdb, row.clone()),
+        DeltaTx::new().delete(imdb, row),
+    ];
+    let mut commits = 0;
+    group.bench_function("apply_delta", |b| {
+        b.iter_batched(
+            || {
+                let report = delta_engine.apply_delta(&txs[commits % 2]).expect("delta");
+                commits += 1;
+                criterion::black_box(delta_service.predict_batch(&pool));
+                (delta_engine.predictor(&learned).expect("rebind"), report)
+            },
+            |(predictor, report)| {
+                delta_service
+                    .apply_delta(predictor, &report)
+                    .expect("apply")
+            },
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
 
@@ -629,6 +671,8 @@ const GATE: &[(&str, f64, bool)] = &[
     ("service/", 0.35, true),
     // Maintenance cost tracks transaction shape.
     ("delta_apply/", 0.30, true),
+    // Recorded until its variance is characterised.
+    ("swap/apply_delta", 0.30, false),
     // A publish is dominated by predictor re-binding.
     ("swap/", 0.30, true),
     // Thread spawn/join and batcher timer behavior dominate on small

@@ -3,7 +3,8 @@
 //! Unlike plain FDs, a set of CFDs can be *inconsistent*: no non-empty
 //! relation can satisfy all of them (Section 2.3, e.g. `(A → B, a1 || b1)`
 //! and `(B → A, b1 || a2)` over `R(A, B)`). Cleaning only makes sense for a
-//! consistent set, so the learner validates its input CFDs with this check.
+//! consistent set, so `Engine::prepare` rejects a task whose CFDs fail this
+//! check.
 //!
 //! We implement the pairwise chase-style test from Bohannon et al. (2007) for
 //! CFDs with constant patterns: two CFDs conflict when the constants forced
@@ -51,11 +52,6 @@ pub fn find_inconsistencies(cfds: &[Cfd]) -> Vec<Inconsistency> {
         }
     }
     found
-}
-
-/// `true` when the set of CFDs is consistent (no pairwise conflict detected).
-pub fn is_consistent(cfds: &[Cfd]) -> bool {
-    find_inconsistencies(cfds).is_empty()
 }
 
 /// Does applying `a` (assuming its pattern) force a value that contradicts
@@ -132,7 +128,7 @@ mod tests {
         assert_eq!(issues.len(), 1);
         assert_eq!(issues[0].attribute, "a");
         assert!(
-            is_consistent(&[]),
+            find_inconsistencies(&[]).is_empty(),
             "the empty set of CFDs is trivially consistent"
         );
     }
@@ -141,7 +137,7 @@ mod tests {
     fn plain_fds_are_always_consistent() {
         let c1 = Cfd::fd("c1", "r", vec!["a"], "b");
         let c2 = Cfd::fd("c2", "r", vec!["b"], "a");
-        assert!(is_consistent(&[c1, c2]));
+        assert!(find_inconsistencies(&[c1, c2]).is_empty());
     }
 
     #[test]
@@ -162,7 +158,7 @@ mod tests {
             vec![PatternValue::Const(Value::str("b1"))],
             PatternValue::Const(Value::str("a2")),
         );
-        assert!(is_consistent(&[c1, c2]));
+        assert!(find_inconsistencies(&[c1, c2]).is_empty());
     }
 
     #[test]
@@ -183,6 +179,6 @@ mod tests {
             vec![PatternValue::Const(Value::str("b1"))],
             PatternValue::Const(Value::str("c1")),
         );
-        assert!(is_consistent(&[c1, c2]));
+        assert!(find_inconsistencies(&[c1, c2]).is_empty());
     }
 }

@@ -29,7 +29,7 @@ pub mod md_index;
 pub mod repair;
 
 pub use cfd::{Cfd, PatternValue};
-pub use consistency::{find_inconsistencies, is_consistent, Inconsistency};
+pub use consistency::{find_inconsistencies, Inconsistency};
 pub use md::{MatchingDependency, SimilarityPair};
 pub use md_index::{sym_column, MdCatalog, MdIndex};
 pub use repair::{

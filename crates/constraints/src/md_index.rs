@@ -89,34 +89,6 @@ impl MdIndex {
     pub fn pair_count(&self) -> usize {
         self.index.pair_count()
     }
-
-    /// Build an *exact-join* index for one MD over a database: values match
-    /// iff their normalized strings are equal. No alignment is run.
-    pub fn build_exact(
-        md_position: usize,
-        md: &MatchingDependency,
-        db: &Database,
-        top_k: usize,
-    ) -> Self {
-        let left_values = sym_column(db, md.left_relation, md.identify_left);
-        let right_values = sym_column(db, md.right_relation, md.identify_right);
-        MdIndex {
-            md_position,
-            md: md.clone(),
-            index: SimilarityIndex::exact_normalized(&left_values, &right_values, top_k),
-        }
-    }
-
-    /// Derive a stricter index keeping only pairs with `score >= min_score`
-    /// (see [`SimilarityIndex::filter_min_score`] for when this equals a
-    /// fresh build at the higher threshold).
-    pub fn filter_min_score(&self, min_score: f64) -> Self {
-        MdIndex {
-            md_position: self.md_position,
-            md: self.md.clone(),
-            index: self.index.filter_min_score(min_score),
-        }
-    }
 }
 
 /// All MD indexes of a learning task.
@@ -157,29 +129,21 @@ impl MdCatalog {
         self.indexes.is_empty()
     }
 
-    /// Build an exact-join catalog (normalized-string equality, no
-    /// alignment) — the catalog shape the Castor-Clean baseline needs after
-    /// unifying values across sources.
+    /// Build an exact-join catalog: values match iff their normalized
+    /// strings are equal, and no alignment runs. The Castor-Exact and
+    /// Castor-Clean baselines join through it.
     pub fn build_exact(mds: &[MatchingDependency], db: &Database, top_k: usize) -> Self {
-        MdCatalog {
-            indexes: mds
-                .iter()
-                .enumerate()
-                .map(|(i, md)| MdIndex::build_exact(i, md, db, top_k))
-                .collect(),
-        }
-    }
-
-    /// Derive a stricter catalog keeping only pairs with
-    /// `score >= min_score`, without rebuilding any index.
-    pub fn filter_min_score(&self, min_score: f64) -> Self {
-        MdCatalog {
-            indexes: self
-                .indexes
-                .iter()
-                .map(|idx| idx.filter_min_score(min_score))
-                .collect(),
-        }
+        let indexes = mds
+            .iter()
+            .enumerate()
+            .map(|(i, md)| {
+                let left_values = sym_column(db, md.left_relation, md.identify_left);
+                let right_values = sym_column(db, md.right_relation, md.identify_right);
+                let index = SimilarityIndex::exact_normalized(&left_values, &right_values, top_k);
+                MdIndex::from_parts(i, md.clone(), index)
+            })
+            .collect();
+        MdCatalog { indexes }
     }
 }
 

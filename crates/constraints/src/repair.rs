@@ -12,8 +12,8 @@
 //! * [`enforce_md_best_match_with_index`] — the value unification performed
 //!   by the Castor-Clean baseline: every value of the right-hand identified
 //!   attribute of an MD is replaced by its most similar left-hand value in
-//!   the MD's prebuilt index, producing a database where the heterogeneity
-//!   has been resolved by a hard (and possibly wrong) choice.
+//!   the MD's prebuilt index, rewriting the database so the heterogeneity
+//!   is resolved by a hard (and possibly wrong) choice.
 
 use std::collections::HashMap;
 
@@ -191,29 +191,23 @@ pub fn all_cfds_satisfied(database: &Database, cfds: &[Cfd]) -> bool {
 }
 
 /// Castor-Clean's preprocessing over a prebuilt MD index: every value of
-/// the MD's right-hand identified attribute is replaced by its best match
-/// recorded in the index (the first entry of its right-to-left match list).
-/// Prepared sessions build the index once at `Engine::prepare` time, so the
-/// rewrite runs no alignment of its own.
+/// the MD's right-hand identified attribute is replaced, in place, by its
+/// best match recorded in the index (the first entry of its right-to-left
+/// match list). Prepared sessions build the index once at `Engine::prepare`
+/// time, so the rewrite runs no alignment of its own.
 ///
 /// The match is the best *stored* pair: the index's right-to-left lists are
 /// derived from the pairs that survived each *left* value's top-k
 /// truncation, so a right value whose true best left match was truncated
 /// out unifies with its best stored partner (or stays unchanged when no pair
 /// survived).
-///
-/// Returns the rewritten database and the number of replaced values.
-pub fn enforce_md_best_match_with_index(
-    database: &Database,
-    md_index: &crate::md_index::MdIndex,
-) -> (Database, usize) {
+pub fn enforce_md_best_match_with_index(db: &mut Database, md_index: &crate::md_index::MdIndex) {
     let md = &md_index.md;
-    let mut db = database.clone();
-    let Some(right_rel) = database.relation(md.right_relation) else {
-        return (db, 0);
+    let Some(right_rel) = db.relation_mut(md.right_relation) else {
+        return;
     };
     let Some(right_idx) = right_rel.schema().attribute_pos(md.identify_right) else {
-        return (db, 0);
+        return;
     };
     let updates: Vec<(usize, Value)> = right_rel
         .iter()
@@ -227,14 +221,11 @@ pub fn enforce_md_best_match_with_index(
             }
         })
         .collect();
-    let replacements = updates.len();
-    let right_mut = db.relation_mut(md.right_relation).expect("relation exists");
     for (id, value) in updates {
-        right_mut
+        right_rel
             .update_value(id, right_idx, value)
             .expect("validated update");
     }
-    (db, replacements)
 }
 
 #[cfg(test)]
@@ -339,7 +330,7 @@ mod tests {
 
     #[test]
     fn md_best_match_rewrites_right_values() {
-        let db = DatabaseBuilder::new()
+        let mut db = DatabaseBuilder::new()
             .relation(
                 RelationBuilder::new("movies")
                     .int_attr("id")
@@ -366,23 +357,11 @@ mod tests {
             ..IndexConfig::default()
         };
         let index = MdIndex::build(0, &md, &db, &config);
-        let (clean, replaced) = enforce_md_best_match_with_index(&db, &index);
-        assert_eq!(replaced, 2);
-        let rel = clean.relation("highBudgetMovies").unwrap();
-        assert_eq!(
-            rel.select_eq_by_name("title", &Value::str("Superbad (2007)"))
-                .unwrap()
-                .len(),
-            1
-        );
-        // The original database is untouched.
-        assert_eq!(
-            db.relation("highBudgetMovies")
-                .unwrap()
-                .select_eq_by_name("title", &Value::str("Superbad"))
-                .unwrap()
-                .len(),
-            1
-        );
+        enforce_md_best_match_with_index(&mut db, &index);
+        let rel = db.relation("highBudgetMovies").unwrap();
+        for title in ["Superbad (2007)", "Zoolander (2001)"] {
+            let rows = rel.select_eq_by_name("title", &Value::str(title)).unwrap();
+            assert_eq!(rows.len(), 1, "{title}");
+        }
     }
 }

@@ -605,11 +605,10 @@ mod tests {
         task
     }
 
-    /// MDs whose left relation is the *target* relation cannot be indexed
-    /// from the database (the target has no stored tuples), so the catalog is
-    /// built over the right relation against the example values manually in
-    /// `Learner`; here we emulate it by indexing movies titles against
-    /// themselves plus the example strings through a small helper task.
+    /// The fixture's MD has the *target* relation on its left, which holds
+    /// no stored tuples, so the catalog is built over the database augmented
+    /// with the examples as target tuples (`augment_with_target`), as
+    /// `Engine::prepare` builds it, at a lower threshold than the default.
     fn catalog_for(task: &LearningTask, km: usize) -> MdCatalog {
         let mut config = IndexConfig::top_k(km);
         config.operator = dlearn_similarity::SimilarityOperator::with_threshold(0.6);

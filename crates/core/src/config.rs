@@ -34,10 +34,8 @@ pub struct LearnerConfig {
     /// θ-subsumption search budget.
     pub subsumption: SubsumptionConfig,
     /// Use matching dependencies (similarity joins) during learning.
-    /// Castor-NoMD and Castor-Clean set this to `false`.
+    /// Castor-NoMD sets this to `false`.
     pub use_mds: bool,
-    /// Restrict MD matches to exact string equality (Castor-Exact).
-    pub exact_md_joins: bool,
     /// Add CFD repair literals to clauses (DLearn-CFD). When `false`, CFD
     /// violations in the data are ignored during clause construction.
     pub use_cfd_repairs: bool,
@@ -81,7 +79,6 @@ impl Default for LearnerConfig {
             binding_cap: 64,
             subsumption: SubsumptionConfig::default(),
             use_mds: true,
-            exact_md_joins: false,
             use_cfd_repairs: true,
             coverage_threads: 0,
             generalization_threads: 0,

@@ -94,11 +94,9 @@ impl GroundExample {
 pub struct PreparedClause {
     /// The candidate clause (with repair groups).
     pub clause: Clause,
-    /// Its repaired clauses.
-    pub repaired: Vec<Clause>,
     /// The clause, renumbered to a dense variable range.
     numbered: NumberedClause,
-    /// The repaired clauses, renumbered (index-aligned with `repaired`).
+    /// Its repaired clauses, renumbered.
     numbered_repaired: Vec<NumberedClause>,
 }
 
@@ -106,20 +104,16 @@ impl PreparedClause {
     /// Expand the candidate's repaired clauses and assign variable
     /// numberings.
     pub fn prepare(clause: Clause, config: &LearnerConfig) -> Self {
-        let repaired = repaired_clauses(&clause, config.expand_limits());
         let numbered = NumberedClause::new(&clause);
-        let numbered_repaired = repaired.iter().map(NumberedClause::new).collect();
+        let numbered_repaired = repaired_clauses(&clause, config.expand_limits())
+            .iter()
+            .map(NumberedClause::new)
+            .collect();
         PreparedClause {
             clause,
-            repaired,
             numbered,
             numbered_repaired,
         }
-    }
-
-    /// Number of repaired clauses.
-    pub fn repair_count(&self) -> usize {
-        self.repaired.len()
     }
 
     /// The renumbered candidate clause.
@@ -535,7 +529,7 @@ mod tests {
             vec![Literal::Similar(x, z)],
         ));
         let prepared = PreparedClause::prepare(c, &config());
-        assert_eq!(prepared.repair_count(), 2);
+        assert_eq!(prepared.numbered_repaired.len(), 2);
 
         // The example has an r-fact but no s-fact: the direct test fails (no
         // s literal), and only the first repaired clause covers it.
@@ -562,6 +556,6 @@ mod tests {
     #[test]
     fn prepared_clause_without_repairs_has_single_expansion() {
         let prepared = comedy_clause();
-        assert_eq!(prepared.repair_count(), 1);
+        assert_eq!(prepared.numbered_repaired.len(), 1);
     }
 }

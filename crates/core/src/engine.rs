@@ -11,13 +11,13 @@
 //!   search the base plan directly. Strategy
 //!   preprocessing is an explicit, cached step (a strategy *plan*) that
 //!   reuses the prepared similarity index whenever the strategy's semantics
-//!   allow: Castor-Exact *filters* the prepared index down to exact matches
-//!   instead of re-aligning, Castor-Clean unifies values through the
-//!   prepared index and derives an exact-join catalog over the cleaned
-//!   database, and DLearn-Repaired reuses the index outright when no CFD
-//!   right-hand side overlaps an MD-identified column (a CFD repair can only
-//!   rewrite CFD right-hand sides). Running all five baselines therefore
-//!   aligns strings exactly once.
+//!   allow: Castor-Exact and Castor-Clean join through an exact-join
+//!   catalog that runs no alignment (normalized-string equality, see
+//!   [`MdCatalog::build_exact`]), Castor-Clean after unifying values
+//!   through the prepared index, and DLearn-Repaired reuses the index
+//!   outright when no CFD right-hand side overlaps an MD-identified column
+//!   (a CFD repair can only rewrite CFD right-hand sides). Running all five
+//!   baselines therefore aligns strings exactly once.
 //! * [`Engine::predictor`] binds a learned [`Learned`] value to the session,
 //!   yielding a [`Predictor`] whose [`Predictor::predict_batch`] fans
 //!   bottom-clause grounding across the configured coverage threads with a
@@ -32,9 +32,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dlearn_constraints::{enforce_md_best_match_with_index, minimal_cfd_repair, MdCatalog};
+use dlearn_constraints::{
+    enforce_md_best_match_with_index, find_inconsistencies, minimal_cfd_repair, MdCatalog,
+};
 use dlearn_logic::{CancelToken, Clause, Definition, SubsumptionConfig};
-use dlearn_relstore::{Database, Tuple};
+use dlearn_relstore::Tuple;
 use dlearn_similarity::{IndexConfig, SimilarityOperator};
 
 use crate::bottom::BottomClauseBuilder;
@@ -43,11 +45,6 @@ use crate::coverage::{CoverageEngine, CoverageOutcome, GroundExample, PreparedCl
 use crate::error::DlearnError;
 use crate::learner::{augment_with_target, Strategy};
 use crate::task::LearningTask;
-
-/// The similarity threshold above which a match counts as *exact*: only
-/// identical normalized strings reach it. Castor-Exact restricts MD joins to
-/// matches at or above this score.
-pub(crate) const EXACT_MD_THRESHOLD: f64 = 0.9999;
 
 /// Salt of the serving grounding seed: a served tuple is grounded with
 /// `config.seed ^ SERVE_SEED_SALT`, whatever its batch position or thread.
@@ -178,6 +175,9 @@ impl Engine {
             }
         }
         task.validate()?;
+        if let Some(conflict) = find_inconsistencies(&task.cfds).into_iter().next() {
+            return Err(DlearnError::InconsistentCfds(Box::new(conflict)));
+        }
         if task.positives.is_empty() {
             return Err(DlearnError::EmptyPositives);
         }
@@ -219,7 +219,7 @@ impl Engine {
         // region: `Learned::seconds` reports the refinement search alone, so
         // a baseline's first run is comparable to its later runs — and to
         // strategies whose plan was built at prepare time.
-        let plan = self.plan(strategy)?;
+        let plan = self.plan(strategy);
         let start = std::time::Instant::now();
         let refined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             crate::learn::refine(strategy, &plan)
@@ -238,45 +238,41 @@ impl Engine {
     }
 
     /// Bind a learned definition to this session for serving: the returned
-    /// [`Predictor`] shares the strategy's prepared artifacts. Fails only
-    /// when the strategy's plan must be derived first and the derivation's
-    /// database rewrite fails — a `learned` value from [`Engine::learn`] has
-    /// its plan cached already, so binding it cannot fail.
+    /// [`Predictor`] shares the strategy's prepared artifacts (deriving the
+    /// strategy's plan first if no `learn` call has). Binding cannot fail;
+    /// the `Result` keeps callers' error handling stable.
     pub fn predictor(&self, learned: &Learned) -> Result<Predictor, DlearnError> {
         Ok(Predictor::bind(
-            self.plan(learned.strategy)?,
+            self.plan(learned.strategy),
             learned.definition.clone(),
             learned.stats.clone(),
         ))
     }
 
-    pub(crate) fn plan(&self, strategy: Strategy) -> Result<Arc<StrategyPlan>, DlearnError> {
+    pub(crate) fn plan(&self, strategy: Strategy) -> Arc<StrategyPlan> {
         let slot = match strategy {
             // Foil and Tilde search the same hypothesis space over the same
             // prepared semantics as DLearn: they share the base plan, so
             // delta invalidation and the one-alignment-per-session
             // invariant cover them automatically.
-            Strategy::DLearn | Strategy::Foil | Strategy::Tilde => return Ok(self.base.clone()),
+            Strategy::DLearn | Strategy::Foil | Strategy::Tilde => return self.base.clone(),
             Strategy::CastorNoMd => 0,
             Strategy::CastorExact => 1,
             Strategy::CastorClean => 2,
             Strategy::DLearnRepaired => 3,
         };
-        if let Some(plan) = self.plans[slot].get() {
-            return Ok(plan.clone());
-        }
-        // Derive outside `get_or_init` so a fallible derivation does not
-        // poison the slot. A concurrent race derives twice; derivation is
-        // deterministic, so whichever plan lands in the slot is identical.
-        let plan = Arc::new(self.derive_plan(strategy)?);
-        Ok(self.plans[slot].get_or_init(|| plan).clone())
+        self.plans[slot]
+            .get_or_init(|| Arc::new(self.derive_plan(strategy)))
+            .clone()
     }
 
     /// Strategy preprocessing: rewrite the task/config for the baseline and
     /// pick its catalog, reusing the prepared index whenever the semantics
     /// allow.
-    fn derive_plan(&self, strategy: Strategy) -> Result<StrategyPlan, DlearnError> {
+    fn derive_plan(&self, strategy: Strategy) -> StrategyPlan {
         let mut config = self.config.clone();
+        // No baseline adds CFD repair literals to its clauses.
+        config.use_cfd_repairs = false;
         let mut task = self.base.task.clone();
         let catalog: Arc<MdCatalog> = match strategy {
             Strategy::DLearn | Strategy::Foil | Strategy::Tilde => {
@@ -284,59 +280,26 @@ impl Engine {
             }
             Strategy::CastorNoMd => {
                 config.use_mds = false;
-                config.use_cfd_repairs = false;
                 Arc::new(MdCatalog::default())
             }
-            Strategy::CastorExact => {
-                config.exact_md_joins = true;
-                config.use_cfd_repairs = false;
-                self.exact_catalog(&config)
-            }
+            Strategy::CastorExact => Arc::new(exact_catalog(&task, &config)),
             Strategy::CastorClean => {
-                // Resolve heterogeneity up front: unify each value of an
-                // MD's right-hand identified column with its best match
-                // *recorded in the prepared index* (one hard match per
-                // value), MD by MD, then learn with exact joins only.
-                //
-                // Two deliberate deviations from the retired one-shot path,
-                // both consequences of never re-aligning strings after
-                // `prepare`: (1) the best match is the best *stored* pair —
-                // a right value whose true best left match was truncated
-                // out of that left value's top-km list unifies with its
-                // best surviving partner instead (see
-                // `enforce_md_best_match_with_index`); (2) each MD's index
-                // describes the *original* database, so when multiple MDs
-                // identify the same column, a value rewritten by an earlier
-                // MD no longer probes later indexes (the legacy path
-                // re-aligned over the evolving database). No shipped
-                // dataset has interacting MDs, and Castor-Clean is a lossy
-                // baseline by construction — its whole point is committing
-                // to hard, possibly wrong matches.
-                let mut cleaned = augment_with_target(&task);
+                // Unify each value of an MD's right-hand identified column
+                // with its best match, MD by MD, then join exactly. Since no
+                // string is re-aligned after `prepare`, two conditions hold:
+                // a value unifies with its best *stored* match (see
+                // `enforce_md_best_match_with_index`), and every MD index
+                // describes the original database, so a value an earlier MD
+                // rewrote does not probe later indexes. No shipped dataset
+                // has two MDs identifying the same column.
                 for md_index in self.base.catalog.indexes() {
-                    let (next, _) = enforce_md_best_match_with_index(&cleaned, md_index);
-                    cleaned = next;
+                    enforce_md_best_match_with_index(&mut task.database, md_index);
                 }
-                task.database = copy_without(&cleaned, &task.target.name)?;
-                config.exact_md_joins = true;
-                config.use_cfd_repairs = false;
-                // After unification the MD columns hold identical strings,
-                // so the exact-join catalog over the cleaned database is
-                // constructible from string equality alone — no alignment.
-                if config.use_mds && !task.mds.is_empty() {
-                    Arc::new(MdCatalog::build_exact(
-                        &task.mds,
-                        &augment_with_target(&task),
-                        config.km,
-                    ))
-                } else {
-                    Arc::new(MdCatalog::default())
-                }
+                Arc::new(exact_catalog(&task, &config))
             }
             Strategy::DLearnRepaired => {
                 let (repaired, _) = minimal_cfd_repair(&task.database, &task.cfds);
                 task.database = repaired;
-                config.use_cfd_repairs = false;
                 if cfd_repairs_can_touch_md_columns(&task) {
                     // A repair may have rewritten an MD-identified column;
                     // the prepared index no longer describes the database.
@@ -349,29 +312,7 @@ impl Engine {
                 }
             }
         };
-        Ok(StrategyPlan::build(
-            task,
-            config,
-            catalog,
-            self.base.delta_seq,
-        ))
-    }
-
-    /// The exact-join catalog for Castor-Exact. Stored match lists are
-    /// sorted by descending score, so the pairs at or above
-    /// [`EXACT_MD_THRESHOLD`] are a prefix of each list and filtering the
-    /// prepared catalog equals a fresh build at the exact threshold —
-    /// unless the session threshold is itself above the exact threshold
-    /// (then the prepared catalog is stricter, and a real build is needed).
-    fn exact_catalog(&self, exact_config: &LearnerConfig) -> Arc<MdCatalog> {
-        if !self.config.use_mds || self.base.task.mds.is_empty() {
-            return Arc::new(MdCatalog::default());
-        }
-        if self.config.exact_md_joins || self.config.similarity_threshold <= EXACT_MD_THRESHOLD {
-            Arc::new(self.base.catalog.filter_min_score(EXACT_MD_THRESHOLD))
-        } else {
-            Arc::new(build_catalog(&self.base.task, exact_config))
-        }
+        StrategyPlan::build(task, config, catalog, self.base.delta_seq)
     }
 }
 
@@ -402,19 +343,26 @@ fn build_catalog(task: &LearningTask, config: &LearnerConfig) -> MdCatalog {
     }
 }
 
+/// The exact-join catalog Castor-Exact and Castor-Clean join through: two
+/// values match (score 1.0) iff their normalized strings are equal, keeping
+/// `km` matches per value. It runs no alignment, yet equals an aligned build
+/// at threshold 0.9999, since below 5,000 normalized characters only equal
+/// strings score that high (`tests/exact_join_catalog.rs`).
+fn exact_catalog(task: &LearningTask, config: &LearnerConfig) -> MdCatalog {
+    if config.use_mds && !task.mds.is_empty() {
+        MdCatalog::build_exact(&task.mds, &augment_with_target(task), config.km)
+    } else {
+        MdCatalog::default()
+    }
+}
+
 /// The similarity-index configuration a config pair builds catalogs with
 /// (shared by the prepare-time build and incremental delta maintenance, which
 /// must adopt indexes under the exact build configuration).
 pub(crate) fn index_config_for(config: &LearnerConfig) -> IndexConfig {
-    let threshold = if config.exact_md_joins {
-        // Exact joins: only identical normalized strings match.
-        EXACT_MD_THRESHOLD
-    } else {
-        config.similarity_threshold
-    };
     IndexConfig {
         top_k: config.km,
-        operator: SimilarityOperator::with_threshold(threshold),
+        operator: SimilarityOperator::with_threshold(config.similarity_threshold),
         threads: config.index_threads,
         hot_key_fraction: config.index_hot_key_fraction,
     }
@@ -430,26 +378,6 @@ fn cfd_repairs_can_touch_md_columns(task: &LearningTask) -> bool {
                 || (cfd.relation == md.right_relation && cfd.rhs == md.identify_right)
         })
     })
-}
-
-/// Copy a database, omitting one relation (used to strip an augmented target
-/// relation again after Castor-Clean preprocessing). Schema or tuple
-/// mismatches — impossible for a faithful copy, but a typed error beats a
-/// panic inside strategy derivation — surface as [`DlearnError::Store`].
-fn copy_without(db: &Database, skip: &str) -> Result<Database, DlearnError> {
-    let mut out = Database::new();
-    for rel in db.relations() {
-        if rel.name() == skip {
-            continue;
-        }
-        out.create_relation(rel.schema().clone())
-            .map_err(|e| DlearnError::Store(e.in_context("copying cleaned database")))?;
-        for (_, t) in rel.iter() {
-            out.insert(rel.name(), t.clone())
-                .map_err(|e| DlearnError::Store(e.in_context("copying cleaned database")))?;
-        }
-    }
-    Ok(out)
 }
 
 /// Per-clause training coverage statistics, mirroring the annotations the

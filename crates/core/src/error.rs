@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use dlearn_constraints::Inconsistency;
 use dlearn_relstore::StoreError;
 
 /// Errors of the public learning/serving API.
@@ -35,6 +36,10 @@ pub enum DlearnError {
     /// The task has no positive examples; a covering learner cannot learn a
     /// definition from negatives alone.
     EmptyPositives,
+    /// Two of the task's CFDs force different constants on one attribute,
+    /// so no non-empty relation satisfies both (Section 2.3). Boxed so the
+    /// variant does not widen every `DlearnError` a served result carries.
+    InconsistentCfds(Box<Inconsistency>),
     /// A tuple handed to [`crate::Predictor::predict`] /
     /// [`crate::Predictor::predict_batch`] does not have the target
     /// relation's arity.
@@ -138,6 +143,12 @@ impl fmt::Display for DlearnError {
             DlearnError::EmptyPositives => {
                 write!(f, "task has no positive examples to learn from")
             }
+            DlearnError::InconsistentCfds(c) => write!(
+                f,
+                "CFDs '{}' and '{}' force different constants on attribute '{}': no \
+                 non-empty relation satisfies both",
+                c.first, c.second, c.attribute
+            ),
             DlearnError::PredictArity {
                 expected,
                 actual,

@@ -370,7 +370,7 @@ mod tests {
         // is kept, and the seed is dropped rather than seeding it again.
         let engine =
             crate::Engine::prepare(two_source_task(), LearnerConfig::fast()).expect("valid task");
-        let plan = engine.plan(Strategy::DLearn).expect("base plan");
+        let plan = engine.plan(Strategy::DLearn);
         let negatives = plan.task.negatives.len();
         let mut calls = 0;
         let refined = cover(&plan, |bottom, uncovered, _rng| {

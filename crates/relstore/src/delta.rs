@@ -57,8 +57,12 @@ impl DeltaOp {
 
 /// An ordered transaction of tuple inserts and deletes.
 ///
-/// Ops apply in order, so a tuple inserted earlier in the same transaction
-/// may be deleted later in it. Emptiness is allowed (a no-op transaction).
+/// Ops apply in order under bag semantics: an insert of a tuple already
+/// present adds a second copy, a delete removes the first equal tuple in id
+/// order, and a tuple inserted earlier in the same transaction may be
+/// deleted later in it (an insert and a delete of the same new tuple leave
+/// the store unchanged, though the [`ChangeSet`] still records the tuple's
+/// values). Emptiness is allowed (a no-op transaction).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaTx {
     ops: Vec<DeltaOp>,
@@ -227,15 +231,40 @@ mod tests {
     #[test]
     fn intra_transaction_insert_then_delete_nets_to_zero_tuples() {
         let mut db = db();
+        let kept = tuple(vec![Value::int(1), Value::str("kept")]);
+        db.insert("movies", kept.clone()).unwrap();
         let t = tuple(vec![Value::int(9), Value::str("ghost")]);
+        // Ops apply in order: alone, the delete names an absent tuple.
+        let delete = DeltaTx::new().delete("movies", t.clone());
+        let err = db.clone().apply_delta(&delete).unwrap_err();
+        assert!(matches!(err, StoreError::TupleNotFound { .. }), "{err:?}");
         let tx = DeltaTx::new()
             .insert("movies", t.clone())
             .delete("movies", t.clone());
         let changes = db.apply_delta(&tx).unwrap();
-        assert_eq!(db.relation("movies").unwrap().len(), 0);
+        assert_eq!(db.relation("movies").unwrap().tuples(), [kept]);
         // The footprint still records the value: intermediate states were
         // observable to nothing, but the triple is touched conservatively.
         assert!(changes.affects(RelId::intern("movies"), 1, &Value::str("ghost")));
+    }
+
+    #[test]
+    fn duplicate_insert_adds_a_second_copy() {
+        let mut db = db();
+        let t = tuple(vec![Value::int(1), Value::str("a")]);
+        let u = tuple(vec![Value::int(2), Value::str("b")]);
+        db.insert("movies", t.clone()).unwrap();
+        db.insert("movies", u.clone()).unwrap();
+        let tx = DeltaTx::new().insert("movies", t.clone());
+        db.apply_delta(&tx).unwrap();
+        assert_eq!(
+            db.relation("movies").unwrap().tuples(),
+            [t.clone(), u.clone(), t.clone()]
+        );
+        // A delete removes the first equal tuple in id order.
+        db.apply_delta(&DeltaTx::new().delete("movies", t.clone()))
+            .unwrap();
+        assert_eq!(db.relation("movies").unwrap().tuples(), [u, t]);
     }
 
     #[test]

@@ -88,11 +88,10 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Process-wide count of alignment-based index constructions (calls to
-/// [`SimilarityIndex::build`]). The derived constructors
-/// ([`SimilarityIndex::filter_min_score`],
-/// [`SimilarityIndex::exact_normalized`]) do not count: they run no
-/// alignment. Used by tests asserting that a prepared `Engine` builds its
-/// similarity index exactly once no matter how many strategies run over it.
+/// [`SimilarityIndex::build`]). [`SimilarityIndex::exact_normalized`] does
+/// not count: it runs no alignment. Used by tests asserting that a prepared
+/// `Engine` builds its similarity index exactly once no matter how many
+/// strategies run over it.
 static BUILD_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// A single similarity match.
@@ -361,54 +360,17 @@ impl SimilarityIndex {
     }
 
     /// Number of alignment-based [`SimilarityIndex::build`] calls performed
-    /// by this process so far. Derived constructions (score filters, exact
-    /// indexes) are not counted. Intended for tests asserting that prepared
-    /// sessions never rebuild their indexes.
+    /// by this process so far. Exact indexes
+    /// ([`SimilarityIndex::exact_normalized`]) are not counted. Intended for
+    /// tests asserting that prepared sessions never rebuild their indexes.
     pub fn build_count() -> usize {
         BUILD_COUNT.load(Ordering::Relaxed)
     }
 
-    /// Derive a stricter index by dropping every stored pair whose score is
-    /// below `min_score`, without re-running any alignment.
-    ///
-    /// Stored match lists are sorted by `(score desc, value asc)` and
-    /// truncated to `top_k`, so the pairs with `score >= min_score` are a
-    /// prefix of each list and the result equals a fresh
-    /// [`SimilarityIndex::build`] with the operator threshold raised to
-    /// `min_score` — as long as `min_score` is at least the original
-    /// threshold (a *lower* threshold cannot resurrect pairs the original
-    /// build never stored).
-    pub fn filter_min_score(&self, min_score: f64) -> Self {
-        let keep = |matches: &Vec<Match>| {
-            let kept: Vec<Match> = matches
-                .iter()
-                .take_while(|m| m.score >= min_score)
-                .copied()
-                .collect();
-            if kept.is_empty() {
-                None
-            } else {
-                Some(kept)
-            }
-        };
-        SimilarityIndex {
-            left_to_right: self
-                .left_to_right
-                .iter()
-                .filter_map(|(&k, v)| keep(v).map(|kept| (k, kept)))
-                .collect(),
-            right_to_left: self
-                .right_to_left
-                .iter()
-                .filter_map(|(&k, v)| keep(v).map(|kept| (k, kept)))
-                .collect(),
-        }
-    }
-
     /// Build an *exact-join* index without any alignment: two values match
-    /// (with score 1.0) iff their normalized forms are equal. This is the
-    /// index shape the Castor-Exact/Castor-Clean baselines need after value
-    /// unification, where cross-source joins only connect identical strings.
+    /// (with score 1.0) iff their normalized forms are equal. The
+    /// Castor-Exact and Castor-Clean baselines join through it, so their
+    /// cross-source joins connect identical strings only.
     pub fn exact_normalized(left: &[Sym], right: &[Sym], top_k: usize) -> Self {
         let left = dedup(left);
         let right = dedup(right);
@@ -941,40 +903,6 @@ mod tests {
             Sym::lookup(marker).is_none(),
             "probe-side blocking key leaked into the intern table"
         );
-    }
-
-    #[test]
-    fn filter_min_score_equals_a_fresh_build_at_the_higher_threshold() {
-        // Stored lists are (score desc, value asc), so filtering at a
-        // raised threshold must equal rebuilding with that threshold —
-        // entry for entry, score bits included.
-        for top_k in [1usize, 2, 5] {
-            let base = SimilarityIndex::build(
-                &movies_left(),
-                &movies_right(),
-                &IndexConfig {
-                    top_k,
-                    operator: SimilarityOperator::with_threshold(0.5),
-                    ..IndexConfig::default()
-                },
-            );
-            for threshold in [0.6, 0.75, 0.9, 0.9999] {
-                let fresh = SimilarityIndex::build(
-                    &movies_left(),
-                    &movies_right(),
-                    &IndexConfig {
-                        top_k,
-                        operator: SimilarityOperator::with_threshold(threshold),
-                        ..IndexConfig::default()
-                    },
-                );
-                assert_eq!(
-                    base.filter_min_score(threshold),
-                    fresh,
-                    "top_k={top_k}, threshold={threshold}"
-                );
-            }
-        }
     }
 
     #[test]

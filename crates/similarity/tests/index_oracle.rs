@@ -200,41 +200,38 @@ fn hot_key_fraction_sweep_builds_identical_indexes_on_skewed_vocabularies() {
     }
 }
 
-/// Derived indexes: filtering a built index at a raised threshold must
-/// equal a fresh build at that threshold — the property `Engine` relies on
-/// to hand Castor-Exact a derived catalog without re-aligning. Pinned on
-/// seeded dirty vocabularies across thresholds and top-k values.
+/// The exact-join rule: matching normalized strings only
+/// ([`SimilarityIndex::exact_normalized`], which runs no alignment) equals
+/// an aligned build at threshold 0.9999 and the all-pairs oracle there,
+/// since below 5,000 normalized characters only equal strings score that
+/// high. Castor-Exact and Castor-Clean join through exact indexes on that
+/// basis. Pinned on seeded dirty vocabularies across top-k values.
 #[test]
-fn filter_min_score_equals_fresh_build_on_seeded_vocabularies() {
+fn exact_normalized_equals_aligned_build_at_exact_threshold_on_seeded_vocabularies() {
     let config = VocabConfig::default();
+    let mut exact_pairs = 0;
     for seed in [2u64, 13, 29] {
         let vocab = dirty_vocabulary(&config, seed);
         for top_k in [1usize, 2, 5] {
-            let base_config = IndexConfig {
+            let index_config = IndexConfig {
                 top_k,
-                operator: SimilarityOperator::with_threshold(0.6),
+                operator: SimilarityOperator::with_threshold(0.9999),
                 threads: 1,
                 ..IndexConfig::default()
             };
-            let base = SimilarityIndex::build(&vocab.left, &vocab.right, &base_config);
-            for threshold in [0.7, 0.8, 0.95, 0.9999] {
-                let fresh = SimilarityIndex::build(
-                    &vocab.left,
-                    &vocab.right,
-                    &IndexConfig {
-                        top_k,
-                        operator: SimilarityOperator::with_threshold(threshold),
-                        threads: 1,
-                        ..IndexConfig::default()
-                    },
-                );
-                assert_eq!(
-                    base.filter_min_score(threshold),
-                    fresh,
-                    "seed {seed}, top_k {top_k}, threshold {threshold}: \
-                     filtered index diverged from a fresh build"
-                );
-            }
+            let aligned = SimilarityIndex::build(&vocab.left, &vocab.right, &index_config);
+            let exact = SimilarityIndex::exact_normalized(&vocab.left, &vocab.right, top_k);
+            assert_eq!(
+                exact, aligned,
+                "seed {seed}, top_k {top_k}: exact index diverged from an aligned build at 0.9999"
+            );
+            assert_eq!(
+                ReferenceIndex::build(&vocab.left, &vocab.right, &index_config),
+                ReferenceIndex::view_of(&exact),
+                "seed {seed}, top_k {top_k}: exact index diverged from the all-pairs oracle"
+            );
+            exact_pairs += exact.pair_count();
         }
     }
+    assert!(exact_pairs > 0, "no vocabulary held an exact pair");
 }

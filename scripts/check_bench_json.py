@@ -64,6 +64,7 @@ EXPECTED_BENCHES = [
     "delta_apply/medium",
     "delta_apply/rebuild",
     "swap/publish",
+    "swap/apply_delta",
     "coalesced/1_callers",
     "coalesced/8_callers",
     "coalesced/32_callers",

@@ -208,3 +208,43 @@ fn novel_title_insert_patches_the_similarity_index() {
     let fresh = Engine::prepare(task, config(7, 1)).expect("fresh prepare");
     assert_sessions_equal(&engine, &fresh, "novel title insert");
 }
+
+/// Relstore's semantics within one transaction (ops apply in order under
+/// bag semantics), replayed through the engine: the transaction inserts a
+/// new title and deletes it again, inserts a second copy of a live movie
+/// row, and deletes a title it inserted two ops earlier. The maintained
+/// session must equal a fresh prepare over the mirrored database.
+#[test]
+fn in_transaction_semantics_match_a_fresh_prepare() {
+    let dataset = generate_movie_dataset(&MovieConfig::tiny(), 42);
+    let mut engine = Engine::prepare(dataset.task.clone(), config(7, 1)).expect("prepare");
+    let (imdb, omdb) = (RelId::intern("imdb_movies"), RelId::intern("omdb_movies"));
+    let movie = |id, title| tuple(vec![Value::int(id), Value::str(title), Value::int(2001)]);
+    let live = dataset.task.database.relation(imdb).unwrap().tuples()[0].clone();
+    let ghost = movie(990_101, "Ghost Title: Inserted And Deleted");
+    let early = movie(990_102, "Early Title: Deleted Later");
+    let kept = movie(990_103, "Kept Title: Survives The Transaction");
+    let tx = dlearn::relstore::DeltaTx::new()
+        .insert(imdb, ghost.clone())
+        .delete(imdb, ghost.clone())
+        .insert(imdb, live.clone())
+        .insert(omdb, early.clone())
+        .insert(omdb, kept.clone())
+        .delete(omdb, early.clone());
+    let report = engine.apply_delta(&tx).expect("apply_delta");
+    let mut task = dataset.task.clone();
+    task.database.apply_delta(&tx).expect("mirror apply");
+    let copies = |rel: RelId, t: &Tuple| {
+        let tuples = task.database.relation(rel).unwrap().tuples();
+        tuples.iter().filter(|x| *x == t).count()
+    };
+    let counts = [(imdb, &ghost), (imdb, &live), (omdb, &early), (omdb, &kept)];
+    assert_eq!(counts.map(|(rel, t)| copies(rel, t)), [0, 2, 0, 1]);
+    let g = report.grounding;
+    assert!(
+        g.positives_reground + g.negatives_reground > 0,
+        "no example re-ground"
+    );
+    let fresh = Engine::prepare(task, config(7, 1)).expect("fresh prepare");
+    assert_sessions_equal(&engine, &fresh, "in-transaction semantics");
+}

@@ -33,7 +33,8 @@ fn config() -> LearnerConfig {
 
 /// Coverage decision through the reference matcher, replicating
 /// `PreparedClause::covers` under both semantics over pre-expanded repaired
-/// clauses.
+/// ground clauses; the candidate's repaired clauses are expanded here at the
+/// limits it was prepared with.
 fn reference_covers(
     prepared: &PreparedClause,
     ground: &Clause,
@@ -44,7 +45,8 @@ fn reference_covers(
     if string_reference::subsumes(&prepared.clause, &direct) {
         return true;
     }
-    if prepared.repaired.is_empty() {
+    let repaired = repaired_clauses(&prepared.clause, config().expand_limits());
+    if repaired.is_empty() {
         return false;
     }
     let repaired_refs: Vec<StringGround> = repaired_grounds.iter().map(StringGround::new).collect();
@@ -54,9 +56,9 @@ fn reference_covers(
             .any(|gr| string_reference::subsumes(cr, gr))
     };
     if positive_semantics {
-        prepared.repaired.iter().all(one)
+        repaired.iter().all(one)
     } else {
-        prepared.repaired.iter().any(one)
+        repaired.iter().any(one)
     }
 }
 

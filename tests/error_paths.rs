@@ -7,7 +7,7 @@ use dlearn::core::{DlearnError, Engine, LearnerConfig, PredictorService, Service
 use dlearn::datagen::movies::{generate_movie_dataset, MovieConfig};
 use dlearn::logic::SubsumptionConfig;
 use dlearn::relstore::{tuple, Value};
-use dlearn_constraints::MatchingDependency;
+use dlearn_constraints::{Cfd, MatchingDependency, PatternValue};
 
 fn fast() -> LearnerConfig {
     LearnerConfig {
@@ -56,6 +56,40 @@ fn prepare_store_error_names_the_unknown_relation() {
     let err = Engine::prepare(task, fast()).unwrap_err();
     assert!(matches!(err, DlearnError::Store(_)), "{err:?}");
     assert!(err.to_string().contains("no_such_relation"), "{err}");
+}
+
+/// The paper's inconsistent pair (Section 2.3), `(A → B, a1 ‖ b1)` and
+/// `(B → A, b1 ‖ a2)`, with A the title and B the year of `imdb_movies`.
+#[test]
+fn prepare_rejects_conflicting_cfds_naming_both_and_the_attribute() {
+    let mut task = generate_movie_dataset(&MovieConfig::tiny(), 42).task;
+    let (a1, b1, a2) = (Value::str("a1"), Value::int(1), Value::str("a2"));
+    let cfd = |name, lhs, rhs, pattern: &Value, forced: &Value| {
+        let lhs_pattern = vec![PatternValue::Const(*pattern)];
+        Cfd::with_pattern(
+            name,
+            "imdb_movies",
+            vec![lhs],
+            rhs,
+            lhs_pattern,
+            PatternValue::Const(*forced),
+        )
+    };
+    task.cfds
+        .push(cfd("title_fixes_year", "title", "year", &a1, &b1));
+    task.cfds
+        .push(cfd("year_fixes_title", "year", "title", &b1, &a2));
+    let err = Engine::prepare(task, fast()).unwrap_err();
+    let DlearnError::InconsistentCfds(conflict) = &err else {
+        panic!("{err:?}");
+    };
+    let named = [&conflict.first, &conflict.second, &conflict.attribute];
+    assert_eq!(named, ["title_fixes_year", "year_fixes_title", "title"]);
+    let msg = err.to_string();
+    assert!(
+        named.iter().all(|part| msg.contains(part.as_str())),
+        "{msg}"
+    );
 }
 
 #[test]
