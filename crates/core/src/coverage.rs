@@ -232,15 +232,6 @@ impl CoverageOutcome {
             CoverageOutcome::Cancelled => None,
         }
     }
-
-    /// Number of budget-exhausted subsumption searches (0 when cancelled).
-    pub fn exhausted_searches(self) -> u32 {
-        match self {
-            CoverageOutcome::Covered { exhausted_searches }
-            | CoverageOutcome::NotCovered { exhausted_searches } => exhausted_searches,
-            CoverageOutcome::Cancelled => 0,
-        }
-    }
 }
 
 /// Coverage statistics of a clause over a set of examples.
@@ -322,18 +313,21 @@ impl CoverageEngine {
     {
         let config = &self.config;
         let side = |examples: &[Tuple], stored: &[Arc<GroundExample>], salt: u64| {
-            let grounded: Vec<Arc<GroundExample>> =
-                crate::par::chunked_map(examples, config.effective_threads(), 8, |idx, e| {
-                    match stored.get(idx) {
-                        Some(g) if !affected(g) => Arc::clone(g),
-                        _ => Arc::new(GroundExample::build(
-                            builder,
-                            e,
-                            config,
-                            config.seed ^ salt ^ idx as u64,
-                        )),
-                    }
-                });
+            let grounded: Vec<Arc<GroundExample>> = crate::par::chunked_map(
+                examples,
+                config.effective_threads(),
+                8,
+                (),
+                |_, idx, e| match stored.get(idx) {
+                    Some(g) if !affected(g) => Arc::clone(g),
+                    _ => Arc::new(GroundExample::build(
+                        builder,
+                        e,
+                        config,
+                        config.seed ^ salt ^ idx as u64,
+                    )),
+                },
+            );
             let pairs = grounded.iter().zip(stored);
             let reused = pairs.filter(|(g, s)| Arc::ptr_eq(g, s)).count();
             (grounded, reused)
@@ -376,7 +370,7 @@ impl CoverageEngine {
     /// masks are identical at any thread count.
     pub fn masks(&self, prepared: &PreparedClause, threads: usize) -> (Vec<bool>, Vec<bool>) {
         let mask = |examples: &[Arc<GroundExample>], semantics: Semantics| {
-            crate::par::chunked_map(examples, threads, 8, |_, e| {
+            crate::par::chunked_map(examples, threads, 8, (), |_, _, e| {
                 matches!(
                     prepared.covers(e, semantics, &self.config.subsumption, None),
                     CoverageOutcome::Covered { .. }

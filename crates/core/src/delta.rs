@@ -131,21 +131,15 @@ impl Engine {
         // them half-updated, but it quarantines the session, and a
         // quarantined session never reads them again; the committed plan
         // keeps serving reads.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute_delta(self, db, changes)
-        }));
-        match outcome {
+        match crate::par::isolate("delta", || compute_delta(self, db, changes)) {
             Ok((base, report)) => {
                 self.base = base;
                 self.plans = Default::default();
                 Ok(report)
             }
-            Err(payload) => {
+            Err(err) => {
                 self.quarantined = true;
-                Err(DlearnError::WorkerPanicked {
-                    site: "delta",
-                    message: crate::par::panic_message(&*payload),
-                })
+                Err(err)
             }
         }
     }

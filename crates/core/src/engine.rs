@@ -142,7 +142,7 @@ impl Engine {
         // Session preparation fans grounding across worker threads; a panic
         // in any of them (a malformed row that slipped past validation, an
         // injected fault) surfaces as a typed error, not a process abort.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        crate::par::isolate("prepare", || {
             let catalog = Arc::new(build_catalog(&task, &config));
             let base = Arc::new(StrategyPlan::build(task, config.clone(), catalog, 0));
             Engine {
@@ -152,10 +152,6 @@ impl Engine {
                 maintenance: None,
                 quarantined: false,
             }
-        }))
-        .map_err(|payload| DlearnError::WorkerPanicked {
-            site: "prepare",
-            message: crate::par::panic_message(&*payload),
         })
     }
 
@@ -221,13 +217,7 @@ impl Engine {
         // strategies whose plan was built at prepare time.
         let plan = self.plan(strategy);
         let start = std::time::Instant::now();
-        let refined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::learn::refine(strategy, &plan)
-        }))
-        .map_err(|payload| DlearnError::WorkerPanicked {
-            site: "learn",
-            message: crate::par::panic_message(&*payload),
-        })?;
+        let refined = crate::par::isolate("learn", || crate::learn::refine(strategy, &plan))?;
         Ok(Learned {
             strategy,
             definition: refined.definition,
@@ -535,8 +525,9 @@ impl Predictor {
         let builder = self.builder();
         let (unique, slots) = crate::par::dedup(examples);
         let threads = self.plan.config.effective_threads();
-        let verdicts =
-            crate::par::chunked_map(&unique, threads, 2, |_, e| self.predict_with(&builder, e));
+        let verdicts = crate::par::chunked_map(&unique, threads, 2, (), |_, _, e| {
+            self.predict_with(&builder, e)
+        });
         Ok(slots.into_iter().map(|s| verdicts[s]).collect())
     }
 

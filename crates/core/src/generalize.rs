@@ -14,15 +14,11 @@ use dlearn_logic::{Clause, FlatSubstitution, NumberedClause};
 
 /// Generalize `clause` so that it covers the example whose ground bottom
 /// clause is `target`. Returns `None` when even the head cannot be mapped
-/// (e.g. a different target relation).
-pub fn generalize(clause: &Clause, target: &GroundClause, binding_cap: usize) -> Option<Clause> {
-    generalize_prepared(clause, &NumberedClause::new(clause), target, binding_cap)
-}
-
-/// [`generalize`] with the clause's variable numbering prepared once by the
-/// caller (the covering loop reuses one numbering across every sampled
-/// target). `numbered` must be the renumbering of `clause`; the two bodies
-/// are index-aligned because renumbering is a pure renaming.
+/// (e.g. a different target relation). The clause's variable numbering is
+/// prepared once by the caller (the covering loop reuses one numbering
+/// across every sampled target): `numbered` must be the renumbering of
+/// `clause`; the two bodies are index-aligned because renumbering is a pure
+/// renaming.
 pub fn generalize_prepared(
     clause: &Clause,
     numbered: &NumberedClause,
@@ -59,6 +55,10 @@ mod tests {
     use super::*;
     use dlearn_logic::subsumption::{subsumes, SubsumptionConfig};
     use dlearn_logic::{Literal, Term};
+
+    fn generalize(clause: &Clause, target: &GroundClause, binding_cap: usize) -> Option<Clause> {
+        generalize_prepared(clause, &NumberedClause::new(clause), target, binding_cap)
+    }
 
     fn holds(c: &Clause, d: &GroundClause) -> bool {
         subsumes(

@@ -150,7 +150,7 @@ where
     } else {
         config.effective_threads()
     };
-    crate::par::chunked_map(candidates, threads, 2, |_, candidate| {
+    crate::par::chunked_map(candidates, threads, 2, (), |_, _, candidate| {
         score(candidate, mask_threads)
     })
 }

@@ -12,7 +12,7 @@
 //! 1. [`bottom::BottomClauseBuilder`] builds the most specific clause
 //!    covering a training example, following exact and similarity joins and
 //!    attaching MD/CFD repair literals (Section 4.1).
-//! 2. [`generalize::generalize`] drops blocking literals so the clause also
+//! 2. [`generalize::generalize_prepared`] drops blocking literals so the clause also
 //!    covers further positive examples (Section 4.2).
 //! 3. [`coverage::CoverageEngine`] scores candidate clauses with
 //!    θ-subsumption-based coverage tests under the repair semantics of
@@ -126,7 +126,7 @@ pub use coverage::{
 pub use delta::DeltaReport;
 pub use engine::{ClauseStats, Engine, Learned, Predictor};
 pub use error::DlearnError;
-pub use generalize::{generalize, generalize_prepared};
+pub use generalize::generalize_prepared;
 pub use learner::{augment_with_target, Strategy};
 pub use service::{
     Budget, PredictorService, ServeResult, ServeVerdict, ServiceConfig, ServiceMetrics,

@@ -1,75 +1,27 @@
-//! Order-preserving chunked parallel map, shared by the coverage engine and
-//! the learners' candidate fan-out (`learn::score_each`), and the
-//! first-occurrence dedup the serving batches fan out over.
+//! The fan-out and the panic boundary of `dlearn-core`.
 //!
-//! Determinism lives here: items are split into contiguous chunks, each
-//! chunk is mapped on one `std::thread::scope` worker, and the per-chunk
-//! results are concatenated in chunk order — so the output is always
-//! element-for-element identical to the serial map, at any thread count.
+//! Every fan-out runs through [`chunked_map`], the stack's order-preserving
+//! parallel map (it lives in `dlearn-similarity`, next to the thread policy
+//! it applies), and every panic boundary through [`isolate`]. The
+//! first-occurrence [`dedup`] is what the serving batches fan out over.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Map `f` over `items`, fanning out across at most `threads` scoped worker
-/// threads in contiguous chunks. `f` receives each item's global index.
-/// Runs serially when `threads <= 1` or there are fewer than `min_items`
-/// items (not worth the spawn overhead). The result order always matches
-/// `items` order.
-pub(crate) fn chunked_map<T, R, F>(items: &[T], threads: usize, min_items: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.min(items.len().max(1));
-    if threads <= 1 || items.len() < min_items {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (ci, chunk_items) in items.chunks(chunk).enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                chunk_items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| f(ci * chunk + i, t))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            // Re-raise the original payload on the calling thread so callers
-            // that wrap the whole map in `catch_unwind` (Engine::prepare) see
-            // the worker's message, not a generic join error.
-            out.push(
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-    });
-    out.into_iter().flatten().collect()
-}
+pub(crate) use dlearn_similarity::chunked_map;
 
-/// [`chunked_map`] with per-item panic isolation: each item is mapped inside
-/// `catch_unwind`, so one poisoned item yields `Err(message)` in its slot
-/// while every other item completes normally. Output order still matches
-/// `items` order at any thread count.
-pub(crate) fn chunked_map_catching<T, R, F>(
-    items: &[T],
-    threads: usize,
-    min_items: usize,
-    f: F,
-) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    chunked_map(items, threads, min_items, |i, t| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, t)))
-            .map_err(|payload| panic_message(&*payload))
+use crate::DlearnError;
+
+/// Run `f`, turning a panic inside it into
+/// [`DlearnError::WorkerPanicked`] at `site`, carrying the payload's
+/// message. What a panic costs beyond the error (a quarantine, a counter)
+/// is the caller's decision.
+pub(crate) fn isolate<R>(site: &'static str, f: impl FnOnce() -> R) -> Result<R, DlearnError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        DlearnError::WorkerPanicked {
+            site,
+            message: panic_message(&*payload),
+        }
     })
 }
 
@@ -97,7 +49,7 @@ where
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -112,38 +64,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn output_order_matches_input_order_at_any_thread_count() {
-        let items: Vec<u32> = (0..37).collect();
-        let serial = chunked_map(&items, 1, 0, |i, &x| (i, x * 2));
-        for threads in [2, 3, 8, 64] {
-            let parallel = chunked_map(&items, threads, 0, |i, &x| (i, x * 2));
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn small_inputs_run_serially() {
-        let items = [1, 2, 3];
-        let mapped = chunked_map(&items, 8, 8, |i, &x| i + x);
-        assert_eq!(mapped, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn catching_map_isolates_a_single_panicking_item() {
+    fn isolating_each_item_confines_a_panic_to_its_slot() {
         let items: Vec<u32> = (0..20).collect();
         for threads in [1, 2, 8] {
-            let mapped = chunked_map_catching(&items, threads, 0, |_, &x| {
-                if x == 7 {
-                    panic!("poisoned item {x}");
-                }
-                x * 2
+            let mapped = chunked_map(&items, threads, 0, (), |_, _, &x| {
+                isolate("serve", || {
+                    if x == 7 {
+                        panic!("poisoned item {x}");
+                    }
+                    x * 2
+                })
             });
             for (i, r) in mapped.iter().enumerate() {
-                if i == 7 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains("poisoned item 7"), "threads={threads}: {msg}");
-                } else {
-                    assert_eq!(*r, Ok(i as u32 * 2), "threads={threads}");
+                match r {
+                    Err(DlearnError::WorkerPanicked { site, message }) => {
+                        assert_eq!(i, 7, "threads={threads}");
+                        assert_eq!((*site, message.as_str()), ("serve", "poisoned item 7"));
+                    }
+                    Err(other) => panic!("unexpected error {other:?}"),
+                    Ok(v) => assert_eq!(*v, i as u32 * 2, "threads={threads}"),
                 }
             }
         }
@@ -155,15 +94,5 @@ mod tests {
         let (unique, slots) = dedup(&items);
         assert_eq!(unique, vec![&3, &1, &2]);
         assert_eq!(slots, vec![0, 1, 0, 2, 1]);
-    }
-
-    #[test]
-    fn global_indices_are_correct_across_chunks() {
-        let items: Vec<usize> = (0..100).collect();
-        let mapped = chunked_map(&items, 7, 2, |i, &x| {
-            assert_eq!(i, x);
-            i
-        });
-        assert_eq!(mapped, items);
     }
 }

@@ -13,12 +13,12 @@
 //!   grounding would produce — verdicts are bit-identical cache-on vs
 //!   cache-off, which `tests/service.rs` pins across 1/2/8 threads.
 //! * **Deadlines and cooperative cancellation** — a per-call [`Budget`]
-//!   threads a deadline into the subsumption search via an atomic
+//!   threads a deadline into the subsumption search via a
 //!   [`CancelToken`] polled alongside the step-budget test. A slow example
 //!   returns [`DlearnError::DeadlineExceeded`] *for that example only*; the
 //!   rest of the batch completes.
-//! * **Panic isolation** — each example runs inside `catch_unwind` at the
-//!   chunk worker, so one poisoned example yields
+//! * **Panic isolation** — each example runs inside the crate's one panic
+//!   boundary at the chunk worker, so one poisoned example yields
 //!   [`DlearnError::WorkerPanicked`] and lands in a quarantine that keeps
 //!   its tuple out of the cache forever after.
 //! * **Degradation accounting** — budget-exhausted subsumption searches no
@@ -117,11 +117,13 @@ impl Budget {
 /// Configuration of a [`PredictorService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Total ground-example cache capacity across all shards. `0` disables
-    /// caching entirely (every serve re-grounds).
+    /// Total ground-example cache capacity across all shards: the cache
+    /// never holds more groundings. `0` disables caching entirely (every
+    /// serve re-grounds).
     pub cache_capacity: usize,
-    /// Number of cache shards; rounded up to a power of two. More shards
-    /// mean less lock contention under concurrent batches.
+    /// Number of cache shards; rounded up to a power of two, and down to
+    /// one shard per entry when the capacity is smaller. More shards mean
+    /// less lock contention under concurrent batches.
     pub cache_shards: usize,
     /// Worker threads for batch fan-out (`0` = the session config's
     /// coverage-thread resolution).
@@ -363,12 +365,13 @@ pub struct PredictorService {
 impl PredictorService {
     /// Wrap a predictor for serving; it becomes epoch 1.
     pub fn new(predictor: Predictor, config: ServiceConfig) -> PredictorService {
-        let shard_count = config.cache_shards.max(1).next_power_of_two();
-        let per_shard_capacity = if config.cache_capacity == 0 {
-            0
-        } else {
-            config.cache_capacity.div_ceil(shard_count).max(1)
-        };
+        // Never more shards than entries, and an even split rounded down,
+        // so the shards together hold at most `cache_capacity` groundings.
+        let mut shard_count = config.cache_shards.max(1).next_power_of_two();
+        while shard_count > config.cache_capacity.max(1) {
+            shard_count /= 2;
+        }
+        let per_shard_capacity = config.cache_capacity / shard_count;
         PredictorService {
             model: RwLock::new(Arc::new(EpochModel {
                 epoch: 1,
@@ -434,7 +437,7 @@ impl PredictorService {
             }
         }
         let epoch = current.epoch + 1;
-        let successor = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let successor = crate::par::isolate("swap", || {
             let kind = if delta.is_some() { "delta" } else { "publish" };
             let _ = fault::checkpoint(fault::Site::Swap, format_args!("{kind}@{epoch}"));
             let mut evicted = 0;
@@ -450,16 +453,13 @@ impl PredictorService {
                 })
                 .collect();
             (cache, evicted)
-        }));
+        });
         let (cache, evicted) = match successor {
             Ok(successor) => successor,
-            Err(payload) => {
+            Err(err) => {
                 self.swap_quarantined.store(true, Ordering::Release);
                 self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                return Err(DlearnError::WorkerPanicked {
-                    site: "swap",
-                    message: crate::par::panic_message(&*payload),
-                });
+                return Err(err);
             }
         };
         // `current` still holds the displaced model, so replacing it under
@@ -584,8 +584,8 @@ impl PredictorService {
             model.predictor.config().effective_threads()
         };
         let builder = model.predictor.builder();
-        let served = crate::par::chunked_map_catching(&unique, threads, 2, |_, e| {
-            self.serve_one(&model, &builder, e, budget)
+        let served = crate::par::chunked_map(&unique, threads, 2, (), |_, _, e| {
+            crate::par::isolate("serve", || self.serve_one(&model, &builder, e, budget))
         });
 
         // Isolated panics become typed per-example errors, and the tuple is
@@ -593,19 +593,15 @@ impl PredictorService {
         let served: Vec<ServeResult> = served
             .into_iter()
             .zip(&unique)
-            .map(|(r, e)| match r {
-                Ok(result) => result,
-                Err(message) => {
+            .map(|(r, e)| {
+                r.unwrap_or_else(|err| {
                     self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
                     self.quarantine
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .insert((*e).clone());
-                    Err(DlearnError::WorkerPanicked {
-                        site: "serve",
-                        message,
-                    })
-                }
+                    Err(err)
+                })
             })
             .collect();
 

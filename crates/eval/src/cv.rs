@@ -101,40 +101,6 @@ pub fn cross_validate_strategies(
         .collect()
 }
 
-/// Evaluate with a single train/test split (used by the scaling experiments
-/// where the paper fixes one test set and grows the training set).
-pub fn single_split(
-    dataset: &Dataset,
-    strategy: Strategy,
-    config: &LearnerConfig,
-    train_fraction: f64,
-    seed: u64,
-) -> EvalResult {
-    let fold = dataset.train_test_split(train_fraction, seed);
-    let engine =
-        Engine::prepare(fold.train.clone(), config.clone()).expect("generated split is valid");
-    let learned = engine.learn(strategy).expect("prepared session learns");
-    let predictor = engine.predictor(&learned).expect("plan derived by learn");
-    let confusion = Confusion::from_predictions(
-        &predictor
-            .predict_batch(&fold.test_positives)
-            .expect("test tuples have target arity"),
-        &predictor
-            .predict_batch(&fold.test_negatives)
-            .expect("test tuples have target arity"),
-    );
-    EvalResult {
-        dataset: dataset.name.clone(),
-        system: strategy.name().to_string(),
-        f1: confusion.f1(),
-        precision: confusion.precision(),
-        recall: confusion.recall(),
-        learn_seconds: learned.seconds(),
-        folds: 1,
-        clauses: learned.clauses().len() as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,13 +161,5 @@ mod tests {
             assert_eq!(result.recall, solo.recall, "{}", strategy.name());
             assert_eq!(result.clauses, solo.clauses, "{}", strategy.name());
         }
-    }
-
-    #[test]
-    fn single_split_runs_end_to_end() {
-        let ds = generate_movie_dataset(&MovieConfig::tiny(), 5);
-        let result = single_split(&ds, Strategy::DLearn, &fast_config(), 0.7, 2);
-        assert_eq!(result.folds, 1);
-        assert!((0.0..=1.0).contains(&result.f1));
     }
 }

@@ -29,25 +29,55 @@ pub mod experiments;
 pub mod metrics;
 pub mod report;
 
-pub use cv::{cross_validate, cross_validate_strategies, single_split, EvalResult};
+pub use cv::{cross_validate, cross_validate_strategies, EvalResult};
 pub use experiments::Scale;
 pub use metrics::{mean, Confusion};
 
-/// Parse the `--scale` command-line argument for the experiment binaries
-/// (defaults to [`Scale::Small`]).
+/// The `--scale` argument of the experiment binaries: `--scale <scale>` or
+/// `--scale=<scale>`, [`Scale::Small`] when absent. Ends the process with
+/// exit code 2 and a message naming the three scales when the value is
+/// missing or unknown.
 pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--scale" {
-            if let Some(s) = args.get(i + 1).and_then(|v| Scale::parse(v)) {
-                return s;
-            }
-        }
-        if let Some(rest) = args[i].strip_prefix("--scale=") {
-            if let Some(s) = Scale::parse(rest) {
-                return s;
-            }
+    parse_scale(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// Parse `--scale` out of the binaries' arguments (see [`scale_from_args`]).
+fn parse_scale(args: impl IntoIterator<Item = String>) -> Result<Scale, String> {
+    let mut args = args.into_iter();
+    let mut value = None;
+    while let Some(arg) = args.next() {
+        if arg == "--scale" {
+            value = Some(args.next().unwrap_or_default());
+        } else if let Some(rest) = arg.strip_prefix("--scale=") {
+            value = Some(rest.to_string());
         }
     }
-    Scale::Small
+    let Some(value) = value else {
+        return Ok(Scale::Small);
+    };
+    Scale::parse(&value)
+        .ok_or_else(|| format!("--scale must be smoke, small or paper, got {value:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_arguments_parse_or_fail_naming_the_scales() {
+        let parse = |args: &[&str]| parse_scale(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(Scale::Small));
+        assert_eq!(parse(&["--scale", "smoke"]), Ok(Scale::Smoke));
+        assert_eq!(parse(&["--scale=paper"]), Ok(Scale::Paper));
+        for bad in [&["--scale", "smke"][..], &["--scale"], &["--scale="]] {
+            let message = parse(bad).expect_err("not a scale");
+            assert!(
+                message.contains("smoke, small or paper"),
+                "{bad:?}: {message}"
+            );
+        }
+    }
 }

@@ -124,11 +124,6 @@ impl Literal {
             Literal::NotEqual(a, b) => Literal::NotEqual(subst.apply(a), subst.apply(b)),
         }
     }
-
-    /// `true` when the literal mentions the variable.
-    pub fn mentions(&self, var: Var) -> bool {
-        self.args().into_iter().any(|t| t.as_var() == Some(var))
-    }
 }
 
 impl fmt::Display for Literal {
@@ -196,8 +191,6 @@ mod tests {
         assert_eq!(l.relation_id(), Some(RelId::intern("movies")));
         assert_eq!(l.args().len(), 2);
         assert_eq!(l.variables().len(), 1);
-        assert!(l.mentions(Var(0)));
-        assert!(!l.mentions(Var(1)));
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Substitution {
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Term)> {
         self.map.iter()
     }
-
-    /// Variables bound by this substitution.
-    pub fn domain(&self) -> impl Iterator<Item = Var> + '_ {
-        self.map.keys().copied()
-    }
 }
 
 impl FromIterator<(Var, Term)> for Substitution {

@@ -130,7 +130,6 @@
 //! back to `C`'s original variables, which the θ-verification oracles check.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use dlearn_relstore::{FxHashMap, RelId};
@@ -160,8 +159,8 @@ pub enum Decision {
     /// The step budget ([`SubsumptionConfig::max_steps`]) ran out before the
     /// search finished; whether a witness exists is unknown.
     BudgetExhausted,
-    /// The [`CancelToken`] fired (deadline passed or explicit cancel) before
-    /// the search finished; whether a witness exists is unknown.
+    /// The [`CancelToken`]'s deadline passed before the search finished;
+    /// whether a witness exists is unknown.
     Cancelled,
 }
 
@@ -173,19 +172,16 @@ impl Decision {
     }
 }
 
-/// Cooperative cancellation handle for long-running subsumption searches.
+/// Cooperative cancellation handle for long-running subsumption searches:
+/// a deadline.
 ///
 /// The search polls the token every [`CANCEL_CHECK_INTERVAL`] steps —
 /// alongside the `steps > max_steps` budget test — so a pathological clause
-/// pair cannot pin a worker thread past its deadline. A token is either
-/// cancelled explicitly ([`CancelToken::cancel`], e.g. from another thread)
-/// or implicitly when its optional deadline passes. Once cancelled it stays
-/// cancelled (the deadline check latches into the atomic flag, so at most
-/// one clock read happens after expiry).
-#[derive(Debug, Default)]
+/// pair cannot pin a worker thread past its deadline. The token is
+/// cancelled once its deadline passes, and stays cancelled.
+#[derive(Debug)]
 pub struct CancelToken {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
+    deadline: Instant,
 }
 
 /// How many search steps pass between [`CancelToken`] polls. A step is a
@@ -194,36 +190,14 @@ pub struct CancelToken {
 pub const CANCEL_CHECK_INTERVAL: usize = 1024;
 
 impl CancelToken {
-    /// A token that only cancels explicitly.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
     /// A token that cancels itself once `deadline` passes.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken {
-            cancelled: AtomicBool::new(false),
-            deadline: Some(deadline),
-        }
+        CancelToken { deadline }
     }
 
-    /// Cancel the token: every search polling it stops at its next check.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` once the token was cancelled or its deadline passed.
+    /// `true` once the deadline passed.
     pub fn is_cancelled(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        match self.deadline {
-            Some(deadline) if Instant::now() >= deadline => {
-                self.cancelled.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
+        Instant::now() >= self.deadline
     }
 }
 

@@ -171,23 +171,21 @@ impl SimilarityOperator {
     }
 }
 
-/// Convenience free function using the default operator.
-pub fn combined_similarity(a: &str, b: &str) -> f64 {
-    SimilarityOperator::default().score(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn identical_strings_have_score_one() {
-        assert_eq!(combined_similarity("Superbad", "Superbad"), 1.0);
+        assert_eq!(
+            SimilarityOperator::default().score("Superbad", "Superbad"),
+            1.0
+        );
     }
 
     #[test]
     fn substring_with_extra_tokens_scores_between_swg_and_one() {
-        let s = combined_similarity("Superbad", "Superbad (2007)");
+        let s = SimilarityOperator::default().score("Superbad", "Superbad (2007)");
         assert!(s > 0.7 && s < 1.0, "score {s}");
     }
 

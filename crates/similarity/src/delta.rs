@@ -13,23 +13,28 @@
 //! (`crates/similarity/tests/delta_oracle.rs`) pins that against both a
 //! fresh build and the brute-force all-pairs reference.
 //!
-//! Why the repairs are exact:
+//! Why the repairs are exact: maintenance runs construction's own rules,
+//! not copies of them.
 //!
 //! * Every stored forward list is "all qualifying rights, sorted by
-//!   (score desc, value asc), truncated to `top_k`". An *unfull* list
-//!   therefore holds **all** qualifying rights — removing a member is a
-//!   pure deletion, nothing can have been displaced. A *full* list that
-//!   loses a member may have displaced something at build time, so it is
-//!   tombstoned and refilled with one bounded re-scan
-//!   (`score_one_left`, the same funnel construction uses).
+//!   (score desc, value asc), truncated to `top_k`" — the list the ranked
+//!   insertion `insert_ranked` keeps. An *unfull* list therefore holds
+//!   **all** qualifying rights — removing a member is a pure deletion,
+//!   nothing can have been displaced. A *full* list that loses a member may
+//!   have displaced something at build time, so it is tombstoned and
+//!   refilled with one bounded re-scan (`score_one_left`, the same funnel
+//!   construction uses).
 //! * A newly appeared right value can only enter lists of left values it
 //!   shares a blocking key with (construction never scores other pairs
-//!   either), so candidates come from a left-side blocking map and each is
-//!   patched with one targeted [`SimilarityOperator::score_profiles_at_least`]
-//!   call at the exact "reach" requirement the builder uses.
-//! * Reverse lists are a pure function of the truncated forward map
-//!   (transpose, sort, truncate), so the lists of rights whose storers
-//!   changed are regenerated from the back-references.
+//!   either), so candidates come from a left-side blocking map and the new
+//!   right is offered to each through `insert_ranked`, the insertion the
+//!   builder runs for every candidate: the same
+//!   [`SimilarityOperator::score_profiles_at_least`] call at the same
+//!   "reach" requirement, the same position and the same cap.
+//! * Reverse lists are a pure function of the truncated forward map, derived
+//!   by the builder's `transpose` (transpose, sort, truncate), so the lists
+//!   of rights whose storers changed are regenerated from the
+//!   back-references through it.
 //!
 //! None of the repair paths calls [`SimilarityIndex::build`], so
 //! [`SimilarityIndex::build_count`] is unaffected — tests can pin that a
@@ -42,7 +47,9 @@ use std::collections::{HashMap, HashSet};
 
 use dlearn_relstore::Sym;
 
-use crate::index::{build_postings, dedup, score_one_left, sort_matches, Posting, Scratch};
+use crate::index::{
+    build_postings, dedup, insert_ranked, score_one_left, transpose, Posting, Ranked, Scratch,
+};
 use crate::sw_kernel::SimProfile;
 use crate::tokenize::blocking_keys;
 use crate::{IndexConfig, Match, SimilarityIndex};
@@ -166,11 +173,6 @@ impl MaintainedIndex {
     /// columns.
     pub fn index(&self) -> &SimilarityIndex {
         &self.index
-    }
-
-    /// The maintenance configuration (identical to the build config).
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
     }
 
     /// Apply one batch of distinct-value column transitions, repairing the
@@ -324,24 +326,22 @@ impl MaintainedIndex {
 
         // ---- reverse phase: regenerate dirty reverse lists ----
 
-        let mut dirty: Vec<Sym> = dirty_rights.into_iter().collect();
-        dirty.sort();
+        let dirty: Vec<Sym> = dirty_rights.into_iter().collect();
+        let this = &*self;
+        let mut regenerated = transpose(
+            dirty.iter().flat_map(|&r| {
+                let storing = this.storers.get(&r).into_iter().flatten();
+                storing.map(move |&l| (l, this.stored_match(l, r)))
+            }),
+            self.config.top_k,
+        );
         for r in dirty {
             out.changed_right.insert(r);
-            match self.storers.get(&r) {
-                Some(storing) if !storing.is_empty() => {
-                    let mut back: Vec<Match> = storing
-                        .iter()
-                        .map(|&l| Match {
-                            value: l,
-                            score: self.stored_score(l, r),
-                        })
-                        .collect();
-                    sort_matches(&mut back);
-                    back.truncate(self.config.top_k);
+            match regenerated.remove(&r) {
+                Some(back) => {
                     self.index.right_to_left.insert(r, back);
                 }
-                _ => {
+                None => {
                     self.index.right_to_left.remove(&r);
                     self.storers.remove(&r);
                 }
@@ -351,9 +351,9 @@ impl MaintainedIndex {
         out
     }
 
-    /// Score one candidate (left, fresh right) pair at the exact "reach"
-    /// requirement and insert it into the bounded forward list if it
-    /// qualifies. Returns `true` when the list changed.
+    /// Offer one (left, fresh right) pair to the left's bounded forward
+    /// list through the builder's own ranked insertion. Returns `true` when
+    /// the list changed.
     fn try_insert_pair(
         &mut self,
         l: Sym,
@@ -362,48 +362,21 @@ impl MaintainedIndex {
         dirty_rights: &mut HashSet<Sym>,
         out: &mut DeltaOutcome,
     ) -> bool {
-        if self.config.top_k == 0 {
-            return false;
-        }
-        let op = &self.config.operator;
-        let current_len = self.index.left_to_right.get(&l).map_or(0, Vec::len);
-        // A tie with the running k-th score can still displace on the value
-        // order, so the requirement is "reach", exactly as in the builder.
-        let required = if current_len == self.config.top_k {
-            self.index.left_to_right[&l][self.config.top_k - 1]
-                .score
-                .max(op.threshold)
-        } else {
-            op.threshold
-        };
         let left_profile = SimProfile::new(l.as_str());
-        let Some(score) =
-            op.score_profiles_at_least(&left_profile, &self.right_profiles[j as usize], required)
-        else {
+        let matches = self.index.left_to_right.entry(l).or_default();
+        let ranked = insert_ranked(
+            matches,
+            r,
+            &left_profile,
+            &self.right_profiles[j as usize],
+            &self.config,
+        );
+        let Ranked::Stored { displaced } = ranked else {
+            if matches.is_empty() {
+                self.index.left_to_right.remove(&l);
+            }
             return false;
         };
-        if score < op.threshold {
-            return false;
-        }
-        let m = Match { value: r, score };
-        let mut displaced = None;
-        {
-            let matches = self.index.left_to_right.entry(l).or_default();
-            let pos = matches.partition_point(|held| {
-                held.score > m.score || (held.score == m.score && held.value < m.value)
-            });
-            if pos >= self.config.top_k {
-                let created_empty = matches.is_empty();
-                if created_empty {
-                    self.index.left_to_right.remove(&l);
-                }
-                return false;
-            }
-            if matches.len() == self.config.top_k {
-                displaced = Some(matches.pop().expect("full list").value);
-            }
-            matches.insert(pos, m);
-        }
         if let Some(d) = displaced {
             self.unstore(d, l, dirty_rights);
         }
@@ -421,13 +394,13 @@ impl MaintainedIndex {
         dirty_rights.insert(r);
     }
 
-    /// The score `l`'s stored forward list holds for `r`.
-    fn stored_score(&self, l: Sym, r: Sym) -> f64 {
+    /// The entry `l`'s stored forward list holds for `r`.
+    fn stored_match(&self, l: Sym, r: Sym) -> Match {
         self.index
             .left_to_right
             .get(&l)
             .and_then(|ms| ms.iter().find(|m| m.value == r))
-            .map(|m| m.score)
+            .copied()
             .expect("back-reference without a stored forward match")
     }
 }

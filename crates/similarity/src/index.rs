@@ -40,8 +40,16 @@
 //!   bit-identical to the scalar reference DP (`crate::sw_gotoh`), abandons
 //!   only hide pairs strictly below the running requirement.
 //! * **Parallel construction** — left values are split into contiguous
-//!   chunks mapped on `std::thread::scope` workers and merged in chunk
-//!   order, so the built index is bit-identical at any thread count.
+//!   chunks through the stack's one fan-out, [`crate::par::chunked_map`],
+//!   with one scratch buffer per worker, and merged in chunk order, so the
+//!   built index is bit-identical at any thread count.
+//!
+//! Two rules define the stored lists, and each has one implementation that
+//! construction, the exact-join index and delta maintenance
+//! ([`crate::delta`]) all run: a forward list grows through the ranked
+//! insertion `insert_ranked` (sorted by score desc, value asc, capped at
+//! `top_k`), and the reverse lists are derived from the capped forward
+//! lists by `transpose` (transpose, sort, truncate).
 //!
 //! All of these are exercised against a brute-force all-pairs oracle (no
 //! blocking, no filter, no early exit, scalar scoring) in
@@ -60,32 +68,9 @@ use dlearn_relstore::Sym;
 
 use crate::combined::SimilarityOperator;
 use crate::length::common_char_count;
+use crate::par::{chunked_map, resolve_threads};
 use crate::sw_kernel::{aligned_match_upper_bound, SimProfile};
 use crate::tokenize::{blocking_keys_into, normalize};
-
-/// Cap on the auto-detected worker-thread count (`threads = 0`) — shared by
-/// index construction here and the learner-side thread resolution
-/// (`dlearn_core::LearnerConfig`). Alignment work stops scaling well past
-/// this on the workloads we measure (the per-left candidate lists are short
-/// once the bounds fire, so spawn/merge overhead dominates), and an
-/// unbounded auto-fanout on a many-core CI machine oversubscribes the
-/// memory bus for no win. An *explicit* `threads = n` is always honored.
-pub const MAX_AUTO_THREADS: usize = 16;
-
-/// The worker-thread count a thread knob asks for: a positive `requested`
-/// as is, else (0 = auto) the available cores capped at
-/// [`MAX_AUTO_THREADS`]. Every thread knob of the stack resolves through
-/// this, so "0 threads" means the same thing on each.
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(MAX_AUTO_THREADS)
-    }
-}
 
 /// Process-wide count of alignment-based index constructions (calls to
 /// [`SimilarityIndex::build`]). [`SimilarityIndex::exact_normalized`] does
@@ -111,7 +96,7 @@ pub struct IndexConfig {
     /// The similarity operator (score + threshold).
     pub operator: SimilarityOperator,
     /// Worker threads for index construction (0 = available cores, capped
-    /// at [`MAX_AUTO_THREADS`]). The built index is bit-identical at any
+    /// at [`crate::MAX_AUTO_THREADS`]). The built index is bit-identical at any
     /// thread count: left values are processed in contiguous chunks whose
     /// per-value results do not depend on the chunking, and chunk results
     /// merge in left order.
@@ -231,78 +216,42 @@ impl SimilarityIndex {
         let (right_profiles, block) = build_postings(&right, config);
 
         // Per-left-value match lists are independent of each other, so left
-        // values fan out across scoped workers in contiguous chunks. Each
-        // worker owns its scratch buffers; results concatenate in chunk
-        // order, which is exactly the serial left order. Worker count is
-        // capped so every chunk carries at least `MIN_CHUNK_LEFT` left
-        // values: spawn/join costs real time, and the learner rebuilds many
-        // tiny per-MD indexes where a serial pass is cheaper than a single
-        // spawn (the thread-count determinism contract is unaffected — the
-        // cap depends only on the input, never on what the workers do).
+        // values fan out in contiguous chunks, one `Scratch` per worker, and
+        // come back in left order. Worker count is capped so every chunk
+        // carries at least `MIN_CHUNK_LEFT` left values: spawn/join costs
+        // real time, and the learner rebuilds many tiny per-MD indexes where
+        // a serial pass is cheaper than a single spawn (the thread-count
+        // determinism contract is unaffected — the cap depends only on the
+        // input, never on what the workers do).
         const MIN_CHUNK_LEFT: usize = 8;
         let threads = config
             .effective_threads()
             .min(left.len() / MIN_CHUNK_LEFT)
             .max(1);
-        let per_left: Vec<Vec<Match>> = if threads <= 1 {
-            let mut scratch = Scratch::new(right.len());
-            left.iter()
-                .map(|&l| score_one_left(l, &right, &right_profiles, &block, config, &mut scratch))
-                .collect()
-        } else {
-            let chunk = left.len().div_ceil(threads);
-            let mut out: Vec<Vec<Vec<Match>>> = Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk_items in left.chunks(chunk) {
-                    let (right, right_profiles, block) = (&right, &right_profiles, &block);
-                    handles.push(scope.spawn(move || {
-                        let mut scratch = Scratch::new(right.len());
-                        chunk_items
-                            .iter()
-                            .map(|&l| {
-                                score_one_left(
-                                    l,
-                                    right,
-                                    right_profiles,
-                                    block,
-                                    config,
-                                    &mut scratch,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for h in handles {
-                    out.push(h.join().expect("index-build worker panicked"));
-                }
-            });
-            out.into_iter().flatten().collect()
-        };
+        let per_left = chunked_map(
+            &left,
+            threads,
+            0,
+            Scratch::new(right.len()),
+            |scratch, _, &l| score_one_left(l, &right, &right_profiles, &block, config, scratch),
+        );
+        let left_to_right = left
+            .into_iter()
+            .zip(per_left)
+            .filter(|(_, matches)| !matches.is_empty())
+            .collect();
+        SimilarityIndex::from_forward(left_to_right, config.top_k)
+    }
 
-        // Deterministic merge: left order drives both map fills, so the
-        // index contents never depend on the thread count.
-        let mut left_to_right: HashMap<Sym, Vec<Match>> = HashMap::new();
-        let mut right_to_left: HashMap<Sym, Vec<Match>> = HashMap::new();
-        for (&l, matches) in left.iter().zip(per_left) {
-            for m in &matches {
-                let back = right_to_left.entry(m.value).or_default();
-                back.push(Match {
-                    value: l,
-                    score: m.score,
-                });
-            }
-            if !matches.is_empty() {
-                left_to_right.insert(l, matches);
-            }
-        }
-
-        // The reverse direction also keeps only the top-k matches per value.
-        for matches in right_to_left.values_mut() {
-            sort_matches(matches);
-            matches.truncate(config.top_k);
-        }
-
+    /// The index with forward lists `left_to_right` and the reverse lists
+    /// they imply ([`transpose`]).
+    fn from_forward(left_to_right: HashMap<Sym, Vec<Match>>, top_k: usize) -> Self {
+        let right_to_left = transpose(
+            left_to_right
+                .iter()
+                .flat_map(|(&l, matches)| matches.iter().map(move |&m| (l, m))),
+            top_k,
+        );
         SimilarityIndex {
             left_to_right,
             right_to_left,
@@ -334,11 +283,6 @@ impl SimilarityIndex {
         };
         self.matches_left(left).iter().any(|m| m.value == right)
             || self.matches_right(left).iter().any(|m| m.value == right)
-    }
-
-    /// Number of left-column values that have at least one match.
-    pub fn matched_left_count(&self) -> usize {
-        self.left_to_right.len()
     }
 
     /// Total number of stored (left, right) match pairs.
@@ -385,7 +329,6 @@ impl SimilarityIndex {
             }
         }
         let mut left_to_right: HashMap<Sym, Vec<Match>> = HashMap::new();
-        let mut right_to_left: HashMap<Sym, Vec<Match>> = HashMap::new();
         for &l in &left {
             let n = normalize(l.as_str());
             let Some(rights) = (!n.is_empty()).then(|| by_normalized.get(&n)).flatten() else {
@@ -401,21 +344,9 @@ impl SimilarityIndex {
                     score: 1.0,
                 })
                 .collect();
-            for m in &matches {
-                right_to_left.entry(m.value).or_default().push(Match {
-                    value: l,
-                    score: 1.0,
-                });
-            }
             left_to_right.insert(l, matches);
         }
-        for matches in right_to_left.values_mut() {
-            matches.truncate(top_k);
-        }
-        SimilarityIndex {
-            left_to_right,
-            right_to_left,
-        }
+        SimilarityIndex::from_forward(left_to_right, top_k)
     }
 }
 
@@ -511,6 +442,7 @@ fn length_window(ll: usize, threshold: f64) -> (u32, u32) {
 }
 
 /// Per-worker scratch buffers reused across the left values of one chunk.
+#[derive(Clone)]
 pub(crate) struct Scratch {
     /// Candidate right indexes of the current left value, deduplicated.
     candidates: Vec<(usize, f64)>,
@@ -531,7 +463,8 @@ impl Scratch {
 }
 
 /// Compute one left value's stored match list: its blocking candidates,
-/// length-filtered, scored in descending bound order with top-k early exit.
+/// length-filtered, offered to [`insert_ranked`] in descending bound order
+/// with top-k early exit.
 ///
 /// The result is provably identical to "score every candidate, sort by
 /// (score desc, value asc), truncate to `top_k`":
@@ -640,57 +573,115 @@ pub(crate) fn score_one_left(
             .then_with(|| a.0.cmp(&b.0))
     });
 
-    // `matches` is kept sorted by (score desc, value asc) and capped at
-    // `top_k` — the same total order `sort_matches` applies, so the bounded
-    // insertion keeps exactly the sort-then-truncate prefix.
     let mut matches: Vec<Match> = Vec::with_capacity(config.top_k.min(candidates.len()));
     for &(j, bound) in candidates.iter() {
-        // A candidate only matters if it reaches the threshold and, once
-        // the list is full, the k-th score (a tie can still displace on
-        // the value order, so `required` is "reach", not "beat").
-        let required = if matches.len() == config.top_k {
-            let kth = matches[config.top_k - 1].score;
-            if bound < kth {
-                break; // top-k early exit: nothing further can displace.
-            }
-            kth.max(config.operator.threshold)
-        } else {
-            config.operator.threshold
-        };
-        let r = right[j];
-        let Some(score) =
-            config
-                .operator
-                .score_profiles_at_least(&left_profile, &right_profiles[j], required)
-        else {
-            continue; // provably below `required`: cannot be stored.
-        };
-        if score < config.operator.threshold {
-            continue;
+        if matches.len() == config.top_k && bound < matches[config.top_k - 1].score {
+            break; // top-k early exit: nothing further can displace.
         }
-        let m = Match { value: r, score };
-        let pos = matches.partition_point(|held| {
-            held.score > m.score || (held.score == m.score && held.value < m.value)
-        });
-        if pos < config.top_k {
-            if matches.len() == config.top_k {
-                matches.pop();
-            }
-            matches.insert(pos, m);
-        }
+        insert_ranked(
+            &mut matches,
+            right[j],
+            &left_profile,
+            &right_profiles[j],
+            config,
+        );
     }
     matches
 }
 
-/// Descending score, ties broken by the value's string order — the same
-/// deterministic order the pre-interning index used.
-pub(crate) fn sort_matches(matches: &mut [Match]) {
-    matches.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.value.cmp(&b.value))
-    });
+/// What [`insert_ranked`] did with an offered pair.
+pub(crate) enum Ranked {
+    /// The pair is not stored: it scores below the threshold, or a full
+    /// list's k-th entry outranks it.
+    Rejected,
+    /// The pair is stored; a full list gave up its last entry.
+    Stored {
+        /// The value the full list dropped to make room.
+        displaced: Option<Sym>,
+    },
+}
+
+/// The ranked insertion both construction paths run: offer the right value
+/// `value` (profiled as `right`) to the forward list `matches` of the left
+/// value profiled as `left`. The list is kept sorted by (score desc, value
+/// asc) and capped at `top_k`, so it always equals "every qualifying right
+/// offered so far, sorted and truncated" — the builder offers a left
+/// value's candidates one after another ([`score_one_left`]), delta
+/// maintenance offers one newly appeared right to each left that could
+/// store it, and both keep exactly the same list.
+///
+/// The pair is scored through
+/// [`SimilarityOperator::score_profiles_at_least`] at the lowest score that
+/// could still be stored: the threshold, or once the list is full the k-th
+/// score. A tie with the k-th score can still displace on the value order,
+/// so the requirement is "reach", not "beat".
+pub(crate) fn insert_ranked(
+    matches: &mut Vec<Match>,
+    value: Sym,
+    left: &SimProfile,
+    right: &SimProfile,
+    config: &IndexConfig,
+) -> Ranked {
+    let (top_k, op) = (config.top_k, &config.operator);
+    if top_k == 0 {
+        return Ranked::Rejected;
+    }
+    let full = matches.len() >= top_k;
+    let required = if full {
+        matches[top_k - 1].score.max(op.threshold)
+    } else {
+        op.threshold
+    };
+    let Some(score) = op.score_profiles_at_least(left, right, required) else {
+        return Ranked::Rejected; // provably below `required`: cannot be stored.
+    };
+    if score < op.threshold {
+        return Ranked::Rejected;
+    }
+    let pos = matches
+        .partition_point(|held| held.score > score || (held.score == score && held.value < value));
+    if pos >= top_k {
+        return Ranked::Rejected;
+    }
+    let displaced = if full {
+        matches.pop().map(|m| m.value)
+    } else {
+        None
+    };
+    matches.insert(pos, Match { value, score });
+    Ranked::Stored { displaced }
+}
+
+/// The reverse-list rule: a right value's reverse list is the transpose of
+/// the capped forward lists that store it, sorted by (score desc, value
+/// asc) and truncated to `top_k`. `forward` yields `(left, match)` pairs of
+/// stored forward entries; the result holds the reverse list of every right
+/// value they name. [`SimilarityIndex::build`],
+/// [`SimilarityIndex::exact_normalized`] and delta maintenance all derive
+/// reverse lists here, so a reverse list is a pure function of the forward
+/// map however the forward map was reached.
+pub(crate) fn transpose(
+    forward: impl IntoIterator<Item = (Sym, Match)>,
+    top_k: usize,
+) -> HashMap<Sym, Vec<Match>> {
+    let mut reverse: HashMap<Sym, Vec<Match>> = HashMap::new();
+    for (l, m) in forward {
+        reverse.entry(m.value).or_default().push(Match {
+            value: l,
+            score: m.score,
+        });
+    }
+    for matches in reverse.values_mut() {
+        // Descending score, ties broken by the value's string order.
+        matches.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.value.cmp(&b.value))
+        });
+        matches.truncate(top_k);
+    }
+    reverse
 }
 
 pub(crate) fn dedup(values: &[Sym]) -> Vec<Sym> {
@@ -828,7 +819,7 @@ mod tests {
     #[test]
     fn empty_inputs_produce_empty_index() {
         let idx = SimilarityIndex::build(&[], &movies_right(), &IndexConfig::default());
-        assert_eq!(idx.matched_left_count(), 0);
+        assert_eq!(idx.iter_left().count(), 0);
         assert_eq!(idx.pair_count(), 0);
     }
 
@@ -855,7 +846,7 @@ mod tests {
         assert!(idx.matches_right("---").is_empty());
         // The keyed value still matches normally next to the keyless ones.
         assert!(!idx.matches_left("Star Wars").is_empty());
-        assert_eq!(idx.matched_left_count(), 1);
+        assert_eq!(idx.iter_left().count(), 1);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * [`SimilarityIndex`] — blocking-based precomputed top-`km` match index.
 //! * [`MaintainedIndex`] — incremental maintenance of a built index under
 //!   streaming column deltas, always equal to a fresh build.
+//! * [`chunked_map`] and [`resolve_threads`] — the stack's one
+//!   order-preserving fan-out and its thread policy.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,16 +22,18 @@ pub mod combined;
 pub mod delta;
 pub mod index;
 pub mod length;
+pub mod par;
 pub mod sw_gotoh;
 pub mod sw_kernel;
 pub mod tokenize;
 
-pub use combined::{combined_similarity, SimilarityOperator};
+pub use combined::SimilarityOperator;
 pub use delta::{ColumnDelta, DeltaOutcome, MaintainedIndex};
-pub use index::{resolve_threads, IndexConfig, Match, QuerySym, SimilarityIndex, MAX_AUTO_THREADS};
+pub use index::{IndexConfig, Match, QuerySym, SimilarityIndex};
 pub use length::{
     char_histogram, common_char_count, length_similarity, length_similarity_from_counts, HIST_BINS,
 };
+pub use par::{chunked_map, resolve_threads, MAX_AUTO_THREADS};
 pub use sw_gotoh::{
     swg_similarity, swg_similarity_normalized_chars, swg_similarity_normalized_chars_at_least,
     swg_similarity_with, SwgParams,

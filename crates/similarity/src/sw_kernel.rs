@@ -84,12 +84,6 @@ impl SimProfile {
     pub fn is_empty(&self) -> bool {
         self.chars.is_empty()
     }
-
-    /// Whether the bit-parallel masks are available (normalized length in
-    /// `1..=MASK_MAX_LEN`).
-    pub fn has_masks(&self) -> bool {
-        self.masks.is_some()
-    }
 }
 
 fn build_masks(chars: &[char]) -> Option<Box<[u64; HIST_BINS]>> {
@@ -592,11 +586,11 @@ mod tests {
 
     #[test]
     fn profiles_expose_masks_only_in_range() {
-        assert!(SimProfile::new("star wars").has_masks());
-        assert!(!SimProfile::new("").has_masks());
-        assert!(!SimProfile::new(&"x".repeat(80)).has_masks());
+        assert!(SimProfile::new("star wars").masks.is_some());
+        assert!(SimProfile::new("").masks.is_none());
+        assert!(SimProfile::new(&"x".repeat(80)).masks.is_none());
         let exactly_64 = "ab".repeat(32);
-        assert!(SimProfile::new(&exactly_64).has_masks());
+        assert!(SimProfile::new(&exactly_64).masks.is_some());
     }
 
     /// The central kernel property: on random pairs and random requirements,

@@ -1,10 +1,10 @@
 //! The prepare-once contract: a prepared [`Engine`] aligns strings exactly
 //! once — at `Engine::prepare` time — no matter how many strategies run
-//! against it or how many predictions it serves. Castor-Exact derives its
-//! exact catalog by filtering, Castor-Clean unifies through the prepared
-//! index and builds an equality-based catalog, and DLearn-Repaired reuses
-//! the index outright when no CFD right-hand side overlaps an MD-identified
-//! column.
+//! against it or how many predictions it serves. Castor-Exact joins through
+//! an exact catalog that runs no alignment (`MdCatalog::build_exact`),
+//! Castor-Clean unifies through the prepared index and then builds the same
+//! kind of exact catalog, and DLearn-Repaired reuses the index outright when
+//! no CFD right-hand side overlaps an MD-identified column.
 //!
 //! This file holds a single test on purpose: it asserts on the
 //! process-global [`SimilarityIndex::build_count`], and integration-test

@@ -108,33 +108,42 @@ fn tiny_cache_evicts_and_counts() {
         let mut seen = std::collections::HashSet::new();
         trace.iter().filter(|t| seen.insert(*t)).count()
     };
-    let service = PredictorService::new(
-        predictor(&engine, &learned),
-        ServiceConfig {
-            cache_capacity: 2,
-            cache_shards: 1,
-            worker_threads: 1,
-            ..ServiceConfig::default()
-        },
-    );
-    // Two passes over a trace with far more distinct tuples than capacity.
-    let first = service.predict_batch(&trace);
-    let second = service.predict_batch(&trace);
-    assert!(first.iter().chain(&second).all(|r| r.is_ok()));
-    let metrics = service.metrics();
-    assert!(distinct > 2, "fixture too small to exercise eviction");
-    assert!(metrics.cache_evictions > 0, "{metrics:?}");
-    assert_eq!(
-        metrics.served,
-        2 * distinct as u64,
-        "each distinct tuple serves once per batch: {metrics:?}"
-    );
-    // Verdicts are still correct under heavy eviction.
-    let baseline = predictor(&engine, &learned)
-        .predict_batch(&trace)
-        .expect("predict");
-    let verdicts: Vec<bool> = second.iter().map(|r| r.as_ref().unwrap().covered).collect();
-    assert_eq!(baseline, verdicts);
+    // One shard, and the default shard count (more shards than entries).
+    for cache_shards in [1, ServiceConfig::default().cache_shards] {
+        let service = PredictorService::new(
+            predictor(&engine, &learned),
+            ServiceConfig {
+                cache_capacity: 2,
+                cache_shards,
+                worker_threads: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        // Two passes over a trace with far more distinct tuples than capacity.
+        let first = service.predict_batch(&trace);
+        let second = service.predict_batch(&trace);
+        assert!(first.iter().chain(&second).all(|r| r.is_ok()));
+        let metrics = service.metrics();
+        assert!(distinct > 2, "fixture too small to exercise eviction");
+        assert!(metrics.cache_evictions > 0, "{metrics:?}");
+        assert_eq!(
+            metrics.served,
+            2 * distinct as u64,
+            "each distinct tuple serves once per batch: {metrics:?}"
+        );
+        // Every miss inserts and every eviction replaces an entry, so this
+        // is what the cache holds: never more than its capacity.
+        assert!(
+            metrics.cache_misses - metrics.cache_evictions <= 2,
+            "shards={cache_shards}: {metrics:?}"
+        );
+        // Verdicts are still correct under heavy eviction.
+        let baseline = predictor(&engine, &learned)
+            .predict_batch(&trace)
+            .expect("predict");
+        let verdicts: Vec<bool> = second.iter().map(|r| r.as_ref().unwrap().covered).collect();
+        assert_eq!(baseline, verdicts);
+    }
 }
 
 #[test]
