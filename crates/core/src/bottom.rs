@@ -709,7 +709,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let clause = builder.build(&task.positives[0], &mut rng);
         assert!(
-            clause.repairs.iter().any(|g| g.origin.is_cfd()),
+            clause
+                .repairs
+                .iter()
+                .any(|g| matches!(g.origin, RepairOrigin::Cfd(_))),
             "expected a CFD repair group: {clause}"
         );
     }

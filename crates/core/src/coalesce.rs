@@ -44,6 +44,9 @@ pub struct CoalesceConfig {
     pub max_coalesce: usize,
     /// How long the batcher lingers for more requests once it holds at
     /// least one (the added latency ceiling a request can pay for batching).
+    /// A linger too long to represent as an [`Instant`] (such as
+    /// [`Duration::MAX`]) has no limit: a batch then drains only when
+    /// `max_coalesce` requests are queued or the coalescer is dropped.
     pub max_wait: Duration,
     /// Bound on queued (not yet drained) requests; submitters block when
     /// the queue is full.
@@ -147,7 +150,9 @@ impl Inner {
             q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
         }
         let mut batch = Vec::new();
-        let deadline = Instant::now() + self.config.max_wait;
+        // A linger too long to represent as an `Instant` has no deadline:
+        // the batch drains when full or when the queue closes.
+        let deadline = Instant::now().checked_add(self.config.max_wait);
         let mut full = true;
         loop {
             while batch.len() < self.config.max_coalesce {
@@ -162,15 +167,19 @@ impl Inner {
             // Linger for stragglers: a request arriving within `max_wait`
             // rides this batch instead of paying its own service call.
             let now = Instant::now();
-            if q.closed || now >= deadline {
+            if q.closed || deadline.is_some_and(|d| now >= d) {
                 full = false;
                 break;
             }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
+            q = match deadline {
+                Some(d) => {
+                    self.not_empty
+                        .wait_timeout(q, d - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+                None => self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner()),
+            };
         }
         drop(q);
         self.not_full.notify_all();

@@ -123,12 +123,6 @@ impl LearnerConfig {
         self
     }
 
-    /// Set the RNG seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The limits of every repaired-clause expansion the learner runs: each
     /// ground bottom clause (training examples and served tuples) and each
     /// candidate clause. At most `max_repaired_clauses` repaired clauses,
@@ -153,12 +147,6 @@ impl LearnerConfig {
     /// Set the similarity-index construction thread count (builder style).
     pub fn with_index_threads(mut self, threads: usize) -> Self {
         self.index_threads = threads;
-        self
-    }
-
-    /// Set the similarity-index hot-key fraction (builder style).
-    pub fn with_index_hot_key_fraction(mut self, fraction: f64) -> Self {
-        self.index_hot_key_fraction = fraction;
         self
     }
 
@@ -235,12 +223,10 @@ mod tests {
         let c = LearnerConfig::fast()
             .with_km(10)
             .with_iterations(4)
-            .with_sample_size(3)
-            .with_seed(99);
+            .with_sample_size(3);
         assert_eq!(c.km, 10);
         assert_eq!(c.iterations, 4);
         assert_eq!(c.sample_size, 3);
-        assert_eq!(c.seed, 99);
     }
 
     #[test]
@@ -269,17 +255,12 @@ mod tests {
             "learner default must track the index default"
         );
         assert!(c.validate().is_ok());
-        assert!(LearnerConfig::fast()
-            .with_index_hot_key_fraction(1.5)
-            .validate()
-            .is_err());
-        assert!(LearnerConfig::fast()
-            .with_index_hot_key_fraction(f64::NAN)
-            .validate()
-            .is_err());
-        assert!(LearnerConfig::fast()
-            .with_index_hot_key_fraction(0.0)
-            .validate()
-            .is_ok());
+        let with_fraction = |index_hot_key_fraction| LearnerConfig {
+            index_hot_key_fraction,
+            ..LearnerConfig::fast()
+        };
+        assert!(with_fraction(1.5).validate().is_err());
+        assert!(with_fraction(f64::NAN).validate().is_err());
+        assert!(with_fraction(0.0).validate().is_ok());
     }
 }

@@ -120,9 +120,10 @@ pub enum DlearnError {
     /// clean full [`crate::PredictorService::publish`] installs a fresh
     /// epoch.
     SwapQuarantined,
-    /// A request was submitted to a [`crate::Coalescer`] whose batcher has
-    /// shut down (the coalescer was dropped, or its queue was closed while
-    /// the request waited). The request was never served.
+    /// A [`crate::Coalescer`] request went unanswered: the batcher thread
+    /// is gone (it panicked) and dropped the request's reply channel. The
+    /// request was never served. A dropped coalescer serves its queue
+    /// before its batcher exits, and no caller can submit to it afterwards.
     CoalescerClosed,
 }
 

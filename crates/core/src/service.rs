@@ -84,10 +84,13 @@ use crate::fault;
 /// Per-call resource budget for one served example.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
-    /// Wall-clock deadline per example. The subsumption search polls an
-    /// atomic cancel flag derived from it, so a blown deadline surfaces as
-    /// [`DlearnError::DeadlineExceeded`] within one poll interval instead of
-    /// hanging.
+    /// Wall-clock deadline per example. The subsumption search polls the
+    /// clock against it every
+    /// [`CANCEL_CHECK_INTERVAL`](dlearn_logic::CANCEL_CHECK_INTERVAL) steps,
+    /// so a blown deadline surfaces as [`DlearnError::DeadlineExceeded`]
+    /// within one poll interval instead of hanging. A deadline too far out
+    /// to represent as an [`Instant`] (such as [`Duration::MAX`]) means no
+    /// deadline.
     pub deadline: Option<Duration>,
     /// Cap on subsumption search steps per search, applied on top of (never
     /// above) the session's `subsumption.max_steps`. Exhausted searches act
@@ -631,7 +634,8 @@ impl PredictorService {
         } else {
             let cancel = budget
                 .deadline
-                .map(|d| CancelToken::with_deadline(Instant::now() + d));
+                .and_then(|d| Instant::now().checked_add(d))
+                .map(CancelToken::with_deadline);
             self.cover(model, builder, example, budget, cancel.as_ref())
         };
         let Some((covered, exhausted)) = decided else {

@@ -58,16 +58,6 @@ impl Confusion {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Merge two confusion matrices (summing counts), e.g. across folds.
-    pub fn merge(&self, other: &Confusion) -> Confusion {
-        Confusion {
-            true_positives: self.true_positives + other.true_positives,
-            false_positives: self.false_positives + other.false_positives,
-            false_negatives: self.false_negatives + other.false_negatives,
-            true_negatives: self.true_negatives + other.true_negatives,
-        }
-    }
 }
 
 /// Mean of a slice of floats (0.0 for an empty slice).
@@ -106,17 +96,6 @@ mod tests {
         assert!((c.precision() - 0.75).abs() < 1e-12);
         assert!((c.recall() - 0.75).abs() < 1e-12);
         assert!((c.f1() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums_counts() {
-        let a = Confusion::from_predictions(&[true], &[false]);
-        let b = Confusion::from_predictions(&[false], &[true]);
-        let m = a.merge(&b);
-        assert_eq!(m.true_positives, 1);
-        assert_eq!(m.false_negatives, 1);
-        assert_eq!(m.false_positives, 1);
-        assert_eq!(m.true_negatives, 1);
     }
 
     #[test]

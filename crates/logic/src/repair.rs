@@ -31,13 +31,6 @@ pub enum RepairOrigin {
     Cfd(usize),
 }
 
-impl RepairOrigin {
-    /// `true` for CFD-originated repairs.
-    pub fn is_cfd(&self) -> bool {
-        matches!(self, RepairOrigin::Cfd(_))
-    }
-}
-
 impl fmt::Display for RepairOrigin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

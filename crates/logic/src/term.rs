@@ -45,19 +45,6 @@ impl Term {
         }
     }
 
-    /// The constant inside, if this term is a constant.
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(v) => Some(v),
-        }
-    }
-
-    /// `true` when the term is a variable.
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
     /// `true` when the term is a constant.
     pub fn is_const(&self) -> bool {
         matches!(self, Term::Const(_))
@@ -113,11 +100,11 @@ mod tests {
     fn term_accessors() {
         let v = Term::var(3);
         assert_eq!(v.as_var(), Some(Var(3)));
-        assert!(v.is_var());
         assert!(!v.is_const());
 
         let c = Term::constant("comedy");
-        assert_eq!(c.as_const(), Some(&Value::str("comedy")));
+        assert_eq!(c, Term::Const(Value::str("comedy")));
+        assert_eq!(c.as_var(), None);
         assert!(c.is_const());
     }
 

@@ -3,10 +3,17 @@
 //! Section 5 of the paper: *"To implement similarity over strings, DLearn
 //! uses the operator defined as the average of the Smith-Waterman-Gotoh and
 //! the Length similarity functions."*
+//!
+//! Every score runs through [`SimilarityOperator::score_profiles_at_least`]:
+//! the banded kernel ([`crate::sw_kernel`]) computes the SWG half and the
+//! normalized lengths the length half. One formula,
+//! [`SimilarityOperator::score_bound_from_matches`], bounds that score from
+//! above; the index prunes candidate pairs with it.
 
-use crate::length::{length_similarity, length_similarity_from_counts};
-use crate::sw_gotoh::{swg_similarity_with, SwgParams, ABANDON_SLACK};
-use crate::sw_kernel::{aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile};
+use crate::length::{common_char_count, length_similarity_from_counts};
+use crate::sw_kernel::{
+    aligned_match_upper_bound, swg_similarity_banded_at_least, SimProfile, SwgParams,
+};
 
 /// A configurable string-similarity operator with a decision threshold.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,11 +47,13 @@ impl SimilarityOperator {
         }
     }
 
-    /// Combined similarity score of two strings in `[0, 1]`.
+    /// Combined similarity score of two strings in `[0, 1]`: the average of
+    /// the SWG and length similarities of their normalized forms
+    /// (lowercased, punctuation collapsed), so `"Superbad (2007)"` and
+    /// `"superbad 2007"` score 1.0.
     pub fn score(&self, a: &str, b: &str) -> f64 {
-        let swg = swg_similarity_with(a, b, &self.swg);
-        let len = length_similarity(a, b);
-        (swg + len) / 2.0
+        self.score_profiles_at_least(&SimProfile::new(a), &SimProfile::new(b), f64::NEG_INFINITY)
+            .expect("nothing is required, so the kernel never abandons")
     }
 
     /// The `≈` predicate: whether two strings are similar under the
@@ -53,74 +62,31 @@ impl SimilarityOperator {
         self.score(a, b) >= self.threshold
     }
 
-    /// Upper bound on [`SimilarityOperator::score`] for any pair of strings
-    /// whose *normalized* char counts are `left_len` and `right_len`.
-    ///
-    /// The combined score averages the Smith-Waterman-Gotoh similarity
-    /// (clamped to `[0, 1]`, so at most `1`) with the length similarity,
-    /// which depends only on the two normalized lengths. Hence
-    ///
-    /// ```text
-    /// score(a, b) = (swg + len) / 2  <=  (1 + len(|a|, |b|)) / 2
-    /// ```
-    ///
-    /// and when exactly one side is empty, both components are `0`, so the
-    /// bound is `0`. The inequality holds in floating point too: `swg` is
-    /// clamped to at most `1.0` and `x ↦ (x + len) / 2` is monotone under
-    /// IEEE-754 addition and division. The bound is *tight*: a prefix pair
-    /// (`"abcd"` vs `"abcdefgh"`) has `swg = 1` and attains it exactly.
-    ///
-    /// Index construction uses this to skip `score` calls for pairs that
-    /// provably cannot reach `threshold` (see
-    /// [`crate::index::SimilarityIndex::build`]): skipping is lossless
-    /// because `bound < threshold` implies `score < threshold`.
-    pub fn max_score_bound(&self, left_len: usize, right_len: usize) -> f64 {
-        if left_len == 0 || right_len == 0 {
-            // Both components vanish against an empty normalized string,
-            // except for the both-empty case where both are 1.
-            return if left_len == right_len { 1.0 } else { 0.0 };
-        }
-        (1.0 + length_similarity_from_counts(left_len, right_len)) / 2.0
-    }
-
-    /// Tighter upper bound on the score given, additionally, the size of
-    /// the two strings' character multiset intersection (`common`, from
-    /// [`crate::length::common_char_count`]).
+    /// Upper bound on [`SimilarityOperator::score`] for two strings with
+    /// normalized char counts `left_len` and `right_len`, given any upper
+    /// bound `matches` on the number of equal-character pairs an alignment
+    /// of them can contain.
     ///
     /// Every cell of the SWG dynamic program adds at most `match_score` and
     /// only for a pair of *equal* characters, so the best local score is at
-    /// most `match_score · common` whenever mismatches and gaps cannot add
+    /// most `match_score · matches` whenever mismatches and gaps cannot add
     /// score (`mismatch_score <= 0`, non-negative gap costs — true for the
     /// shipped parameters). Hence
     ///
     /// ```text
-    /// swg(a, b) <= min(1, common / min(|a|, |b|))
+    /// score(a, b) = (swg + len) / 2  <=  (min(1, matches / min(|a|, |b|)) + len) / 2
     /// ```
     ///
-    /// and the combined bound averages that with the exact length
-    /// similarity. Both divisions are single correctly-rounded IEEE-754
-    /// operations over exactly-representable integers, so the inequality
-    /// survives floating point. With score-increasing custom parameters the
-    /// SWG half falls back to `1`, degrading to [`Self::max_score_bound`]
-    /// rather than turning unsound.
-    pub fn max_score_bound_with_common(
-        &self,
-        left_len: usize,
-        right_len: usize,
-        common: u32,
-    ) -> f64 {
-        self.score_bound_from_matches(left_len, right_len, common as f64)
-    }
-
-    /// Upper bound on the score given any upper bound `matches` on the
-    /// number of equal-character pairs an alignment of the two strings can
-    /// contain — the generalization behind both
-    /// [`Self::max_score_bound_with_common`] (histogram intersection) and
-    /// the bit-parallel gate (the binned-LCS bound from
-    /// [`crate::sw_kernel::aligned_match_upper_bound`], which also accounts
-    /// for character *order* and is therefore often much tighter on
-    /// anagram-ish pairs). Soundness needs the same parameter shape as the
-    /// histogram bound; otherwise the SWG half falls back to `1`.
+    /// where `len` is the exact length similarity. With score-increasing
+    /// custom parameters the SWG half falls back to `1`. When exactly one
+    /// side is empty both components are `0`, so the bound is `0`. The
+    /// inequality survives floating point: the divisions are single
+    /// correctly-rounded operations, and `x ↦ (x + len) / 2` is monotone.
+    ///
+    /// `matches = min(|a|, |b|)` gives the pure length bound
+    /// `(1 + len) / 2`, which a prefix pair (`"abcd"` vs `"abcdefgh"`)
+    /// attains exactly; the index feeds it the histogram intersection and
+    /// the binned LCS (see [`crate::index`]).
     pub fn score_bound_from_matches(&self, left_len: usize, right_len: usize, matches: f64) -> f64 {
         if left_len == 0 || right_len == 0 {
             return if left_len == right_len { 1.0 } else { 0.0 };
@@ -137,29 +103,36 @@ impl SimilarityOperator {
         (swg_bound + length_similarity_from_counts(left_len, right_len)) / 2.0
     }
 
-    /// The profile-to-profile hot path of index construction: the
-    /// bit-parallel match bound gates the pair, then the **banded** exact
-    /// dynamic program scores it. `None` means the combined score is
-    /// strictly below `required`, so hopeless candidates pay for a prefix
-    /// of the dynamic program instead of all of it; a `Some` score is
-    /// bit-identical to [`Self::score`] on the strings the profiles were
-    /// built from (the band and the gate only ever drop pairs that provably
-    /// fall short). Pass `f64::NEG_INFINITY` to never abandon.
+    /// The score bound of one candidate pair, computed once per pair by the
+    /// index build's filter and by delta maintenance alike. The histogram
+    /// intersection ([`common_char_count`]) bounds the matches first; only
+    /// when that bound still reaches the threshold does the order-aware
+    /// binned LCS ([`aligned_match_upper_bound`]) tighten it — both are
+    /// upper bounds on the matches, so their minimum bounds the score.
+    pub(crate) fn pair_bound(&self, a: &SimProfile, b: &SimProfile) -> f64 {
+        let (la, lb) = (a.len(), b.len());
+        let bound =
+            self.score_bound_from_matches(la, lb, common_char_count(&a.hist, &b.hist) as f64);
+        if bound < self.threshold {
+            return bound;
+        }
+        match aligned_match_upper_bound(a, b) {
+            Some(lcs) => bound.min(self.score_bound_from_matches(la, lb, lcs)),
+            None => bound,
+        }
+    }
+
+    /// The combined score of two profiled strings, abandoning as soon as it
+    /// provably falls strictly below `required`: the banded kernel runs at
+    /// the SWG requirement the length similarity leaves, so a hopeless pair
+    /// pays for a prefix of the dynamic program instead of all of it. A
+    /// `Some` score is exact. Pass `f64::NEG_INFINITY` to never abandon.
     pub fn score_profiles_at_least(
         &self,
         a: &SimProfile,
         b: &SimProfile,
         required: f64,
     ) -> Option<f64> {
-        if required > f64::NEG_INFINITY {
-            if let Some(matches) = aligned_match_upper_bound(a, b) {
-                if self.score_bound_from_matches(a.len(), b.len(), matches)
-                    < required - ABANDON_SLACK
-                {
-                    return None;
-                }
-            }
-        }
         let len = length_similarity_from_counts(a.len(), b.len());
         let required_swg = if required > f64::NEG_INFINITY {
             2.0 * required - len
@@ -174,6 +147,8 @@ impl SimilarityOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn identical_strings_have_score_one() {
@@ -203,27 +178,43 @@ mod tests {
         assert!(!op.similar("Zoolander", "The Orphanage"));
     }
 
+    /// A random string of length `0..=max_len` over `alphabet`.
+    fn random_string(rng: &mut StdRng, alphabet: &str, max_len: usize) -> String {
+        let len = rng.gen_range(0..max_len + 1);
+        (0..len)
+            .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
+            .collect()
+    }
+
     #[test]
-    fn score_is_symmetric() {
+    fn score_is_bounded_and_symmetric() {
+        let mut rng = StdRng::seed_from_u64(0xc0b1);
+        let printable: String = (0x20u8..0x7f).map(char::from).collect();
         let op = SimilarityOperator::default();
-        assert!((op.score("abcd", "abce") - op.score("abce", "abcd")).abs() < 1e-12);
+        for _ in 0..300 {
+            let a = random_string(&mut rng, &printable, 24);
+            let b = random_string(&mut rng, &printable, 24);
+            let s = op.score(&a, &b);
+            assert!((0.0..=1.0).contains(&s), "score({a:?}, {b:?}) = {s}");
+            assert_eq!(s, op.score(&b, &a), "asymmetry on ({a:?}, {b:?})");
+        }
     }
 
-    use crate::tokenize::normalize;
-
-    fn norm_len(s: &str) -> usize {
-        normalize(s).chars().count()
+    /// The pure length bound of two strings: the matches bound at
+    /// `matches = min(|a|, |b|)`.
+    fn length_bound(op: &SimilarityOperator, a: &str, b: &str) -> f64 {
+        let (la, lb) = (SimProfile::new(a).len(), SimProfile::new(b).len());
+        op.score_bound_from_matches(la, lb, la.min(lb) as f64)
     }
 
-    /// The bound invariant the length filter relies on: for *any* pair, the
-    /// real score never exceeds `max_score_bound` of the normalized lengths.
-    fn assert_bounded(op: &SimilarityOperator, a: &str, b: &str) {
-        let score = op.score(a, b);
-        let bound = op.max_score_bound(norm_len(a), norm_len(b));
-        assert!(
-            score <= bound,
-            "score({a:?}, {b:?}) = {score} exceeds bound {bound}"
-        );
+    /// The histogram-intersection bound of two strings.
+    fn histogram_bound(op: &SimilarityOperator, a: &str, b: &str) -> f64 {
+        let (pa, pb) = (SimProfile::new(a), SimProfile::new(b));
+        op.score_bound_from_matches(
+            pa.len(),
+            pb.len(),
+            common_char_count(&pa.hist, &pb.hist) as f64,
+        )
     }
 
     #[test]
@@ -237,12 +228,11 @@ mod tests {
             ("x", "xyxyxyxy"),
         ] {
             let score = op.score(a, b);
-            let bound = op.max_score_bound(norm_len(a), norm_len(b));
+            let bound = length_bound(&op, a, b);
             assert!(
                 (score - bound).abs() < 1e-12,
                 "prefix pair ({a:?}, {b:?}): score {score} != bound {bound}"
             );
-            assert_bounded(&op, a, b);
         }
     }
 
@@ -255,14 +245,14 @@ mod tests {
         // below it and must be prunable.
         let op = SimilarityOperator::with_threshold(0.75);
         for n in [1usize, 2, 5, 13, 40] {
-            let at = op.max_score_bound(n, 2 * n);
+            let at = op.score_bound_from_matches(n, 2 * n, n as f64);
             assert!(
                 at >= op.threshold,
                 "boundary pair ({n}, {}) pruned: bound {at} < {}",
                 2 * n,
                 op.threshold
             );
-            let below = op.max_score_bound(n, 2 * n + 1);
+            let below = op.score_bound_from_matches(n, 2 * n + 1, n as f64);
             assert!(
                 below < op.threshold,
                 "pair ({n}, {}) should fall below threshold: bound {below}",
@@ -280,14 +270,12 @@ mod tests {
     fn bound_handles_empty_strings() {
         let op = SimilarityOperator::default();
         // Both empty: identical under normalization, score = bound = 1.
-        assert_eq!(op.max_score_bound(0, 0), 1.0);
-        assert_eq!(op.score("", ""), 1.0);
+        assert_eq!(op.score_bound_from_matches(0, 0, 0.0), 1.0);
         // One empty: both components are 0, and the bound knows it (the
         // naive (1 + 0) / 2 = 0.5 would be sound but needlessly loose).
-        assert_eq!(op.max_score_bound(0, 7), 0.0);
-        assert_eq!(op.max_score_bound(7, 0), 0.0);
-        assert_bounded(&op, "", "abcdefg");
-        assert_bounded(&op, "?!|", "abcdefg"); // normalizes to empty
+        assert_eq!(op.score_bound_from_matches(0, 7, 0.0), 0.0);
+        assert_eq!(op.score_bound_from_matches(7, 0, 0.0), 0.0);
+        assert_eq!(length_bound(&op, "?!|", "abcdefg"), 0.0); // normalizes to empty
     }
 
     #[test]
@@ -299,100 +287,59 @@ mod tests {
             for reps_b in 1..=6usize {
                 let a = vec!["echo"; reps_a].join(" ");
                 let b = vec!["echo"; reps_b].join(" ");
-                assert_bounded(&op, &a, &b);
+                let (pa, pb) = (SimProfile::new(&a), SimProfile::new(&b));
+                let score = op.score(&a, &b);
+                assert!(score <= op.pair_bound(&pa, &pb), "({a:?}, {b:?})");
                 if reps_a == reps_b {
-                    let bound = op.max_score_bound(norm_len(&a), norm_len(&b));
-                    assert_eq!(bound, 1.0);
-                    assert_eq!(op.score(&a, &b), 1.0);
+                    assert_eq!(op.pair_bound(&pa, &pb), 1.0);
+                    assert_eq!(score, 1.0);
                 }
             }
         }
     }
 
     #[test]
-    fn bound_holds_on_seeded_random_pairs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xb0bd);
-        let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 -!";
-        let op = SimilarityOperator::default();
-        for _ in 0..400 {
-            let mut s = |max_len: usize| -> String {
-                let len = rng.gen_range(0..max_len + 1);
-                (0..len)
-                    .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
-                    .collect()
-            };
-            let a = s(28);
-            let b = s(28);
-            assert_bounded(&op, &a, &b);
-        }
-    }
-
-    use crate::length::{char_histogram, common_char_count};
-
-    fn common_of(a: &str, b: &str) -> u32 {
-        common_char_count(
-            &char_histogram(&normalize(a)),
-            &char_histogram(&normalize(b)),
-        )
-    }
-
-    #[test]
-    fn common_char_bound_is_sound_and_no_looser_than_the_length_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    fn pair_bound_is_sound_and_no_looser_than_the_histogram_bound() {
+        // The small alphabet forces heavy char overlap, the adversarial case
+        // for the matches / min(|a|, |b|) half of the bound.
         let mut rng = StdRng::seed_from_u64(0xc0c0);
-        // A small alphabet forces heavy char overlap, the adversarial case
-        // for the common/min(|a|,|b|) half of the bound.
-        let alphabet = "abcab ";
-        let op = SimilarityOperator::default();
-        for _ in 0..400 {
-            let mut s = |max_len: usize| -> String {
-                let len = rng.gen_range(0..max_len + 1);
-                (0..len)
-                    .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
-                    .collect()
-            };
-            let a = s(20);
-            let b = s(20);
-            let score = op.score(&a, &b);
-            let tight =
-                op.max_score_bound_with_common(norm_len(&a), norm_len(&b), common_of(&a, &b));
-            let loose = op.max_score_bound(norm_len(&a), norm_len(&b));
-            assert!(
-                score <= tight,
-                "score({a:?}, {b:?}) = {score} > tight bound {tight}"
-            );
-            assert!(
-                tight <= loose,
-                "tight bound {tight} above length bound {loose}"
-            );
+        for (alphabet, max_len) in [
+            ("abcab ", 20),
+            ("abcdefghijklmnopqrstuvwxyz0123456789 -!", 28),
+        ] {
+            let op = SimilarityOperator::default();
+            for _ in 0..400 {
+                let a = random_string(&mut rng, alphabet, max_len);
+                let b = random_string(&mut rng, alphabet, max_len);
+                let score = op.score(&a, &b);
+                let bound = op.pair_bound(&SimProfile::new(&a), &SimProfile::new(&b));
+                let histogram = histogram_bound(&op, &a, &b);
+                assert!(
+                    score <= bound,
+                    "score({a:?}, {b:?}) = {score} > bound {bound}"
+                );
+                assert!(
+                    bound <= histogram,
+                    "pair bound {bound} above histogram {histogram}"
+                );
+                assert!(histogram <= length_bound(&op, &a, &b), "({a:?}, {b:?})");
+            }
         }
     }
 
     #[test]
-    fn common_char_bound_is_tight_for_identical_strings() {
-        let op = SimilarityOperator::default();
-        let s = "star wars";
-        let bound = op.max_score_bound_with_common(norm_len(s), norm_len(s), common_of(s, s));
-        assert_eq!(bound, 1.0);
-        assert_eq!(op.score(s, s), 1.0);
-    }
-
-    #[test]
-    fn common_char_bound_prunes_token_sharing_junk_the_length_bound_keeps() {
+    fn pair_bound_prunes_token_sharing_junk_the_length_bound_keeps() {
         // Two titles blocked together by a shared stopword-ish token but
         // otherwise unrelated: similar lengths (length bound useless), few
-        // common chars (common bound decisive). This is the pair shape that
-        // dominates large blocks, so the filter must catch it.
+        // common chars (histogram bound decisive). This is the pair shape
+        // that dominates large blocks, so the filter must catch it.
         let op = SimilarityOperator::default();
         let (a, b) = ("the golden harbor", "the mystic summit 1984");
-        assert!(op.max_score_bound(norm_len(a), norm_len(b)) >= op.threshold);
-        let tight = op.max_score_bound_with_common(norm_len(a), norm_len(b), common_of(a, b));
+        assert!(length_bound(&op, a, b) >= op.threshold);
+        let bound = op.pair_bound(&SimProfile::new(a), &SimProfile::new(b));
         assert!(
-            tight < op.threshold,
-            "common-char bound {tight} failed to prune the junk pair"
+            bound < op.threshold,
+            "pair bound {bound} failed to prune the junk pair"
         );
         assert!(
             op.score(a, b) < op.threshold,
@@ -413,70 +360,8 @@ mod tests {
             threshold: 0.65,
         };
         let (a, b) = ("abcdef", "uvwxyz");
-        let tight = weird.max_score_bound_with_common(norm_len(a), norm_len(b), common_of(a, b));
-        assert_eq!(tight, weird.max_score_bound(norm_len(a), norm_len(b)));
-        assert!(weird.score(a, b) <= tight);
-    }
-
-    #[test]
-    fn common_bound_is_the_matches_bound_at_the_integer_point() {
-        let op = SimilarityOperator::default();
-        for (ll, rl, common) in [(4usize, 8usize, 3u32), (10, 10, 10), (1, 30, 0), (0, 5, 0)] {
-            assert_eq!(
-                op.max_score_bound_with_common(ll, rl, common),
-                op.score_bound_from_matches(ll, rl, common as f64),
-                "({ll}, {rl}, {common})"
-            );
-        }
-    }
-
-    #[test]
-    fn profile_path_matches_the_scalar_char_path() {
-        // The full kernel chain (bit-parallel gate + banded DP) against the
-        // scalar reference, on seeded random pairs and random requirements:
-        // completed runs are bit-identical, abandons only hide scores that
-        // are truly below the requirement.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9f11);
-        let alphabet = "abcdefgh 129";
-        let op = SimilarityOperator::default();
-        for _ in 0..600 {
-            let mut s = |max_len: usize| -> String {
-                let len = rng.gen_range(0..max_len + 1);
-                (0..len)
-                    .map(|_| alphabet.as_bytes()[rng.gen_range(0..alphabet.len())] as char)
-                    .collect()
-            };
-            let a = s(24);
-            let b = s(24);
-            let pa = crate::sw_kernel::SimProfile::new(&a);
-            let pb = crate::sw_kernel::SimProfile::new(&b);
-            let exact = op.score(&a, &b);
-            let required = rng.gen_range(0.0..1.2);
-            match op.score_profiles_at_least(&pa, &pb, required) {
-                Some(v) => assert_eq!(v, exact, "({a:?}, {b:?}, required {required})"),
-                None => assert!(
-                    exact < required,
-                    "kernel abandoned ({a:?}, {b:?}) at {required} but exact is {exact}"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn profile_path_without_requirement_never_abandons() {
-        let op = SimilarityOperator::default();
-        for (a, b) in [("Superbad", "Superbad (2007)"), ("", ""), ("?!|", "x")] {
-            let (pa, pb) = (
-                crate::sw_kernel::SimProfile::new(a),
-                crate::sw_kernel::SimProfile::new(b),
-            );
-            assert_eq!(
-                op.score_profiles_at_least(&pa, &pb, f64::NEG_INFINITY),
-                Some(op.score(a, b)),
-                "({a:?}, {b:?})"
-            );
-        }
+        let bound = weird.pair_bound(&SimProfile::new(a), &SimProfile::new(b));
+        assert_eq!(bound, length_bound(&weird, a, b));
+        assert!(weird.score(a, b) <= bound);
     }
 }

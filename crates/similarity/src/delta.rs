@@ -28,9 +28,10 @@
 //!   shares a blocking key with (construction never scores other pairs
 //!   either), so candidates come from a left-side blocking map and the new
 //!   right is offered to each through `insert_ranked`, the insertion the
-//!   builder runs for every candidate: the same
-//!   [`SimilarityOperator::score_profiles_at_least`] call at the same
-//!   "reach" requirement, the same position and the same cap.
+//!   builder runs for every candidate: the same pair bound (the operator's
+//!   `pair_bound`, which here is the gate that keeps hopeless pairs off the
+//!   kernel), the same [`SimilarityOperator::score_profiles_at_least`] call
+//!   at the same "reach" requirement, the same position and the same cap.
 //! * Reverse lists are a pure function of the truncated forward map, derived
 //!   by the builder's `transpose` (transpose, sort, truncate), so the lists
 //!   of rights whose storers changed are regenerated from the
@@ -352,8 +353,8 @@ impl MaintainedIndex {
     }
 
     /// Offer one (left, fresh right) pair to the left's bounded forward
-    /// list through the builder's own ranked insertion. Returns `true` when
-    /// the list changed.
+    /// list through the builder's own pair bound and ranked insertion.
+    /// Returns `true` when the list changed.
     fn try_insert_pair(
         &mut self,
         l: Sym,
@@ -363,12 +364,18 @@ impl MaintainedIndex {
         out: &mut DeltaOutcome,
     ) -> bool {
         let left_profile = SimProfile::new(l.as_str());
+        let right_profile = &self.right_profiles[j as usize];
+        let bound = self
+            .config
+            .operator
+            .pair_bound(&left_profile, right_profile);
         let matches = self.index.left_to_right.entry(l).or_default();
         let ranked = insert_ranked(
             matches,
             r,
             &left_profile,
-            &self.right_profiles[j as usize],
+            right_profile,
+            bound,
             &self.config,
         );
         let Ranked::Stored { displaced } = ranked else {

@@ -19,26 +19,26 @@
 //!   length bound (`min/max ≥ 2·threshold − 1`, widened by one length unit
 //!   for floating-point safety) — candidates outside the window provably
 //!   fail the filter below, so skipping them wholesale changes nothing.
-//! * **Length/size filter** — each value is normalized once into a
+//! * **One pair bound** — each value is normalized once into a
 //!   [`SimProfile`] (char vector + character histogram + bit-parallel match
-//!   masks); [`SimilarityOperator::max_score_bound_with_common`] then bounds
-//!   the combined score from the two normalized lengths and the character
-//!   multiset intersection alone (the SWG alignment cannot match more
-//!   characters than the two strings share), and a candidate whose bound
-//!   is below the operator threshold is skipped without an alignment call.
+//!   masks). Each candidate pair is bounded once, through the operator's
+//!   `pair_bound`: the character-multiset intersection bounds the matches
+//!   an alignment can contain (it cannot match more characters than the
+//!   two strings share), and when that bound still reaches the threshold a
+//!   bit-parallel LCS pass (Allison-Dix, order-aware, so much tighter on
+//!   anagram-ish pairs) tightens it. Both feed the one bound formula,
+//!   [`SimilarityOperator::score_bound_from_matches`]. A candidate whose
+//!   bound is below the operator threshold is skipped without an alignment
+//!   call.
 //! * **Top-k early exit** — candidates are scored in descending bound order,
 //!   so once `top_k` matches are held and the next candidate's bound is
 //!   strictly below the running k-th score, no remaining candidate can
 //!   displace anything and the rest of the list is abandoned.
-//! * **Bit-parallel gate + banded kernel** — candidates that survive the
-//!   bounds are scored through
-//!   [`SimilarityOperator::score_profiles_at_least`]: a bit-parallel LCS
-//!   pass (Allison-Dix) bounds the achievable matches (order-aware, so much
-//!   tighter than the histogram on anagram-ish pairs), then the exact SWG
-//!   dynamic program runs *banded*, skipping cells too far off-diagonal to
-//!   reach the requirement. Both steps are lossless: completed scores are
-//!   bit-identical to the scalar reference DP (`crate::sw_gotoh`), abandons
-//!   only hide pairs strictly below the running requirement.
+//! * **Banded kernel** — surviving candidates are scored through
+//!   [`SimilarityOperator::score_profiles_at_least`], whose SWG dynamic
+//!   program runs *banded* ([`crate::sw_kernel`]), skipping cells too far
+//!   off-diagonal to reach the requirement. Completed scores are exact;
+//!   abandons only hide pairs strictly below the running requirement.
 //! * **Parallel construction** — left values are split into contiguous
 //!   chunks through the stack's one fan-out, [`crate::par::chunked_map`],
 //!   with one scratch buffer per worker, and merged in chunk order, so the
@@ -47,14 +47,15 @@
 //! Two rules define the stored lists, and each has one implementation that
 //! construction, the exact-join index and delta maintenance
 //! ([`crate::delta`]) all run: a forward list grows through the ranked
-//! insertion `insert_ranked` (sorted by score desc, value asc, capped at
-//! `top_k`), and the reverse lists are derived from the capped forward
-//! lists by `transpose` (transpose, sort, truncate).
+//! insertion `insert_ranked` (gated by the pair's bound, sorted by score
+//! desc, value asc, capped at `top_k`), and the reverse lists are derived
+//! from the capped forward lists by `transpose` (transpose, sort,
+//! truncate).
 //!
 //! All of these are exercised against a brute-force all-pairs oracle (no
-//! blocking, no filter, no early exit, scalar scoring) in
-//! `crates/similarity/tests/index_oracle.rs`, including Zipf-skewed
-//! vocabularies that force the hot-key path.
+//! blocking, no filter, no early exit, scored by the exhaustive reference
+//! DP of `dlearn-test-support`) in `crates/similarity/tests/index_oracle.rs`,
+//! including Zipf-skewed vocabularies that force the hot-key path.
 //!
 //! The index is keyed by interned [`Sym`] handles: probes coming from
 //! bottom-clause construction arrive as the `Sym` already stored in a
@@ -67,9 +68,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dlearn_relstore::Sym;
 
 use crate::combined::SimilarityOperator;
-use crate::length::common_char_count;
 use crate::par::{chunked_map, resolve_threads};
-use crate::sw_kernel::{aligned_match_upper_bound, SimProfile};
+use crate::sw_kernel::SimProfile;
 use crate::tokenize::{blocking_keys_into, normalize};
 
 /// Process-wide count of alignment-based index constructions (calls to
@@ -202,7 +202,7 @@ impl SimilarityIndex {
     /// columns.
     ///
     /// Candidate generation is blocking-based (values sharing no token or
-    /// trigram are never compared); within a candidate list the length
+    /// trigram are never compared); within a candidate list the bound
     /// filter and top-k early exit skip alignment calls that provably
     /// cannot contribute a stored match, and left values fan out across
     /// `config.threads` scoped workers. None of the three changes the
@@ -424,7 +424,8 @@ pub(crate) fn build_postings(
 
 /// The inclusive right-length window `[lo, hi]` compatible with the length
 /// bound for a probe of normalized length `ll` under `threshold`: the
-/// filter keeps a pair only if `(1 + min/max) / 2 ≥ threshold`, i.e.
+/// filter keeps a pair only if its bound, at most `(1 + min/max) / 2`,
+/// reaches `threshold`, i.e.
 /// `min/max ≥ r = 2·threshold − 1`, so a right length outside
 /// `[ll·r, ll/r]` provably fails it. The window is widened by one length
 /// unit on each side so the floating-point ceil/floor can never exclude a
@@ -463,8 +464,8 @@ impl Scratch {
 }
 
 /// Compute one left value's stored match list: its blocking candidates,
-/// length-filtered, offered to [`insert_ranked`] in descending bound order
-/// with top-k early exit.
+/// filtered by their pair bound, offered to [`insert_ranked`] in descending
+/// bound order with top-k early exit.
 ///
 /// The result is provably identical to "score every candidate, sort by
 /// (score desc, value asc), truncate to `top_k`":
@@ -536,33 +537,16 @@ pub(crate) fn score_one_left(
             }
         }
     }
-    // The length/size filter: drop candidates that provably cannot reach
-    // the threshold, before any alignment call. Candidates surviving the
-    // cheap histogram bound are tightened with the bit-parallel LCS bound
-    // (order-aware, so much sharper on anagram-ish pairs): the stored bound
-    // is the minimum of the two, which both prunes more here and lets the
-    // top-k early exit below fire sooner. Each is an upper bound on the
-    // true score, so the minimum is too — the filter stays lossless.
+    // The filter: bound each candidate once and drop those that provably
+    // cannot reach the threshold, before any alignment call. The bound also
+    // orders the candidates and gates each insertion below.
     for &(j, _) in candidates.iter() {
         seen[j] = false;
     }
     candidates.retain_mut(|(j, bound)| {
-        let rp = &right_profiles[*j];
-        *bound = config.operator.max_score_bound_with_common(
-            left_profile.len(),
-            rp.len(),
-            common_char_count(&left_profile.hist, &rp.hist),
-        );
-        if *bound < config.operator.threshold {
-            return false;
-        }
-        if let Some(matches) = aligned_match_upper_bound(&left_profile, rp) {
-            *bound = bound.min(config.operator.score_bound_from_matches(
-                left_profile.len(),
-                rp.len(),
-                matches,
-            ));
-        }
+        *bound = config
+            .operator
+            .pair_bound(&left_profile, &right_profiles[*j]);
         *bound >= config.operator.threshold
     });
     // Descending bound, ties by right position: deterministic, and it front-
@@ -583,6 +567,7 @@ pub(crate) fn score_one_left(
             right[j],
             &left_profile,
             &right_profiles[j],
+            bound,
             config,
         );
     }
@@ -610,16 +595,22 @@ pub(crate) enum Ranked {
 /// maintenance offers one newly appeared right to each left that could
 /// store it, and both keep exactly the same list.
 ///
-/// The pair is scored through
-/// [`SimilarityOperator::score_profiles_at_least`] at the lowest score that
-/// could still be stored: the threshold, or once the list is full the k-th
-/// score. A tie with the k-th score can still displace on the value order,
-/// so the requirement is "reach", not "beat".
+/// The requirement is the lowest score that could still be stored: the
+/// threshold, or once the list is full the k-th score. A tie with the k-th
+/// score can still displace on the value order, so the requirement is
+/// "reach", not "beat". `bound` is the pair's bound (the operator's
+/// `pair_bound`): a pair whose bound falls short of the requirement is
+/// rejected unscored, and the rest are scored through
+/// [`SimilarityOperator::score_profiles_at_least`] at the requirement. The
+/// builder offers only candidates whose bound reaches it (its threshold
+/// filter and top-k exit), so there the gate never fires; it prunes the
+/// pairs delta maintenance offers.
 pub(crate) fn insert_ranked(
     matches: &mut Vec<Match>,
     value: Sym,
     left: &SimProfile,
     right: &SimProfile,
+    bound: f64,
     config: &IndexConfig,
 ) -> Ranked {
     let (top_k, op) = (config.top_k, &config.operator);
@@ -632,6 +623,9 @@ pub(crate) fn insert_ranked(
     } else {
         op.threshold
     };
+    if bound < required {
+        return Ranked::Rejected; // the score cannot reach the requirement.
+    }
     let Some(score) = op.score_profiles_at_least(left, right, required) else {
         return Ranked::Rejected; // provably below `required`: cannot be stored.
     };
@@ -973,7 +967,7 @@ mod tests {
             for ll in 0..60usize {
                 let (lo, hi) = length_window(ll, threshold);
                 for rl in 0..60usize {
-                    if op.max_score_bound(ll, rl) >= threshold {
+                    if op.score_bound_from_matches(ll, rl, ll.min(rl) as f64) >= threshold {
                         assert!(
                             (lo..=hi).contains(&(rl as u32)),
                             "({ll}, {rl}) passes the bound at t={threshold} \

@@ -1,8 +1,6 @@
 //! Length similarity: ratio of the shorter to the longer string length —
 //! plus the character-histogram machinery of the index's size filter.
 
-use crate::tokenize::normalize;
-
 /// Number of bins of a [`char_histogram`]: `a`–`z`, `0`–`9`, space, other.
 pub const HIST_BINS: usize = 38;
 
@@ -41,22 +39,13 @@ pub fn common_char_count(a: &[u32; HIST_BINS], b: &[u32; HIST_BINS]) -> u32 {
     a.iter().zip(b).map(|(&x, &y)| x.min(y)).sum()
 }
 
-/// Length similarity of two raw strings in `[0, 1]`.
+/// Length similarity of two strings from their *normalized* char counts,
+/// in `[0, 1]`.
 ///
 /// The paper defines it as the length of the smaller string divided by the
-/// length of the larger string; we compute it on normalized strings so that
-/// punctuation-only differences do not count.
-pub fn length_similarity(a: &str, b: &str) -> f64 {
-    length_similarity_from_counts(normalize(a).chars().count(), normalize(b).chars().count())
-}
-
-/// Length similarity computed directly from two *normalized* char counts.
-///
-/// This is the exact computation [`length_similarity`] performs after
-/// normalizing — exposed separately so index construction can precompute each
-/// value's normalized length once and derive score bounds for whole candidate
-/// lists without re-normalizing (see
-/// [`crate::combined::SimilarityOperator::max_score_bound`]).
+/// length of the larger string; counting normalized chars keeps
+/// punctuation-only differences from counting. [`crate::SimProfile::len`]
+/// is the count the scorer and the index's bounds pass in.
 pub fn length_similarity_from_counts(la: usize, lb: usize) -> f64 {
     if la == 0 && lb == 0 {
         return 1.0;
@@ -73,48 +62,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn equal_lengths_score_one() {
-        assert_eq!(length_similarity("abcd", "wxyz"), 1.0);
-        assert_eq!(length_similarity("", ""), 1.0);
-    }
-
-    #[test]
-    fn empty_vs_nonempty_scores_zero() {
-        assert_eq!(length_similarity("", "abc"), 0.0);
-    }
-
-    #[test]
-    fn ratio_of_lengths() {
-        assert!((length_similarity("ab", "abcd") - 0.5).abs() < 1e-12);
-        assert!((length_similarity("abcd", "ab") - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalization_applies_before_measuring() {
-        // "a--b" normalizes to "a b" (3 chars), same as "a b".
-        assert_eq!(length_similarity("a--b", "a b"), 1.0);
-    }
-
-    #[test]
-    fn counts_form_agrees_with_string_form() {
-        use crate::tokenize::normalize;
-        let cases = [
-            ("", ""),
-            ("", "abc"),
-            ("ab", "abcd"),
-            ("Star Wars", "Star Wars: Episode IV - 1977"),
-            ("?!|", "a"),
-            ("ééé", "ee"),
-        ];
-        for (a, b) in cases {
-            let la = normalize(a).chars().count();
-            let lb = normalize(b).chars().count();
-            assert_eq!(
-                length_similarity(a, b),
-                length_similarity_from_counts(la, lb),
-                "({a:?}, {b:?})"
-            );
-        }
+    fn counts_form_is_the_ratio_of_lengths() {
+        assert_eq!(length_similarity_from_counts(4, 4), 1.0);
+        assert_eq!(length_similarity_from_counts(0, 0), 1.0);
+        assert_eq!(length_similarity_from_counts(0, 3), 0.0);
+        assert_eq!(length_similarity_from_counts(2, 4), 0.5);
+        assert_eq!(length_similarity_from_counts(4, 2), 0.5);
     }
 
     #[test]

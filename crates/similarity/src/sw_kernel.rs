@@ -1,9 +1,11 @@
-//! Bit-parallel prefilter and banded Smith-Waterman-Gotoh kernel.
+//! Bit-parallel prefilter and the banded Smith-Waterman-Gotoh kernel: the
+//! crate's one SWG dynamic program.
 //!
-//! The index hot path scores millions of candidate pairs; the scalar
-//! dynamic program in [`crate::sw_gotoh`] pays `O(|a| · |b|)` per pair.
-//! This module cuts that two compounding ways, both *lossless* with respect
-//! to the scalar reference:
+//! Every similarity score the crate computes — [`SimilarityOperator::score`]
+//! and the index's candidate scoring alike — runs through
+//! [`swg_similarity_banded_at_least`]. An exhaustive DP pays
+//! `O(|a| · |b|)` per pair; the index hot path scores millions of pairs,
+//! so this module cuts that two compounding ways, both *lossless*:
 //!
 //! 1. **Bit-parallel match bound** — each value's normalized chars are
 //!    packed once into per-bin `u64` position masks ([`SimProfile`]).
@@ -11,9 +13,10 @@
 //!    LCS length of the two *binned* strings in `O(|b|)` word operations
 //!    (for values up to 64 normalized chars). Any SWG alignment's matched
 //!    pairs form a common subsequence, so `matches ≤ LCS_binned`, and the
-//!    lumped bins only *raise* the LCS — the sound direction. Candidates
-//!    whose resulting score bound cannot reach the running requirement are
-//!    dropped without touching the dynamic program. The tests cross-check
+//!    lumped bins only *raise* the LCS — the sound direction. The index
+//!    folds this bound into its one pair bound (see
+//!    [`crate::index`]), so candidates that cannot reach the running
+//!    requirement never touch the dynamic program. The tests cross-check
 //!    this bound against an independently derived one, a Myers
 //!    bit-parallel edit-distance pass over the same masks
 //!    (`matches ≤ (|a| + |b| − D) / 2`).
@@ -29,21 +32,55 @@
 //!    `K = needed_raw / match_score`, widened by one diagonal on each side
 //!    so floating-point rounding can never clip a qualifying path.
 //!
-//! **Contract (the differential-reference discipline of PRs 1–4):** when
-//! the banded kernel returns `Some(score)`, that score is bit-identical to
-//! the exhaustive scalar DP — every path achieving the final best stays
-//! inside the band, where the recurrence computes the exact same IEEE-754
-//! operations on the exact same operands; out-of-band neighbors enter as
-//! the local-alignment floor (`H = 0`, gap states `−∞`), which only
-//! affects paths that provably score below the requirement. When it
-//! returns `None`, the true score is strictly below `required`. The scalar
-//! [`crate::sw_gotoh::swg_similarity_normalized_chars_at_least`] stays in
-//! the tree as the property-test reference (see the tests below and
-//! `crates/similarity/tests/index_oracle.rs`).
+//! **Contract:** when the banded kernel returns `Some(score)`, that score
+//! is bit-identical to the exhaustive three-matrix DP — every path
+//! achieving the final best stays inside the band, where the recurrence
+//! computes the exact same IEEE-754 operations on the exact same operands;
+//! out-of-band neighbors enter as the local-alignment floor (`H = 0`, gap
+//! states `−∞`), which only affects paths that provably score below the
+//! requirement. When nothing is required the band covers the whole matrix
+//! and the kernel *is* the exhaustive DP. When it returns `None`, the true
+//! score is strictly below `required`. The exhaustive DP lives in
+//! `dlearn-test-support` (`swg_reference`) as the reference, and
+//! `crates/similarity/tests/kernel_oracle.rs` pins the contract against it.
+//!
+//! [`SimilarityOperator::score`]: crate::combined::SimilarityOperator::score
 
 use crate::length::{char_bin, char_histogram, HIST_BINS};
-use crate::sw_gotoh::{SwgParams, ABANDON_SLACK};
 use crate::tokenize::normalize;
+
+/// Scoring parameters of the Smith-Waterman-Gotoh alignment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SwgParams {
+    /// Reward for two equal characters.
+    pub match_score: f64,
+    /// Penalty (negative contribution) for two different characters.
+    pub mismatch_score: f64,
+    /// Cost of opening a gap (subtracted when a gap starts).
+    pub gap_open: f64,
+    /// Cost of extending an existing gap by one character.
+    pub gap_extend: f64,
+}
+
+impl Default for SwgParams {
+    fn default() -> Self {
+        // The SimMetrics defaults used by Castor/DLearn-style systems:
+        // reward 1 for a match, -2 for a mismatch, affine gaps of 0.5 / 0.3.
+        SwgParams {
+            match_score: 1.0,
+            mismatch_score: -2.0,
+            gap_open: 0.5,
+            gap_extend: 0.3,
+        }
+    }
+}
+
+/// Safety slack of the early-abandon translation from a required
+/// *similarity* to a required *raw score*: the abandon test fires only when
+/// the final similarity is provably below `required` by more than this, so
+/// the handful of floating-point roundings between the two scales can never
+/// abandon a pair whose true score ties the requirement exactly.
+const ABANDON_SLACK: f64 = 1e-9;
 
 /// Longest normalized value (in chars) that gets a single-word bit-parallel
 /// mask. Longer values skip the bit-parallel prefilter and rely on the
@@ -133,8 +170,8 @@ pub fn aligned_match_upper_bound(a: &SimProfile, b: &SimProfile) -> Option<f64> 
 
 /// Raw best local score over the banded dynamic program, abandoning when it
 /// provably cannot reach `needed_raw`. Returns `None` in that case;
-/// a `Some` value is bit-identical to the exhaustive scalar DP (see the
-/// module docs for the band argument).
+/// a `Some` value is bit-identical to the exhaustive DP (see the module
+/// docs for the band argument).
 fn banded_best_local_score_at_least(
     a: &[char],
     b: &[char],
@@ -314,12 +351,14 @@ fn banded_dp_loop(
     }
 }
 
-/// Banded counterpart of
-/// [`crate::sw_gotoh::swg_similarity_normalized_chars_at_least`]: gives up
-/// (returns `None`) as soon as the similarity provably cannot reach
-/// `required`, and otherwise returns the exact similarity, bit-identical to
-/// the scalar exhaustive DP. Pass `f64::NEG_INFINITY` to never abandon (the
-/// band then covers the whole matrix and this *is* the exhaustive DP).
+/// Smith-Waterman-Gotoh similarity of two **already-normalized** char
+/// slices in `[0, 1]`: the best local alignment score (the three-matrix
+/// `H`/`E`/`F` program with affine gaps, Gotoh 1982) divided by
+/// `match_score · min(|a|, |b|)`, the most the shorter string can score.
+/// Gives up (returns `None`) as soon as the similarity provably cannot
+/// reach `required`, and otherwise returns the exact similarity. Pass
+/// `f64::NEG_INFINITY` to never abandon (the band then covers the whole
+/// matrix and this *is* the exhaustive DP).
 pub fn swg_similarity_banded_at_least(
     ca: &[char],
     cb: &[char],
@@ -339,8 +378,8 @@ pub fn swg_similarity_banded_at_least(
     // Identical-string fast path: dirty vocabularies carry many exact
     // duplicates across the two sides, and the full-diagonal all-match path
     // is optimal whenever only matches add score. With `match_score == 1.0`
-    // the scalar DP sums exact small integers, so its normalized result is
-    // exactly `1.0` — returning it directly preserves bit-identity.
+    // the exhaustive DP sums exact small integers, so its normalized result
+    // is exactly `1.0` — returning it directly preserves bit-identity.
     if params.match_score == 1.0
         && params.mismatch_score <= 0.0
         && params.gap_open >= 0.0
@@ -361,15 +400,8 @@ pub fn swg_similarity_banded_at_least(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sw_gotoh::{
-        swg_similarity_normalized_chars, swg_similarity_normalized_chars_at_least,
-    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn chars(s: &str) -> Vec<char> {
-        normalize(s).chars().collect()
-    }
 
     /// Reference unit-cost edit distance over binned chars, the textbook
     /// O(nm) recurrence — independent of the bit-parallel code.
@@ -469,37 +501,6 @@ mod tests {
         assert!(build_masks(&[]).is_none());
     }
 
-    #[test]
-    fn match_upper_bound_is_sound_against_the_exact_swg() {
-        // The bound caps the number of matched chars in any alignment, so
-        // raw_swg ≤ match_score · bound and the normalized similarity is at
-        // most bound / min_len — on every random pair.
-        let mut rng = StdRng::seed_from_u64(0xb17b);
-        let params = SwgParams::default();
-        let alphabet = "abcab 1";
-        for _ in 0..600 {
-            let a = random_chars(&mut rng, alphabet, 30);
-            let b = random_chars(&mut rng, alphabet, 30);
-            if a.is_empty() || b.is_empty() {
-                continue;
-            }
-            let pa = SimProfile::new(&a.iter().collect::<String>());
-            let pb = SimProfile::new(&b.iter().collect::<String>());
-            if pa.is_empty() || pb.is_empty() {
-                continue; // normalization may collapse an all-space draw
-            }
-            let Some(ub) = aligned_match_upper_bound(&pa, &pb) else {
-                continue;
-            };
-            let exact = swg_similarity_normalized_chars(&pa.chars, &pb.chars, &params);
-            let sim_bound = (ub / pa.len().min(pb.len()) as f64).min(1.0);
-            assert!(
-                exact <= sim_bound + 1e-12,
-                "({a:?}, {b:?}): exact {exact} above bound {sim_bound}"
-            );
-        }
-    }
-
     /// Reference LCS length over binned chars, the textbook O(nm)
     /// recurrence — independent of the bit-parallel code.
     fn reference_binned_lcs(a: &[char], b: &[char]) -> u32 {
@@ -570,115 +571,11 @@ mod tests {
     }
 
     #[test]
-    fn identical_strings_score_exactly_one_through_the_fast_path() {
-        // The fast path must agree with the exhaustive scalar DP bit for
-        // bit, including on strings long enough to skip the masks.
-        let params = SwgParams::default();
-        for s in ["superbad", "a", "the item number 17", &"xy".repeat(40)] {
-            let cs = chars(s);
-            assert_eq!(
-                swg_similarity_banded_at_least(&cs, &cs, &params, 0.9),
-                Some(1.0)
-            );
-            assert_eq!(swg_similarity_normalized_chars(&cs, &cs, &params), 1.0);
-        }
-    }
-
-    #[test]
     fn profiles_expose_masks_only_in_range() {
         assert!(SimProfile::new("star wars").masks.is_some());
         assert!(SimProfile::new("").masks.is_none());
         assert!(SimProfile::new(&"x".repeat(80)).masks.is_none());
         let exactly_64 = "ab".repeat(32);
         assert!(SimProfile::new(&exactly_64).masks.is_some());
-    }
-
-    /// The central kernel property: on random pairs and random requirements,
-    /// a completed banded run is bit-identical to the exhaustive scalar DP,
-    /// and an abandoned run only ever hides scores strictly below the
-    /// requirement. This is the same contract the scalar early-abandon path
-    /// pins against the exhaustive DP — the kernel chains onto it.
-    #[test]
-    fn banded_kernel_is_bit_identical_or_abandon_sound() {
-        let mut rng = StdRng::seed_from_u64(0xba2d);
-        let params = SwgParams::default();
-        let alphabet = "abcdef 19";
-        for case in 0..1500 {
-            let a = random_chars(&mut rng, alphabet, 24);
-            let b = random_chars(&mut rng, alphabet, 24);
-            let exact = swg_similarity_normalized_chars(&a, &b, &params);
-            let required = rng.gen_range(0.0..1.2);
-            match swg_similarity_banded_at_least(&a, &b, &params, required) {
-                Some(v) => assert_eq!(
-                    v, exact,
-                    "case {case}: banded completed with a different score \
-                     ({a:?}, {b:?}, required {required})"
-                ),
-                None => assert!(
-                    exact < required,
-                    "case {case}: banded abandoned ({a:?}, {b:?}) at required \
-                     {required} but exact is {exact}"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn banded_kernel_agrees_with_the_scalar_abandon_path() {
-        // Chain the two fallible paths against each other: whenever both
-        // complete they must agree bit for bit; they may disagree on *when*
-        // to abandon (the band is a stronger prune), never on values.
-        let mut rng = StdRng::seed_from_u64(0xc4a1);
-        let params = SwgParams::default();
-        for _ in 0..800 {
-            let a = random_chars(&mut rng, "abcd e2", 20);
-            let b = random_chars(&mut rng, "abcd e2", 20);
-            let required = rng.gen_range(0.0..1.1);
-            let scalar = swg_similarity_normalized_chars_at_least(&a, &b, &params, required);
-            let banded = swg_similarity_banded_at_least(&a, &b, &params, required);
-            if let (Some(s), Some(k)) = (scalar, banded) {
-                assert_eq!(s, k, "({a:?}, {b:?}, required {required})");
-            }
-        }
-    }
-
-    #[test]
-    fn unbounded_required_runs_the_full_matrix() {
-        // With nothing required the band covers everything: the kernel must
-        // return exactly the exhaustive similarity, never None.
-        let pairs = [
-            ("Superbad", "Superbad (2007)"),
-            ("Star Wars", "The Orphanage"),
-            ("abc", "xyz"),
-            ("", "abc"),
-            ("", ""),
-        ];
-        let params = SwgParams::default();
-        for (a, b) in pairs {
-            let (ca, cb) = (chars(a), chars(b));
-            assert_eq!(
-                swg_similarity_banded_at_least(&ca, &cb, &params, f64::NEG_INFINITY),
-                Some(swg_similarity_normalized_chars(&ca, &cb, &params)),
-                "({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn pathological_params_disable_the_band_not_the_answer() {
-        // A positive mismatch score breaks the band argument; the kernel
-        // must fall back to the full matrix and still return exact values.
-        let weird = SwgParams {
-            mismatch_score: 0.5,
-            ..SwgParams::default()
-        };
-        let (a, b) = (chars("abcdef"), chars("uvwxyz"));
-        let exact = swg_similarity_normalized_chars(&a, &b, &weird);
-        // The row-wise abandon test may still fire (gap costs stay
-        // non-negative), so either the exact value or a sound abandon.
-        match swg_similarity_banded_at_least(&a, &b, &weird, 0.9) {
-            Some(v) => assert_eq!(v, exact, "fallback must stay exact"),
-            None => assert!(exact < 0.9, "abandon must stay sound"),
-        }
     }
 }

@@ -6,8 +6,9 @@
 //! exit, strictly serial. Equality with the production build therefore
 //! proves, per seeded case:
 //!
-//! * the **length filter** never skips a pair whose true score reaches the
-//!   threshold (the `max_score_bound` inequality holds in floating point);
+//! * the **bound filter** never skips a pair whose true score reaches the
+//!   threshold (the `score_bound_from_matches` inequality holds in floating
+//!   point);
 //! * the **top-k early exit** never abandons a candidate that belongs in
 //!   the final top-k under the (score desc, value asc) tie-break;
 //! * **blocking is complete on these vocabularies**: the generators corrupt

@@ -1,9 +1,10 @@
 //! Brute-force all-pairs reference similarity index.
 //!
 //! The production [`dlearn_similarity::SimilarityIndex`] earns its speed
-//! three ways — token/trigram blocking, a length-derived score bound, and a
-//! top-k early exit — and builds in parallel. This reference does none of
-//! that: it scores **every** (left, right) pair with the operator, keeps
+//! three ways — token/trigram blocking, a score bound, and a top-k early
+//! exit — and builds in parallel on a banded alignment kernel. This
+//! reference does none of that: it scores **every** (left, right) pair with
+//! the exhaustive reference DP ([`crate::swg_reference`]), keeps
 //! pairs at or above the threshold, sorts by (score descending, value
 //! ascending) and truncates to `top_k`, mirroring the index's documented
 //! semantics with the dumbest possible implementation. The differential
@@ -15,6 +16,8 @@ use std::collections::BTreeMap;
 
 use dlearn_relstore::Sym;
 use dlearn_similarity::{IndexConfig, Match, SimilarityIndex};
+
+use crate::swg_reference::reference_score;
 
 /// The oracle's view of a built index: per-side sorted entry lists, one
 /// `(value, matches)` pair per value with at least one stored match.
@@ -43,7 +46,7 @@ impl ReferenceIndex {
         for &l in &left {
             let mut matches: Vec<Match> = Vec::new();
             for &r in &right {
-                let score = config.operator.score(l.as_str(), r.as_str());
+                let score = reference_score(&config.operator, l.as_str(), r.as_str());
                 if score >= config.operator.threshold {
                     matches.push(Match { value: r, score });
                 }

@@ -23,10 +23,13 @@
 //! * [`vocab`] — seeded dirty-string vocabulary generators (typos, token
 //!   swaps, decorations) whose corruptions always leave the two sides of a
 //!   shared base in a common blocking block.
+//! * [`swg_reference`] — the exhaustive Smith-Waterman-Gotoh dynamic
+//!   program and the operator's combined score over it: the reference the
+//!   similarity crate's banded kernel must match bit for bit.
 //! * [`index_oracle`] — a brute-force all-pairs reference similarity index
-//!   (no blocking, no length filter, no early exit) that the similarity
-//!   crate's differential suite compares the production
-//!   `SimilarityIndex::build` against.
+//!   (no blocking, no length filter, no early exit, scored by
+//!   [`swg_reference`]) that the similarity crate's differential suite
+//!   compares the production `SimilarityIndex::build` against.
 //! * `fault` (feature `fault-injection`) — deterministic seeded injection
 //!   of panics, delays and forced budget exhaustion at named serving-tier
 //!   checkpoints, driving the service robustness suite.
@@ -48,6 +51,7 @@ pub mod index_oracle;
 pub mod oracle;
 pub mod string_reference;
 pub mod swap;
+pub mod swg_reference;
 pub mod vocab;
 
 pub use delta::{
@@ -61,4 +65,5 @@ pub use index_oracle::ReferenceIndex;
 pub use oracle::OracleGround;
 pub use string_reference::StringGround;
 pub use swap::{coalesce_script, swap_script, SwapScriptConfig, SwapStep};
+pub use swg_reference::{reference_score, reference_swg};
 pub use vocab::{dirty_vocabulary, DirtyVocabulary, VocabConfig};

@@ -39,6 +39,8 @@ use dlearn_relstore::Sym;
 use dlearn_similarity::tokenize::blocking_keys;
 use dlearn_similarity::SimilarityOperator;
 
+use crate::swg_reference::reference_score;
+
 /// Adjective-like title words. All entries are at least 6 chars so any of
 /// them is eligible for a trigram-preserving typo.
 const WORDS_A: &[&str] = &[
@@ -345,7 +347,8 @@ fn enforce_blocking_completeness(left: &mut Vec<Sym>, right: &[Sym], floor: f64)
     left.retain(|l| {
         let keys = blocking_keys(l.as_str());
         right.iter().zip(&right_keys).all(|(r, rk)| {
-            keys.iter().any(|k| rk.contains(k)) || operator.score(l.as_str(), r.as_str()) < floor
+            keys.iter().any(|k| rk.contains(k))
+                || reference_score(&operator, l.as_str(), r.as_str()) < floor
         })
     });
     before - left.len()
@@ -429,7 +432,7 @@ mod tests {
             for &l in &v.left {
                 let lk: HashSet<String> = blocking_keys(l.as_str()).into_iter().collect();
                 for &r in &v.right {
-                    if operator.score(l.as_str(), r.as_str()) >= floor {
+                    if reference_score(&operator, l.as_str(), r.as_str()) >= floor {
                         assert!(
                             blocking_keys(r.as_str()).iter().any(|k| lk.contains(k)),
                             "seed {seed}: {:?} / {:?} reach the floor but share no key",
@@ -537,7 +540,7 @@ mod tests {
             for &l in &v.left {
                 let lk: HashSet<String> = blocking_keys(l.as_str()).into_iter().collect();
                 for &r in &v.right {
-                    if operator.score(l.as_str(), r.as_str()) >= floor {
+                    if reference_score(&operator, l.as_str(), r.as_str()) >= floor {
                         assert!(
                             blocking_keys(r.as_str()).iter().any(|k| lk.contains(k)),
                             "seed {seed}: {:?} / {:?} reach the floor but share no key",
