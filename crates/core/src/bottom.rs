@@ -8,8 +8,17 @@
 //! relevant tuple into a literal. Similarity matches additionally contribute
 //! a similarity literal `x ≈ t` plus an MD repair group, and CFD violations
 //! among the collected literals contribute CFD repair groups (Section 4.1).
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Every map of a walk hashes with the in-repo Fx hasher
+//! ([`dlearn_relstore::FxHashMap`]), not the standard library's SipHash.
+//! Their keys are interned ids, integers and small tuples of them, so no
+//! string is hashed. Each map lives for one walk and holds what that walk
+//! reached, bounded by `sample_size` tuples per relation and
+//! `MAX_FRONTIER` values per round, so a run of colliding keys costs one
+//! bounded walk at most (see the caveat in [`dlearn_relstore::fxhash`]). No
+//! output depends on a map's iteration order: body literals come from a
+//! sorted list, the frontier and the similarity matches are vectors, and a
+//! [`ProbeLog`] is only tested for membership and compared whole.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -17,7 +26,7 @@ use rand::seq::SliceRandom;
 use dlearn_constraints::MdCatalog;
 use dlearn_logic::repair::{CondAtom, RepairGroup, RepairOrigin};
 use dlearn_logic::{Clause, Literal, Term, Var};
-use dlearn_relstore::{RelId, Sym, Tuple, Value};
+use dlearn_relstore::{FxHashMap, FxHashSet, RelId, Sym, Tuple, Value};
 
 use crate::config::LearnerConfig;
 use crate::task::LearningTask;
@@ -41,11 +50,11 @@ const MAX_FRONTIER: usize = 256;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProbeLog {
     /// Exact-selection probes: `(relation, attribute, value)` triples.
-    pub(crate) values: HashSet<(RelId, usize, Value)>,
+    pub(crate) values: FxHashSet<(RelId, usize, Value)>,
     /// Similarity probes: `(md position, probed symbol)` pairs. A probe is
     /// affected when the delta changed the symbol's match list on either
     /// side of that MD's index.
-    pub(crate) sims: HashSet<(usize, Sym)>,
+    pub(crate) sims: FxHashSet<(usize, Sym)>,
 }
 
 impl ProbeLog {
@@ -67,7 +76,7 @@ pub struct BottomClauseBuilder<'a> {
     config: &'a LearnerConfig,
     /// Interned copy of `task.sources`, resolved once so the per-tuple walk
     /// never hashes a source string.
-    sources: HashMap<RelId, Sym>,
+    sources: FxHashMap<RelId, Sym>,
     /// Interned `task.target_source`.
     target_source: Option<Sym>,
 }
@@ -116,7 +125,7 @@ impl<'a> BottomClauseBuilder<'a> {
         rng: &mut StdRng,
         mut probes: Option<&mut ProbeLog>,
     ) -> Clause {
-        let mut state = BuildState::new();
+        let mut state = BuildState::default();
 
         // Head literal: one variable per example value.
         let head_args: Vec<Term> = example.values().iter().map(|v| state.var_for(*v)).collect();
@@ -415,33 +424,21 @@ impl<'a> BottomClauseBuilder<'a> {
 }
 
 /// Mutable state of one bottom-clause construction.
+#[derive(Default)]
 struct BuildState {
-    value_to_var: HashMap<Value, Var>,
+    value_to_var: FxHashMap<Value, Var>,
     next_var: u32,
-    known: HashSet<Value>,
+    known: FxHashSet<Value>,
     /// Sources each value has been observed in (used to forbid exact joins
     /// across sources when the task declares relation sources).
-    value_sources: HashMap<Value, HashSet<Sym>>,
-    collected: HashSet<(RelId, usize)>,
-    per_relation: HashMap<RelId, usize>,
+    value_sources: FxHashMap<Value, FxHashSet<Sym>>,
+    collected: FxHashSet<(RelId, usize)>,
+    per_relation: FxHashMap<RelId, usize>,
     similarity_matches: Vec<(Value, Value, usize)>,
-    similarity_seen: HashSet<(Value, Value, usize)>,
+    similarity_seen: FxHashSet<(Value, Value, usize)>,
 }
 
 impl BuildState {
-    fn new() -> Self {
-        BuildState {
-            value_to_var: HashMap::new(),
-            next_var: 0,
-            known: HashSet::new(),
-            value_sources: HashMap::new(),
-            collected: HashSet::new(),
-            per_relation: HashMap::new(),
-            similarity_matches: Vec::new(),
-            similarity_seen: HashSet::new(),
-        }
-    }
-
     fn var_for(&mut self, value: Value) -> Term {
         if let Some(v) = self.value_to_var.get(&value) {
             return Term::Var(*v);

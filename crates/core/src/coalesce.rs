@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use dlearn_relstore::Tuple;
 
 use crate::error::DlearnError;
+use crate::fault;
 use crate::service::{Budget, PredictorService, ServeResult};
 
 /// Configuration of a [`Coalescer`].
@@ -125,12 +126,25 @@ impl Inner {
     }
 
     /// The batcher loop: wait for work, drain a batch, serve it, fan out.
+    ///
+    /// However the loop ends, a panic included, the queue closes and every
+    /// request still queued is dropped with its reply channel: each waiting
+    /// caller gets [`DlearnError::CoalescerClosed`], and later submits fail
+    /// with it too. (A batch being served is dropped by the unwind itself.)
     fn run(&self) {
-        loop {
-            let batch = match self.next_batch() {
-                Some(batch) => batch,
-                None => return,
-            };
+        struct CloseOnExit<'a>(&'a Inner);
+        impl Drop for CloseOnExit<'_> {
+            fn drop(&mut self) {
+                self.0.close();
+                // Nothing can join the queue once it is closed.
+                let queue = &self.0.queue;
+                let unserved =
+                    std::mem::take(&mut queue.lock().unwrap_or_else(|e| e.into_inner()).items);
+                drop(unserved);
+            }
+        }
+        let _close = CloseOnExit(self);
+        while let Some(batch) = self.next_batch() {
             self.serve(batch);
         }
     }
@@ -203,6 +217,8 @@ impl Inner {
     /// per request. A caller that gave up waiting just drops its receiver;
     /// the failed send is ignored.
     fn serve(&self, batch: Vec<Request>) {
+        // Injected panics here model a batcher that dies mid-batch.
+        let _ = fault::checkpoint(fault::Site::Coalesce, &batch[0].tuple);
         let mut groups: Vec<(Option<Budget>, Vec<usize>)> = Vec::new();
         for (i, r) in batch.iter().enumerate() {
             match groups.iter_mut().find(|(b, _)| *b == r.budget) {

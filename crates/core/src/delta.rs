@@ -74,16 +74,34 @@ impl DeltaReport {
     /// `true` when a grounding that executed the given probes could observe
     /// this delta — i.e. its stored ground clause may no longer equal a
     /// fresh build and must be rebuilt (or evicted from a serving cache).
+    ///
+    /// Each test walks the smaller side: a log's probes against the change
+    /// set, or the change set's entries against the log. A log holds a few
+    /// hundred exact probes, while a small transaction touches a few dozen
+    /// triples.
     pub fn affects(&self, probes: &ProbeLog) -> bool {
-        probes
-            .values
-            .iter()
-            .any(|(rel, attr, v)| self.changes.affects(*rel, *attr, v))
-            || probes.sims.iter().any(|(md, s)| {
+        let values = if probes.values.len() <= self.changes.len() {
+            probes
+                .values
+                .iter()
+                .any(|(rel, attr, v)| self.changes.affects(*rel, *attr, v))
+        } else {
+            self.changes
+                .iter()
+                .any(|probe| probes.values.contains(&probe))
+        };
+        values
+            || if probes.sims.len() <= self.changed_match_lists() {
+                probes.sims.iter().any(|(md, s)| {
+                    self.changed_syms
+                        .iter()
+                        .any(|(pos, set)| pos == md && set.contains(s))
+                })
+            } else {
                 self.changed_syms
                     .iter()
-                    .any(|(pos, set)| pos == md && set.contains(s))
-            })
+                    .any(|(pos, set)| set.iter().any(|s| probes.sims.contains(&(*pos, *s))))
+            }
     }
 
     /// Total number of values whose similarity match list changed, across
@@ -328,5 +346,114 @@ fn delta_store_error(e: StoreError) -> DlearnError {
             DlearnError::DeltaAbsentTuple { relation, tuple }
         }
         other => DlearnError::Store(other),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlearn_relstore::{tuple, Value};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The probe-by-probe test: every probe of the log against the change
+    /// set.
+    fn probe_by_probe(report: &DeltaReport, probes: &ProbeLog) -> bool {
+        probes
+            .values
+            .iter()
+            .any(|(rel, attr, v)| report.changes.affects(*rel, *attr, v))
+            || probes.sims.iter().any(|(md, s)| {
+                report
+                    .changed_syms
+                    .iter()
+                    .any(|(pos, set)| pos == md && set.contains(s))
+            })
+    }
+
+    /// A report over `ops` random two-column tuples and `syms` changed
+    /// match lists, drawn from small pools so logs hit them now and then.
+    fn report(rng: &mut StdRng, ops: usize, syms: usize) -> DeltaReport {
+        let relations = [RelId::intern("r"), RelId::intern("s")];
+        let mut changes = ChangeSet::default();
+        for _ in 0..ops {
+            let relation = relations[rng.gen_range(0..2usize)];
+            let t = tuple(vec![
+                Value::int(rng.gen_range(0..400i64)),
+                Value::str(format!("w{}", rng.gen_range(0..400u32))),
+            ]);
+            changes.record(relation, &t);
+        }
+        let mut changed_syms: Vec<(usize, HashSet<Sym>)> =
+            vec![(0, HashSet::new()), (2, HashSet::new())];
+        for _ in 0..syms {
+            let (_, set) = &mut changed_syms[rng.gen_range(0..2usize)];
+            set.insert(Sym::intern(format!("w{}", rng.gen_range(0..400u32))));
+        }
+        DeltaReport {
+            changes,
+            mds_maintained: 2,
+            rescored_lefts: 0,
+            patched_entries: 0,
+            grounding: GroundPatchStats::default(),
+            sequence: 1,
+            changed_syms,
+        }
+    }
+
+    /// A log of up to `values` exact and `sims` similarity probes.
+    fn log(rng: &mut StdRng, values: usize, sims: usize) -> ProbeLog {
+        let relations = [RelId::intern("r"), RelId::intern("s")];
+        let mut probes = ProbeLog::default();
+        for _ in 0..values {
+            let relation = relations[rng.gen_range(0..2usize)];
+            let probe = if rng.gen_bool(0.5) {
+                (relation, 0, Value::int(rng.gen_range(0..400i64)))
+            } else {
+                let word = format!("w{}", rng.gen_range(0..400u32));
+                (relation, 1, Value::str(word))
+            };
+            probes.values.insert(probe);
+        }
+        for _ in 0..sims {
+            let md = rng.gen_range(0..3usize);
+            let word = Sym::intern(format!("w{}", rng.gen_range(0..400u32)));
+            probes.sims.insert((md, word));
+        }
+        probes
+    }
+
+    #[test]
+    fn affects_equals_the_probe_by_probe_test_from_either_side() {
+        let mut rng = StdRng::seed_from_u64(26);
+        // Per kind of probe, exact then similarity: how often the log was
+        // the larger side, and what the answer was.
+        let mut seen = [[[0usize; 2]; 2]; 2];
+        for round in 0..400 {
+            // Alternate which side is larger, for the exact and for the
+            // similarity probes independently.
+            let (ops, values) = if round % 2 == 0 {
+                (2usize, 120usize)
+            } else {
+                (60, 3)
+            };
+            let (syms, sims) = if round % 4 < 2 { (1, 40usize) } else { (50, 2) };
+            let ops = rng.gen_range(0..=ops);
+            let (values, sims) = (rng.gen_range(0..=values), rng.gen_range(0..=sims));
+            let report = report(&mut rng, ops, syms);
+            let mut probes = log(&mut rng, values, sims);
+            let expected = probe_by_probe(&report, &probes);
+            assert_eq!(report.affects(&probes), expected, "round {round}");
+            let larger = probes.values.len() > report.changes.len();
+            seen[0][larger as usize][expected as usize] += 1;
+            // The similarity probes alone.
+            probes.values.clear();
+            let expected = probe_by_probe(&report, &probes);
+            assert_eq!(report.affects(&probes), expected, "round {round}, sims");
+            let larger = probes.sims.len() > report.changed_match_lists();
+            seen[1][larger as usize][expected as usize] += 1;
+        }
+        // Both sides were walked, with both answers, for both kinds.
+        assert!(seen.iter().flatten().flatten().all(|&n| n > 0), "{seen:?}");
     }
 }

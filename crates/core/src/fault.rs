@@ -23,6 +23,7 @@ mod noop {
         Delta,
         Swap,
         Learn,
+        Coalesce,
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

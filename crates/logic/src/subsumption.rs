@@ -107,10 +107,23 @@
 //! position. When the search reaches a literal of `C` whose argument at
 //! position `p` is already determined (a constant, or a variable bound by
 //! θ), the candidate list shrinks to the bucket entries carrying exactly
-//! that term at `p` — no string is hashed or compared anywhere, and no
-//! linear scan over same-name literals happens. Every binding, the final
-//! phase's included, is recorded on a trail and undone by unwinding it; θ is
-//! never cloned.
+//! that term at `p`: one lookup for the bucket and one per determined
+//! argument. No string is hashed or compared anywhere, and no linear scan
+//! over same-name literals happens. Every binding, the final phase's
+//! included, is recorded on a trail and undone by unwinding it; θ is never
+//! cloned.
+//!
+//! The index is flat. The arguments of `D`'s relation literals sit in one
+//! arena, and a literal is named by the offset of its first argument. Every
+//! candidate list, each in body order, lies in one array of offsets, and two
+//! maps send a bucket and an `(argument slot, term)` key to its range. The
+//! `≈` and `=` pairs and the repair facts sit in sorted arrays, searched by
+//! bisection; a sorted pair array iterates like the ordered set it
+//! replaces, so a pair check still binds the smallest partner. Building
+//! counts each key's literals before it lays the lists out, so indexing a
+//! clause makes the same few allocations, and freeing it the same few frees,
+//! whatever the clause's size (`tests/ground_clause_allocs.rs` pins this).
+//! That is what a delta pays per re-grounded example it displaces.
 //!
 //! ## Flat substitutions
 //!
@@ -129,7 +142,6 @@
 //! [`witness`] is the witness view: the witnessing substitution translated
 //! back to `C`'s original variables, which the θ-verification oracles check.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 use dlearn_relstore::{FxHashMap, RelId};
@@ -216,35 +228,51 @@ impl Default for SubsumptionConfig {
     }
 }
 
-/// Candidate literals of one `(relation, arity)` signature, with a value
-/// index per argument position.
-#[derive(Debug, Clone, Default)]
-struct RelBucket {
-    /// Body indices of the literals with this signature, in body order.
-    lits: Vec<usize>,
-    /// One map per argument position: the term at that position in `D` →
-    /// body indices carrying it (in body order). Fx-hashed: probed once per
-    /// determined argument at every search node, and only ever *looked up*
-    /// (iteration order is never observed), so the cheap hasher cannot
-    /// affect decisions.
-    by_pos: Vec<FxHashMap<Term, Vec<usize>>>,
+/// Where a candidate list lies in [`GroundClause`]'s list array:
+/// `start..end`.
+type Span = (u32, u32);
+
+/// One `(relation, arity)` signature of an indexed clause.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// Every literal with this signature.
+    list: Span,
+    /// The bucket's first argument slot: argument position `p` of the
+    /// signature is slot `slots + p` of the position index.
+    slots: u32,
 }
 
 /// A clause indexed for use as the right-hand side (`D`) of subsumption
 /// tests. Ground bottom clauses are wrapped in this once and tested against
 /// many candidate clauses.
+///
+/// The index is flat (see the module docs, "Indexing"): building one makes
+/// the same few allocations whatever the clause's size.
 #[derive(Debug, Clone)]
 pub struct GroundClause {
     head: Literal,
-    body: Vec<Literal>,
-    /// Candidate index keyed by `(RelId, arity)`. This is also what the
-    /// literal-ordering heuristic reads (via [`Self::candidates_pruned`]):
-    /// the last name-keyed remnant of the pre-interning matcher is gone now
-    /// that parity with it is established by the enumeration oracle instead
-    /// of by replaying its search order.
-    buckets: FxHashMap<(RelId, usize), RelBucket>,
-    similar_pairs: BTreeSet<(Term, Term)>,
-    equal_pairs: BTreeSet<(Term, Term)>,
+    /// Number of body literals.
+    len: usize,
+    /// The arguments of the body's relation literals, literal after literal
+    /// in body order. A literal is named by the offset of its first
+    /// argument; its bucket gives its arity.
+    args: Vec<Term>,
+    /// Every candidate list, back to back. A list holds literal offsets in
+    /// body order.
+    lists: Vec<u32>,
+    /// `(relation, arity)` → the signature's bucket. This is also what the
+    /// literal-ordering heuristic reads (via [`Self::candidates_pruned`]).
+    buckets: FxHashMap<(RelId, usize), Bucket>,
+    /// `(argument slot, term)` → the list of the bucket's literals carrying
+    /// that term at that position. Fx-hashed: probed once per determined
+    /// argument at every search node, and only ever *looked up* (iteration
+    /// order is never observed), so the cheap hasher cannot affect
+    /// decisions.
+    by_position: FxHashMap<(u32, Term), Span>,
+    /// The `≈` pairs, closed under symmetry, sorted and distinct.
+    similar_pairs: Vec<(Term, Term)>,
+    /// The `=` pairs, closed under symmetry, sorted and distinct.
+    equal_pairs: Vec<(Term, Term)>,
     /// Flattened repair literals: `(origin, replaced variable as a term,
     /// replacement term)`.
     repair_facts: Vec<(RepairOrigin, Term, Term)>,
@@ -253,41 +281,121 @@ pub struct GroundClause {
     repair_index: Vec<(RepairOrigin, Term, Term)>,
 }
 
-static EMPTY_IDS: [usize; 0] = [];
-
 impl GroundClause {
     /// Index a clause for repeated subsumption testing.
+    ///
+    /// The lists are laid out by counting. A first walk over the relation
+    /// literals numbers each key (a bucket, or an argument slot's term) on
+    /// first sight; the keys' literal counts become starts; a second walk
+    /// drops each literal into its lists. Every structure is sized before it
+    /// is filled, so none grows.
     pub fn new(clause: &Clause) -> Self {
-        let mut buckets: FxHashMap<(RelId, usize), RelBucket> = FxHashMap::default();
-        let mut similar_pairs = BTreeSet::new();
-        let mut equal_pairs = BTreeSet::new();
-        for (i, l) in clause.body.iter().enumerate() {
-            match l {
-                Literal::Relation { relation, args } => {
-                    let bucket = buckets.entry((*relation, args.len())).or_default();
-                    if bucket.by_pos.len() < args.len() {
-                        bucket.by_pos.resize_with(args.len(), FxHashMap::default);
-                    }
-                    bucket.lits.push(i);
-                    for (p, t) in args.iter().enumerate() {
-                        bucket.by_pos[p].entry(*t).or_default().push(i);
-                    }
-                }
-                Literal::Similar(a, b) => {
-                    similar_pairs.insert((*a, *b));
-                    similar_pairs.insert((*b, *a));
-                }
-                Literal::Equal(a, b) => {
-                    equal_pairs.insert((*a, *b));
-                    equal_pairs.insert((*b, *a));
-                }
-                // NotEqual literals of D constrain nothing the matcher
-                // checks (C's inequality literals are verified against D's
-                // equal_pairs), so they are not indexed.
-                Literal::NotEqual(_, _) => {}
+        let relations = || {
+            clause.body.iter().filter_map(|l| match l {
+                Literal::Relation { relation, args } => Some((*relation, args.as_slice())),
+                _ => None,
+            })
+        };
+        // Bounds on the key counts: a bucket needs a run of literals with
+        // its signature, a position key an argument. Bottom clauses list
+        // their literals by relation, so the first bound is exact for them.
+        let (mut literals, mut arguments, mut runs) = (0, 0, 0);
+        let mut previous = None;
+        for (relation, args) in relations() {
+            literals += 1;
+            arguments += args.len();
+            if previous != Some((relation, args.len())) {
+                runs += 1;
+                previous = Some((relation, args.len()));
             }
         }
-        let mut repair_facts = Vec::new();
+        let occurrences = literals + arguments;
+        let mut args = Vec::with_capacity(arguments);
+        let mut buckets: FxHashMap<(RelId, usize), Bucket> =
+            FxHashMap::with_capacity_and_hasher(runs, Default::default());
+        let mut by_position: FxHashMap<(u32, Term), Span> =
+            FxHashMap::with_capacity_and_hasher(arguments, Default::default());
+
+        // Number the keys. `keys_of` holds, per literal, its bucket's number
+        // and then each argument's key's; a map value holds its key's number
+        // until the lists are laid out.
+        let mut scratch = vec![0u32; 2 * occurrences];
+        let (keys_of, ends) = scratch.split_at_mut(occurrences);
+        let mut keys = 0u32;
+        let mut slots = 0u32;
+        let mut at = 0;
+        for (relation, literal) in relations() {
+            let arity = literal.len() as u32;
+            let bucket = buckets.entry((relation, literal.len())).or_insert_with(|| {
+                keys += 1;
+                slots += arity;
+                Bucket {
+                    list: (keys - 1, 0),
+                    slots: slots - arity,
+                }
+            });
+            keys_of[at] = bucket.list.0;
+            let first = bucket.slots;
+            for (p, t) in literal.iter().enumerate() {
+                let list = by_position
+                    .entry((first + p as u32, *t))
+                    .or_insert_with(|| {
+                        keys += 1;
+                        (keys - 1, 0)
+                    });
+                keys_of[at + 1 + p] = list.0;
+            }
+            at += 1 + literal.len();
+            args.extend_from_slice(literal);
+        }
+
+        // Lay the lists out in key order. Each key's count becomes its start,
+        // and placing a literal advances it, so it ends as the list's end.
+        let ends = &mut ends[..keys as usize];
+        for &key in keys_of.iter() {
+            ends[key as usize] += 1;
+        }
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        let mut lists = vec![0u32; occurrences];
+        let mut keys_of = keys_of.iter();
+        let mut offset = 0u32;
+        for (_, literal) in relations() {
+            for &key in keys_of.by_ref().take(1 + literal.len()) {
+                let end = &mut ends[key as usize];
+                lists[*end as usize] = offset;
+                *end += 1;
+            }
+            offset += literal.len() as u32;
+        }
+        let span = |key: u32| {
+            let start = key.checked_sub(1).map_or(0, |k| ends[k as usize]);
+            (start, ends[key as usize])
+        };
+        for bucket in buckets.values_mut() {
+            bucket.list = span(bucket.list.0);
+        }
+        for list in by_position.values_mut() {
+            *list = span(list.0);
+        }
+
+        // NotEqual literals of D constrain nothing the matcher checks (C's
+        // inequality literals are verified against D's equal pairs), so
+        // they are not indexed.
+        let similar_pairs = symmetric_pairs(clause, |l| match l {
+            Literal::Similar(a, b) => Some((*a, *b)),
+            _ => None,
+        });
+        let equal_pairs = symmetric_pairs(clause, |l| match l {
+            Literal::Equal(a, b) => Some((*a, *b)),
+            _ => None,
+        });
+        let mut repair_facts =
+            Vec::with_capacity(clause.repairs.iter().map(|g| g.replacements.len()).sum());
         for g in &clause.repairs {
             for (v, t) in &g.replacements {
                 repair_facts.push((g.origin, Term::Var(*v), *t));
@@ -298,8 +406,11 @@ impl GroundClause {
         repair_index.dedup();
         GroundClause {
             head: clause.head.clone(),
-            body: clause.body.clone(),
+            len: clause.body.len(),
+            args,
+            lists,
             buckets,
+            by_position,
             similar_pairs,
             equal_pairs,
             repair_facts,
@@ -312,57 +423,58 @@ impl GroundClause {
         &self.head
     }
 
-    /// The body literals.
-    pub fn body(&self) -> &[Literal] {
-        &self.body
-    }
-
     /// Number of body literals.
     pub fn len(&self) -> usize {
-        self.body.len()
+        self.len
     }
 
     /// `true` when the body is empty.
     pub fn is_empty(&self) -> bool {
-        self.body.is_empty()
+        self.len == 0
+    }
+
+    /// The arguments of the literal at `offset`, whose bucket has arity
+    /// `arity`.
+    fn literal(&self, offset: u32, arity: usize) -> &[Term] {
+        &self.args[offset as usize..offset as usize + arity]
     }
 
     /// The smallest candidate list for a literal of `C` under the current
     /// substitution: starts from the `(RelId, arity)` bucket and shrinks it
-    /// through the per-position value indexes for every argument that is
-    /// already determined (a constant, or a θ-bound variable). Every literal
-    /// skipped by the pruning could not have matched.
+    /// through the position index for every argument that is already
+    /// determined (a constant, or a θ-bound variable). Every literal skipped
+    /// by the pruning could not have matched.
     fn candidates_pruned(
         &self,
         relation: RelId,
         args: &[Term],
         theta: &FlatSubstitution,
-    ) -> &[usize] {
+    ) -> &[u32] {
         let Some(bucket) = self.buckets.get(&(relation, args.len())) else {
-            return &EMPTY_IDS;
+            return &[];
         };
-        let mut best: &[usize] = &bucket.lits;
+        let (mut start, mut end) = bucket.list;
         for (p, arg) in args.iter().enumerate() {
             let determined = match arg {
                 Term::Const(_) => Some(*arg),
                 Term::Var(v) => theta.get(*v).copied(),
             };
             if let Some(term) = determined {
-                match bucket.by_pos[p].get(&term) {
-                    None => return &EMPTY_IDS,
-                    Some(ids) => {
-                        if ids.len() < best.len() {
-                            best = ids;
+                match self.by_position.get(&(bucket.slots + p as u32, term)) {
+                    None => return &[],
+                    Some(&(s, e)) => {
+                        if e - s < end - start {
+                            (start, end) = (s, e);
                         }
                     }
                 }
             }
         }
-        best
+        &self.lists[start as usize..end as usize]
     }
 
-    /// `D`'s similarity or equality pairs (symmetrically closed).
-    fn pairs(&self, kind: PairKind) -> &BTreeSet<(Term, Term)> {
+    /// `D`'s similarity or equality pairs (symmetrically closed, sorted).
+    fn pairs(&self, kind: PairKind) -> &[(Term, Term)] {
         match kind {
             PairKind::Similar => &self.similar_pairs,
             PairKind::Equal => &self.equal_pairs,
@@ -373,13 +485,13 @@ impl GroundClause {
     /// literal passes between two determined terms: they are identical or
     /// `D` states the pair.
     fn related(&self, kind: PairKind, ta: Term, tb: Term) -> bool {
-        ta == tb || self.pairs(kind).contains(&(ta, tb))
+        ta == tb || self.pairs(kind).binary_search(&(ta, tb)).is_ok()
     }
 
     /// The test an inequality literal passes between two determined terms:
     /// they differ and `D` does not equate them.
     fn unequal(&self, ta: Term, tb: Term) -> bool {
-        ta != tb && !self.equal_pairs.contains(&(ta, tb))
+        ta != tb && self.equal_pairs.binary_search(&(ta, tb)).is_err()
     }
 
     /// Does `D` hold a repair fact of `origin` replacing `dx`, by `dt` when
@@ -395,8 +507,25 @@ impl GroundClause {
     }
 }
 
-/// Try to unify (match) a literal of `C` against a concrete literal of `D`,
-/// extending the substitution and recording fresh bindings on `trail`.
+/// The pairs `want` picks out of `clause`'s body, closed under symmetry,
+/// sorted and distinct: the order a `BTreeSet` of them iterates in.
+fn symmetric_pairs(
+    clause: &Clause,
+    want: impl Fn(&Literal) -> Option<(Term, Term)>,
+) -> Vec<(Term, Term)> {
+    let mut pairs = Vec::with_capacity(2 * clause.body.iter().filter_map(&want).count());
+    for (a, b) in clause.body.iter().filter_map(&want) {
+        pairs.push((a, b));
+        pairs.push((b, a));
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Try to unify (match) a relation literal of `C` against one of `D` (a
+/// head), extending the substitution and recording fresh bindings on
+/// `trail`.
 fn match_literal(
     c_lit: &Literal,
     d_lit: &Literal,
@@ -413,19 +542,23 @@ fn match_literal(
                 relation: rd,
                 args: ad,
             },
-        ) => {
-            if rc != rd || ac.len() != ad.len() {
-                return false;
-            }
-            for (a, b) in ac.iter().zip(ad.iter()) {
-                if !match_term(a, b, theta, trail) {
-                    return false;
-                }
-            }
-            true
-        }
+        ) => rc == rd && ac.len() == ad.len() && match_args(ac, ad, theta, trail),
         _ => false,
     }
+}
+
+/// Match the arguments of a relation literal of `C` against those of a
+/// literal of `D` with the same signature.
+fn match_args(
+    c_args: &[Term],
+    d_args: &[Term],
+    theta: &mut FlatSubstitution,
+    trail: &mut Vec<Var>,
+) -> bool {
+    c_args
+        .iter()
+        .zip(d_args)
+        .all(|(a, b)| match_term(a, b, theta, trail))
 }
 
 /// Match a term of `C` against a term of `D` under the current substitution,
@@ -547,11 +680,10 @@ pub fn witness(
 /// search never re-matches the enum inside the hot loop.
 #[derive(Clone, Copy)]
 struct RelLit<'a> {
-    lit: &'a Literal,
     relation: RelId,
     args: &'a [Term],
     /// The literal's candidates under the head bindings.
-    candidates: &'a [usize],
+    candidates: &'a [u32],
 }
 
 /// Everything immutable the relation search of one part threads through its
@@ -609,7 +741,6 @@ fn search_subsumption(
                 return (None, None);
             }
             relations.push(RelLit {
-                lit: l,
                 relation: *relation,
                 args,
                 candidates,
@@ -702,7 +833,7 @@ fn search_relations(
             .expect("n_matched < relations.len() implies an unmatched literal");
         (pick, ctx.relations[pick].candidates)
     } else {
-        let mut best: Option<(usize, &[usize])> = None;
+        let mut best: Option<(usize, &[u32])> = None;
         for (i, rel) in ctx.relations.iter().enumerate() {
             if matched[i] {
                 continue;
@@ -720,15 +851,16 @@ fn search_relations(
         best.expect("n_matched < relations.len() implies an unmatched literal")
     };
 
-    let lit = ctx.relations[pick].lit;
+    let args = ctx.relations[pick].args;
     matched[pick] = true;
-    for &idx in candidates {
+    for &offset in candidates {
         if !state.charge(ctx.config, ctx.cancel) {
             matched[pick] = false;
             return false;
         }
         let mark = state.trail.len();
-        if match_literal(lit, &ctx.d.body()[idx], &mut state.theta, &mut state.trail) {
+        let d_args = ctx.d.literal(offset, args.len());
+        if match_args(args, d_args, &mut state.theta, &mut state.trail) {
             if forward_checks_hold(ctx, state, mark)
                 && search_relations(ctx, matched, n_matched + 1, state)
             {
@@ -1127,10 +1259,13 @@ fn check_pair(
     match (a_bound, b_bound) {
         (true, true) => d.related(kind, ta, tb),
         (true, false) => {
-            // Bind b to the first partner of a (BTreeSet iteration:
-            // deterministic, smallest partner first), or else make them
-            // equal.
-            let partner = pairs.iter().find(|(x, _)| *x == ta).map_or(ta, |&(_, y)| y);
+            // Bind b to the smallest partner of a (the pairs are sorted),
+            // or else make them equal.
+            let first = pairs.partition_point(|&(x, _)| x < ta);
+            let partner = match pairs.get(first) {
+                Some(&(x, y)) if x == ta => y,
+                _ => ta,
+            };
             match_term(b, &partner, theta, trail)
         }
         (false, true) => check_pair(theta, trail, d, b, a, kind),
@@ -1218,10 +1353,11 @@ pub fn extend_bindings(
     for theta in bindings {
         match lit {
             Literal::Relation { relation, args } => {
-                for &idx in d.candidates_pruned(*relation, args, theta) {
+                for &offset in d.candidates_pruned(*relation, args, theta) {
                     let mut candidate = theta.clone();
                     trail.clear();
-                    if match_literal(lit, &d.body()[idx], &mut candidate, &mut trail) {
+                    let d_args = d.literal(offset, args.len());
+                    if match_args(args, d_args, &mut candidate, &mut trail) {
                         out.push(candidate);
                         if out.len() >= cap {
                             return out;
@@ -1277,6 +1413,11 @@ mod tests {
     /// D: highGrossing(v0) ← movies(v1, v2, v3), mov2genres(v1, 'comedy'),
     ///                        v0 ≈ v2, with an MD repair unifying v0 and v2.
     fn ground_clause() -> GroundClause {
+        GroundClause::new(&ground_source())
+    }
+
+    /// The clause [`ground_clause`] indexes.
+    fn ground_source() -> Clause {
         let mut d = Clause::new(Literal::relation("highGrossing", vec![Term::var(0)]));
         d.push_unique(Literal::relation(
             "movies",
@@ -1293,7 +1434,27 @@ mod tests {
             vec![(Var(0), Term::var(9)), (Var(2), Term::var(9))],
             vec![Literal::Similar(Term::var(0), Term::var(2))],
         ));
-        GroundClause::new(&d)
+        d
+    }
+
+    #[test]
+    fn debug_form_tells_apart_clauses_that_differ_in_one_fact() {
+        // The delta oracle compares ground clauses through their Debug form:
+        // equal clauses must print alike, and one changed argument, pair or
+        // repair fact must show.
+        let d = ground_source();
+        let dump = |c: &Clause| format!("{:?}", GroundClause::new(c));
+        assert_eq!(dump(&d), dump(&d.clone()));
+        let mut argument = d.clone();
+        argument.body[1] =
+            Literal::relation("mov2genres", vec![Term::var(1), Term::constant("drama")]);
+        let mut pair = d.clone();
+        pair.body[2] = Literal::Similar(Term::var(0), Term::var(3));
+        let mut fact = d.clone();
+        fact.repairs[0].replacements[1].1 = Term::var(8);
+        for (what, changed) in [("argument", argument), ("pair", pair), ("fact", fact)] {
+            assert_ne!(dump(&d), dump(&changed), "one changed {what} does not show");
+        }
     }
 
     #[test]

@@ -146,6 +146,18 @@ impl ChangeSet {
             .is_some_and(|t| t.contains(&(attribute, *value)))
     }
 
+    /// Number of distinct `(relation, attribute, value)` triples touched.
+    pub fn len(&self) -> usize {
+        self.touched.values().map(FxHashSet::len).sum()
+    }
+
+    /// Every touched `(relation, attribute, value)` triple (unordered).
+    pub fn iter(&self) -> impl Iterator<Item = (RelId, usize, Value)> + '_ {
+        self.touched
+            .iter()
+            .flat_map(|(r, t)| t.iter().map(move |&(a, v)| (*r, a, v)))
+    }
+
     /// The `(attribute, value)` pairs touched in `relation` (unordered).
     pub fn touched_values(&self, relation: RelId) -> impl Iterator<Item = (usize, Value)> + '_ {
         self.touched
@@ -226,6 +238,19 @@ mod tests {
         assert!(changes.affects(id, 1, &Value::str("b")));
         assert!(!changes.affects(id, 1, &Value::str("zzz")));
         assert!(!changes.affects(RelId::intern("other"), 0, &Value::int(1)));
+        // Four triples: (id 2, title b) and (id 1, title a).
+        assert_eq!(changes.len(), 4);
+        let mut triples: Vec<_> = changes.iter().collect();
+        triples.sort();
+        assert_eq!(
+            triples,
+            [
+                (id, 0, Value::int(1)),
+                (id, 0, Value::int(2)),
+                (id, 1, Value::str("a")),
+                (id, 1, Value::str("b")),
+            ]
+        );
     }
 
     #[test]

@@ -8,8 +8,21 @@
 //! This is the same algorithm rustc uses internally (`FxHasher`),
 //! re-implemented here because the build environment is offline.
 //!
-//! Do **not** key these maps by attacker-controlled strings in a serving
-//! context; use the default hasher there.
+//! Fx gives up the default hasher's protection against chosen keys: keys
+//! that agree in their low bits (integers that are multiples of a large
+//! power of two, say) all land in one probe sequence. So where it is used on
+//! the serving path decides whether that matters:
+//!
+//! * **Fine:** maps that live for one grounding or one request and are
+//!   bounded by its configured limits, keyed by interned ids and integers.
+//!   A bottom-clause walk's state, a ground clause's candidate index and a
+//!   delta's change set are such maps; colliding keys cost that one bounded
+//!   computation at most.
+//! * **Not fine:** database-wide indexes keyed by committed data, such as
+//!   `Relation`'s per-attribute value indexes. Whoever can commit values
+//!   chooses their keys, and a collision run there slows every probe for as
+//!   long as the data stays. Those keep the default hasher, as does any map
+//!   keyed by a string's bytes.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

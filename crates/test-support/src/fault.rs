@@ -48,6 +48,9 @@ pub enum Site {
     /// Refinement search in `Engine::learn` — any strategy's learner over
     /// the prepared plan (key: the strategy's display name).
     Learn,
+    /// A batch the coalescer's batcher thread drained, before it is served
+    /// (key: the display form of the batch's first tuple).
+    Coalesce,
 }
 
 impl Site {
@@ -59,6 +62,7 @@ impl Site {
             Site::Delta => 3,
             Site::Swap => 4,
             Site::Learn => 5,
+            Site::Coalesce => 6,
         }
     }
 
@@ -71,6 +75,7 @@ impl Site {
             Site::Delta => "delta",
             Site::Swap => "swap",
             Site::Learn => "learn",
+            Site::Coalesce => "coalesce",
         }
     }
 }
@@ -189,7 +194,7 @@ fn hash01(seed: u64, rule_idx: usize, site: Site, key: &str) -> f64 {
 struct Registry {
     plan: RwLock<Option<FaultPlan>>,
     install_lock: Mutex<()>,
-    injected: [AtomicU64; 6],
+    injected: [AtomicU64; 7],
 }
 
 fn registry() -> &'static Registry {
@@ -197,14 +202,7 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         plan: RwLock::new(None),
         install_lock: Mutex::new(()),
-        injected: [
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-        ],
+        injected: std::array::from_fn(|_| AtomicU64::new(0)),
     })
 }
 

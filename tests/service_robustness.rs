@@ -511,3 +511,51 @@ fn injected_swap_panic_leaves_the_old_epoch_serving_and_quarantines_the_swap_pat
     assert_eq!(metrics.swaps, 1, "{metrics:?}");
     assert!(metrics.worker_panics >= 1, "{metrics:?}");
 }
+
+#[test]
+fn a_batcher_that_panics_closes_its_queue_and_fails_every_caller_typed() {
+    use dlearn::core::{CoalesceConfig, Coalescer};
+    use std::sync::{mpsc, Arc};
+
+    let _serial = serial();
+    let fx = fixture();
+    let service = Arc::new(service(&fx, 1));
+    let items: Vec<(Tuple, Budget)> = fx
+        .trace
+        .iter()
+        .take(3)
+        .map(|t| (t.clone(), Budget::unlimited()))
+        .collect();
+    // One request per batch, and the first batch panics the batcher: the
+    // two requests still queued must not wait for a batcher that is gone.
+    let _guard =
+        fault::install(FaultPlan::new(6).with_probability(Site::Coalesce, 1.0, Fault::Panic));
+    // On its own thread, so callers left waiting fail the test at the
+    // timeout instead of hanging it.
+    let (done, finished) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let coalescer = Coalescer::new(
+            service,
+            CoalesceConfig {
+                max_coalesce: 1,
+                ..CoalesceConfig::default()
+            },
+        );
+        let results = coalescer.submit_many_with(&items);
+        let later = coalescer.submit(items[0].0.clone());
+        let _ = done.send((results, later));
+    });
+    let (results, later) = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("callers of a dead batcher are answered");
+    caller.join().expect("the caller thread finished cleanly");
+    assert_eq!(results.len(), 3);
+    for r in &results {
+        assert!(matches!(r, Err(DlearnError::CoalescerClosed)), "{r:?}");
+    }
+    assert!(
+        matches!(later, Err(DlearnError::CoalescerClosed)),
+        "a submit after the batcher died was not refused typed: {later:?}"
+    );
+    assert_eq!(fault::injected(Site::Coalesce), 1);
+}
