@@ -75,22 +75,14 @@ impl DeltaReport {
     /// this delta — i.e. its stored ground clause may no longer equal a
     /// fresh build and must be rebuilt (or evicted from a serving cache).
     ///
-    /// Each test walks the smaller side: a log's probes against the change
-    /// set, or the change set's entries against the log. A log holds a few
-    /// hundred exact probes, while a small transaction touches a few dozen
-    /// triples.
+    /// The exact probes are tested from the change set's side: a log holds a
+    /// few hundred of them, while a streamed transaction touches a few dozen
+    /// triples. The similarity probes, about a dozen on either side, are
+    /// tested from whichever side is smaller.
     pub fn affects(&self, probes: &ProbeLog) -> bool {
-        let values = if probes.values.len() <= self.changes.len() {
-            probes
-                .values
-                .iter()
-                .any(|(rel, attr, v)| self.changes.affects(*rel, *attr, v))
-        } else {
-            self.changes
-                .iter()
-                .any(|probe| probes.values.contains(&probe))
-        };
-        values
+        self.changes
+            .iter()
+            .any(|probe| probes.values.contains(&probe))
             || if probes.sims.len() <= self.changed_match_lists() {
                 probes.sims.iter().any(|(md, s)| {
                     self.changed_syms
@@ -444,7 +436,7 @@ mod tests {
             let mut probes = log(&mut rng, values, sims);
             let expected = probe_by_probe(&report, &probes);
             assert_eq!(report.affects(&probes), expected, "round {round}");
-            let larger = probes.values.len() > report.changes.len();
+            let larger = probes.values.len() > report.changes.iter().count();
             seen[0][larger as usize][expected as usize] += 1;
             // The similarity probes alone.
             probes.values.clear();
@@ -453,7 +445,7 @@ mod tests {
             let larger = probes.sims.len() > report.changed_match_lists();
             seen[1][larger as usize][expected as usize] += 1;
         }
-        // Both sides were walked, with both answers, for both kinds.
+        // Either side was the larger, with both answers, for both kinds.
         assert!(seen.iter().flatten().flatten().all(|&n| n > 0), "{seen:?}");
     }
 }

@@ -116,7 +116,9 @@
 //! The index is flat. The arguments of `D`'s relation literals sit in one
 //! arena, and a literal is named by the offset of its first argument. Every
 //! candidate list, each in body order, lies in one array of offsets, and two
-//! maps send a bucket and an `(argument slot, term)` key to its range. The
+//! maps send a bucket and an `(argument slot, term)` key to its range. A
+//! position key hashes as one word, so a probe costs what a per-position
+//! map's did without the per-position tables. The
 //! `≈` and `=` pairs and the repair facts sit in sorted arrays, searched by
 //! bisection; a sorted pair array iterates like the ordered set it
 //! replaces, so a pair check still binds the smallest partner. Building
@@ -142,9 +144,10 @@
 //! [`witness`] is the witness view: the witnessing substitution translated
 //! back to `C`'s original variables, which the θ-verification oracles check.
 
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use dlearn_relstore::{FxHashMap, RelId};
+use dlearn_relstore::{FxHashMap, RelId, Value};
 
 use crate::clause::{Clause, UnionFind};
 use crate::literal::Literal;
@@ -228,9 +231,34 @@ impl Default for SubsumptionConfig {
     }
 }
 
-/// Where a candidate list lies in [`GroundClause`]'s list array:
-/// `start..end`.
+/// Where a list of a [`lay_out`] lies in its items, such as a candidate
+/// list in [`GroundClause`]'s list array: `start..end`.
 type Span = (u32, u32);
+
+/// A key of [`GroundClause`]'s position index: an argument slot and the
+/// term at it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PositionKey {
+    slot: u32,
+    term: Term,
+}
+
+impl Hash for PositionKey {
+    /// The term's payload (a variable's index, an integer, an interned
+    /// string's address) in the low half of one word and the slot in the
+    /// high half, so Fx hashes a key with one multiply and the table, which
+    /// picks a key's group by its hash's low bits, spreads a slot's terms.
+    /// Keys that share a word still differ under `==`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let payload = match self.term {
+            Term::Var(v) => u64::from(v.0),
+            Term::Const(Value::Int(i)) => i as u64,
+            Term::Const(Value::Str(s)) => s.as_str().as_ptr() as u64,
+            Term::Const(Value::Null) => 0,
+        };
+        state.write_u64(payload ^ u64::from(self.slot) << 32);
+    }
+}
 
 /// One `(relation, arity)` signature of an indexed clause.
 #[derive(Debug, Clone, Copy)]
@@ -264,11 +292,11 @@ pub struct GroundClause {
     /// literal-ordering heuristic reads (via [`Self::candidates_pruned`]).
     buckets: FxHashMap<(RelId, usize), Bucket>,
     /// `(argument slot, term)` → the list of the bucket's literals carrying
-    /// that term at that position. Fx-hashed: probed once per determined
-    /// argument at every search node, and only ever *looked up* (iteration
-    /// order is never observed), so the cheap hasher cannot affect
-    /// decisions.
-    by_position: FxHashMap<(u32, Term), Span>,
+    /// that term at that position. Fx-hashed, one word per key: probed once
+    /// per determined argument at every search node, and only ever *looked
+    /// up* (iteration order is never observed), so the cheap hasher cannot
+    /// affect decisions.
+    by_position: FxHashMap<PositionKey, Span>,
     /// The `≈` pairs, closed under symmetry, sorted and distinct.
     similar_pairs: Vec<(Term, Term)>,
     /// The `=` pairs, closed under symmetry, sorted and distinct.
@@ -284,11 +312,11 @@ pub struct GroundClause {
 impl GroundClause {
     /// Index a clause for repeated subsumption testing.
     ///
-    /// The lists are laid out by counting. A first walk over the relation
-    /// literals numbers each key (a bucket, or an argument slot's term) on
-    /// first sight; the keys' literal counts become starts; a second walk
-    /// drops each literal into its lists. Every structure is sized before it
-    /// is filled, so none grows.
+    /// The lists are laid out by counting. A walk over the relation literals
+    /// numbers each key (a bucket, or an argument slot's term) on first
+    /// sight and records the keys each literal joins; the layout then counts
+    /// each key's literals and drops every literal into its lists. Every
+    /// structure is sized before it is filled, so none grows.
     pub fn new(clause: &Clause) -> Self {
         let relations = || {
             clause.body.iter().filter_map(|l| match l {
@@ -313,17 +341,15 @@ impl GroundClause {
         let mut args = Vec::with_capacity(arguments);
         let mut buckets: FxHashMap<(RelId, usize), Bucket> =
             FxHashMap::with_capacity_and_hasher(runs, Default::default());
-        let mut by_position: FxHashMap<(u32, Term), Span> =
+        let mut by_position: FxHashMap<PositionKey, Span> =
             FxHashMap::with_capacity_and_hasher(arguments, Default::default());
 
         // Number the keys. `keys_of` holds, per literal, its bucket's number
         // and then each argument's key's; a map value holds its key's number
         // until the lists are laid out.
-        let mut scratch = vec![0u32; 2 * occurrences];
-        let (keys_of, ends) = scratch.split_at_mut(occurrences);
+        let mut keys_of = Vec::with_capacity(occurrences);
         let mut keys = 0u32;
         let mut slots = 0u32;
-        let mut at = 0;
         for (relation, literal) in relations() {
             let arity = literal.len() as u32;
             let bucket = buckets.entry((relation, literal.len())).or_insert_with(|| {
@@ -334,53 +360,38 @@ impl GroundClause {
                     slots: slots - arity,
                 }
             });
-            keys_of[at] = bucket.list.0;
+            keys_of.push(bucket.list.0);
             let first = bucket.slots;
             for (p, t) in literal.iter().enumerate() {
                 let list = by_position
-                    .entry((first + p as u32, *t))
+                    .entry(PositionKey {
+                        slot: first + p as u32,
+                        term: *t,
+                    })
                     .or_insert_with(|| {
                         keys += 1;
                         (keys - 1, 0)
                     });
-                keys_of[at + 1 + p] = list.0;
+                keys_of.push(list.0);
             }
-            at += 1 + literal.len();
             args.extend_from_slice(literal);
         }
 
-        // Lay the lists out in key order. Each key's count becomes its start,
-        // and placing a literal advances it, so it ends as the list's end.
-        let ends = &mut ends[..keys as usize];
-        for &key in keys_of.iter() {
-            ends[key as usize] += 1;
-        }
-        let mut start = 0;
-        for end in ends.iter_mut() {
-            let count = *end;
-            *end = start;
-            start += count;
-        }
-        let mut lists = vec![0u32; occurrences];
-        let mut keys_of = keys_of.iter();
-        let mut offset = 0u32;
-        for (_, literal) in relations() {
-            for &key in keys_of.by_ref().take(1 + literal.len()) {
-                let end = &mut ends[key as usize];
-                lists[*end as usize] = offset;
-                *end += 1;
-            }
-            offset += literal.len() as u32;
-        }
-        let span = |key: u32| {
-            let start = key.checked_sub(1).map_or(0, |k| ends[k as usize]);
-            (start, ends[key as usize])
-        };
+        // Each literal joins its bucket's list and one list per argument,
+        // named by the offset of its first argument.
+        let offsets = relations()
+            .scan(0u32, |offset, (_, literal)| {
+                let first = *offset;
+                *offset += literal.len() as u32;
+                Some(std::iter::repeat_n(first, 1 + literal.len()))
+            })
+            .flatten();
+        let (lists, ends) = lay_out(keys as usize, &keys_of, offsets);
         for bucket in buckets.values_mut() {
-            bucket.list = span(bucket.list.0);
+            bucket.list = span(&ends, bucket.list.0 as usize);
         }
         for list in by_position.values_mut() {
-            *list = span(list.0);
+            *list = span(&ends, list.0 as usize);
         }
 
         // NotEqual literals of D constrain nothing the matcher checks (C's
@@ -460,7 +471,11 @@ impl GroundClause {
                 Term::Var(v) => theta.get(*v).copied(),
             };
             if let Some(term) = determined {
-                match self.by_position.get(&(bucket.slots + p as u32, term)) {
+                let key = PositionKey {
+                    slot: bucket.slots + p as u32,
+                    term,
+                };
+                match self.by_position.get(&key) {
                     None => return &[],
                     Some(&(s, e)) => {
                         if e - s < end - start {
@@ -965,10 +980,11 @@ pub(crate) struct Watches {
     /// Per check, how many slots it watches: all unbound when the relation
     /// search starts.
     watched: Vec<u32>,
-    /// The checks watching slot `s` are `by_slot[starts[s]..starts[s + 1]]`.
-    /// Both are empty when there are no checks.
-    starts: Vec<u32>,
+    /// The checks watching slot `s`, in check order, are list `s` of the
+    /// [`lay_out`] of `by_slot` and `ends`. Both are empty when there are no
+    /// checks.
     by_slot: Vec<u32>,
+    ends: Vec<u32>,
 }
 
 impl Watches {
@@ -999,18 +1015,20 @@ impl Watches {
 
         let mut checks = Vec::new();
         let mut watched = Vec::new();
-        // (watched slot, check id) pairs.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        // The (watched slot, check id) pairs, in check order.
+        let mut slots: Vec<u32> = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
         let mut watch = |check: Check, terms: &[&Term]| {
             let id = checks.len() as u32;
             checks.push(check);
-            let before = pairs.len();
+            let before = slots.len();
             for v in terms.iter().filter_map(|t| t.as_var()) {
-                if !in_head[v.0 as usize] && !pairs[before..].contains(&(v.0, id)) {
-                    pairs.push((v.0, id));
+                if !in_head[v.0 as usize] && !slots[before..].contains(&v.0) {
+                    slots.push(v.0);
+                    ids.push(id);
                 }
             }
-            watched.push((pairs.len() - before) as u32);
+            watched.push((slots.len() - before) as u32);
         };
         for (i, lit) in clause.body.iter().enumerate() {
             let (Literal::Similar(a, b) | Literal::Equal(a, b) | Literal::NotEqual(a, b)) = lit
@@ -1031,26 +1049,19 @@ impl Watches {
             }
         }
 
-        pairs.sort_unstable();
-        let mut starts = vec![0u32; var_count + 1];
-        for &(slot, _) in &pairs {
-            starts[slot as usize + 1] += 1;
-        }
-        for s in 0..var_count {
-            starts[s + 1] += starts[s];
-        }
+        let (by_slot, ends) = lay_out(var_count, &slots, ids);
         Watches {
             checks,
             watched,
-            starts,
-            by_slot: pairs.into_iter().map(|(_, id)| id).collect(),
+            by_slot,
+            ends,
         }
     }
 
     /// The checks watching slot `v`. Only called when there are checks.
     fn watching(&self, v: Var) -> &[u32] {
-        let s = v.0 as usize;
-        &self.by_slot[self.starts[s] as usize..self.starts[s + 1] as usize]
+        let (start, end) = span(&self.ends, v.0 as usize);
+        &self.by_slot[start as usize..end as usize]
     }
 }
 
@@ -1065,9 +1076,9 @@ pub(crate) struct Parts {
     /// indices) and its repair groups (as group indices), each in clause
     /// order.
     items: Vec<u32>,
-    /// Where each part's three lists end in `items`; part `p`'s lists start
-    /// where part `p - 1`'s end.
-    ends: Vec<[u32; 3]>,
+    /// Where each list ends in `items` ([`lay_out`]): part `p`'s three lists
+    /// are lists `3p`, `3p + 1` and `3p + 2`.
+    ends: Vec<u32>,
 }
 
 impl Parts {
@@ -1117,67 +1128,82 @@ impl Parts {
         }
 
         // Lay the items out part by part, `part` giving the part of body
-        // literal `i` at `i` and of repair group `g` at `body.len() + g`:
-        // count each list, turn the counts into starts, then place every
-        // item at its list's next slot; the starts become the ends.
+        // literal `i` at `i` and of repair group `g` at `body.len() + g`.
+        // Part `p`'s relation literals, other body literals and repair
+        // groups are lists `3p`, `3p + 1` and `3p + 2`.
         let body = clause.body.len();
         let kind = |item: usize| match clause.body.get(item) {
             Some(l) if l.is_relation() => 0,
             Some(_) => 1,
             None => 2,
         };
-        let mut ends = vec![[0u32; 3]; count as usize];
-        for (item, &p) in part.iter().enumerate() {
-            ends[p as usize][kind(item)] += 1;
+        for (item, p) in part.iter_mut().enumerate() {
+            *p = 3 * *p + kind(item);
         }
-        let mut next = 0;
-        for list in ends.iter_mut().flatten() {
-            let len = *list;
-            *list = next;
-            next += len;
-        }
-        let mut laid_out = vec![0; part.len()];
         let mut relations = 0;
-        for (item, &p) in part.iter().enumerate() {
-            let k = kind(item);
-            let slot = &mut ends[p as usize][k];
-            laid_out[*slot as usize] = match k {
-                0 => {
-                    relations += 1;
-                    relations - 1
-                }
-                1 => item as u32,
-                _ => (item - body) as u32,
-            };
-            *slot += 1;
-        }
-        Parts {
-            items: laid_out,
-            ends,
-        }
+        let values = (0..part.len()).map(|item| match kind(item) {
+            0 => {
+                relations += 1;
+                relations - 1
+            }
+            1 => item as u32,
+            _ => (item - body) as u32,
+        });
+        let (items, ends) = lay_out(3 * count as usize, &part, values);
+        Parts { items, ends }
     }
 
     /// The number of parts.
     pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+        self.ends.len() / 3
     }
 
     /// Part `p`'s relation literals (positions among the body's relation
     /// literals), `≈`/`=`/`≠` literals (body indices) and repair groups
     /// (group indices), each in clause order.
     pub(crate) fn lists(&self, p: usize) -> [&[u32]; 3] {
-        let start = if p == 0 {
-            0
-        } else {
-            self.ends[p - 1][2] as usize
-        };
-        let [relations, constraints, repairs] = self.ends[p].map(|end| end as usize);
-        [
-            &self.items[start..relations],
-            &self.items[relations..constraints],
-            &self.items[constraints..repairs],
-        ]
+        [0, 1, 2].map(|kind| {
+            let (start, end) = span(&self.ends, 3 * p + kind);
+            &self.items[start as usize..end as usize]
+        })
     }
+}
+
+/// Lists laid out back to back by counting, the layout of
+/// [`GroundClause`]'s candidate lists, of [`Parts`] and of [`Watches`]:
+/// item `i` joins list `keys[i]` with the `i`-th of `values`, and each list
+/// keeps its items in order. Each list's count becomes its start, and
+/// placing an item advances it, so the starts end as the lists' ends.
+/// Returns the items and the ends of the `count` lists; [`span`] reads a
+/// list's range back.
+fn lay_out(
+    count: usize,
+    keys: &[u32],
+    values: impl IntoIterator<Item = u32>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut ends = vec![0u32; count];
+    for &key in keys {
+        ends[key as usize] += 1;
+    }
+    let mut start = 0;
+    for end in &mut ends {
+        let len = *end;
+        *end = start;
+        start += len;
+    }
+    let mut items = vec![0u32; keys.len()];
+    for (&key, value) in keys.iter().zip(values) {
+        let end = &mut ends[key as usize];
+        items[*end as usize] = value;
+        *end += 1;
+    }
+    (items, ends)
+}
+
+/// Where list `k` of a [`lay_out`] lies in its items, given the lists'
+/// ends: it starts where list `k - 1` ends.
+fn span(ends: &[u32], k: usize) -> Span {
+    (k.checked_sub(1).map_or(0, |j| ends[j]), ends[k])
 }
 
 /// Marks an item without a free slot while [`Parts::new`] links.

@@ -146,11 +146,6 @@ impl ChangeSet {
             .is_some_and(|t| t.contains(&(attribute, *value)))
     }
 
-    /// Number of distinct `(relation, attribute, value)` triples touched.
-    pub fn len(&self) -> usize {
-        self.touched.values().map(FxHashSet::len).sum()
-    }
-
     /// Every touched `(relation, attribute, value)` triple (unordered).
     pub fn iter(&self) -> impl Iterator<Item = (RelId, usize, Value)> + '_ {
         self.touched
@@ -239,7 +234,6 @@ mod tests {
         assert!(!changes.affects(id, 1, &Value::str("zzz")));
         assert!(!changes.affects(RelId::intern("other"), 0, &Value::int(1)));
         // Four triples: (id 2, title b) and (id 1, title a).
-        assert_eq!(changes.len(), 4);
         let mut triples: Vec<_> = changes.iter().collect();
         triples.sort();
         assert_eq!(
