@@ -77,23 +77,16 @@ impl DeltaReport {
     ///
     /// The exact probes are tested from the change set's side: a log holds a
     /// few hundred of them, while a streamed transaction touches a few dozen
-    /// triples. The similarity probes, about a dozen on either side, are
-    /// tested from whichever side is smaller.
+    /// triples.
     pub fn affects(&self, probes: &ProbeLog) -> bool {
         self.changes
             .iter()
             .any(|probe| probes.values.contains(&probe))
-            || if probes.sims.len() <= self.changed_match_lists() {
-                probes.sims.iter().any(|(md, s)| {
-                    self.changed_syms
-                        .iter()
-                        .any(|(pos, set)| pos == md && set.contains(s))
-                })
-            } else {
+            || probes.sims.iter().any(|(md, s)| {
                 self.changed_syms
                     .iter()
-                    .any(|(pos, set)| set.iter().any(|s| probes.sims.contains(&(*pos, *s))))
-            }
+                    .any(|(pos, set)| pos == md && set.contains(s))
+            })
     }
 
     /// Total number of values whose similarity match list changed, across
@@ -418,34 +411,26 @@ mod tests {
     #[test]
     fn affects_equals_the_probe_by_probe_test_from_either_side() {
         let mut rng = StdRng::seed_from_u64(26);
-        // Per kind of probe, exact then similarity: how often the log was
-        // the larger side, and what the answer was.
-        let mut seen = [[[0usize; 2]; 2]; 2];
+        // How often the log's exact probes outnumbered the change set's
+        // triples, and what the answer was.
+        let mut seen = [[0usize; 2]; 2];
         for round in 0..400 {
-            // Alternate which side is larger, for the exact and for the
-            // similarity probes independently.
+            // Alternate which side is larger.
             let (ops, values) = if round % 2 == 0 {
                 (2usize, 120usize)
             } else {
                 (60, 3)
             };
-            let (syms, sims) = if round % 4 < 2 { (1, 40usize) } else { (50, 2) };
             let ops = rng.gen_range(0..=ops);
-            let (values, sims) = (rng.gen_range(0..=values), rng.gen_range(0..=sims));
-            let report = report(&mut rng, ops, syms);
-            let mut probes = log(&mut rng, values, sims);
+            let (values, sims) = (rng.gen_range(0..=values), rng.gen_range(0..=2usize));
+            let report = report(&mut rng, ops, 10);
+            let probes = log(&mut rng, values, sims);
             let expected = probe_by_probe(&report, &probes);
             assert_eq!(report.affects(&probes), expected, "round {round}");
             let larger = probes.values.len() > report.changes.iter().count();
-            seen[0][larger as usize][expected as usize] += 1;
-            // The similarity probes alone.
-            probes.values.clear();
-            let expected = probe_by_probe(&report, &probes);
-            assert_eq!(report.affects(&probes), expected, "round {round}, sims");
-            let larger = probes.sims.len() > report.changed_match_lists();
-            seen[1][larger as usize][expected as usize] += 1;
+            seen[larger as usize][expected as usize] += 1;
         }
-        // Either side was the larger, with both answers, for both kinds.
-        assert!(seen.iter().flatten().flatten().all(|&n| n > 0), "{seen:?}");
+        // Either side was the larger, with both answers.
+        assert!(seen.iter().flatten().all(|&n| n > 0), "{seen:?}");
     }
 }
